@@ -148,6 +148,10 @@ def dpi_bandwidth(
     The variance floor also guards Mallows' Cp: when the finest blocking's
     variance is below it, the fits interpolate, Cp is undefined and one block
     is used.
+
+    Constant y (ptp(y) = 0) makes both floors zero while rounding leaves
+    both quantities slightly above it; it takes the same fallback, with one
+    block, and says "y is constant".
     """
     x = sample.x
     y = sample.y
@@ -164,11 +168,12 @@ def dpi_bandwidth(
     xs = x[order]
     ys = y[order]
 
-    variance_floor = 1e-12 * float(np.ptp(y)) ** 2
+    amplitude = float(np.ptp(y))
+    variance_floor = 1e-12 * amplitude**2
     n_max = max(min(n // 20, 5), 1)
     fits = {N: _blocked_quartic(xs, ys, N) for N in range(1, n_max + 1)}
     denom = fits[n_max][0] / (n - 5 * n_max)
-    if denom > variance_floor:
+    if amplitude > 0.0 and denom > variance_floor:
         cp = {N: fits[N][0] / denom - (n - 10 * N) for N in fits}
         n_hat = min(cp, key=lambda N: (cp[N], N))
     else:
@@ -176,11 +181,13 @@ def dpi_bandwidth(
     rss, theta22 = fits[n_hat]
     sigma2 = rss / (n - 5 * n_hat)
 
-    curvature_floor = 1e-12 * (np.ptp(y) / support**2) ** 2
-    if theta22 <= curvature_floor or sigma2 <= variance_floor:
-        reason = "curvature" if theta22 <= curvature_floor else "residual variance"
+    curvature_floor = 1e-12 * (amplitude / support**2) ** 2
+    if amplitude == 0.0 or theta22 <= curvature_floor or sigma2 <= variance_floor:
+        reason = ("y is constant" if amplitude == 0.0
+                  else "curvature ~ 0" if theta22 <= curvature_floor
+                  else "residual variance ~ 0")
         warnings.warn(
-            f"plug-in bandwidth degenerate ({reason} ~ 0); "
+            f"plug-in bandwidth degenerate ({reason}); "
             "falling back to oversmoothed bandwidth",
             RuntimeWarning,
             stacklevel=2,

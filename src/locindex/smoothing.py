@@ -4,11 +4,46 @@ At each evaluation point x0 the estimate solves
 
     min over (b0, b1) of  sum_i L(y_i - b0 - b1 (x_i - x0)) * K((x_i - x0) / b)
 
-with K the standard normal kernel.  Quadratic loss L(r) = r^2 targets the
-conditional mean and has the closed-form weighted least squares solution;
-check loss L(r) = r (tau - 1{r < 0}) targets the conditional tau-quantile
-(tau = 1/2: the median) and is solved by iteratively reweighted least squares
-on a smoothed majorizer of the loss.  The fitted value at x0 is b0.
+with K the standard normal kernel.  The fitted value at x0 is b0.
+
+Quadratic loss L(r) = r^2 targets the conditional mean and has the
+closed-form weighted least squares solution.
+
+Check loss L(r) = r (tau - 1{r < 0}) targets the conditional tau-quantile
+(tau = 1/2: the median).  The problem is a linear program in (b0, b1), so an
+optimum is attained by a line through two observations with distinct x.
+It is found exactly by pivoting descent over such lines [4, 3]:
+
+1. Rotation about a pivot observation k.  A line through k with slope b1
+   has residuals r_i = a_i (s_i - b1), where a_i = x_i - x_k and
+   s_i = (y_i - y_k) / a_i.  Its objective is a weighted check loss in b1,
+   with weights c_i = w_i |a_i| and level tau (a_i > 0) or 1 - tau
+   (a_i < 0).  So the best slope is the smallest s_(j) whose cumulative
+   weight reaches sum_i c_i (tau if a_i > 0 else 1 - tau).
+2. Descent.  The line through k and that observation j is taken when it
+   lowers the objective strictly, and j becomes the next pivot.  The first
+   pivot is the observation on the best line of weighted least-squares
+   slope.
+3. Optimality.  When a rotation brings no strict decrease, the line is
+   optimal against rotations about the points tried on it.  The line is a
+   vertex, and a vertex is optimal when no rotation about any observation
+   on it descends: those rotations span every direction in (b0, b1).  Tied
+   data put more than two observations on a line, and stopping at the two
+   that define it can leave the fit far above the optimum.  So the one-sided
+   rates of change of the objective are computed, from prefix sums, for the
+   rotations about every observation on the line.  The descent rotates about
+   the steepest descending one not yet tried, and stops when there is none.
+   It also stops at once when the objective is zero.
+
+An observation lies on the line when its residual is zero up to rounding.
+There are finitely many lines through two observations, the objective
+decreases strictly at every move, and each line has finitely many points to
+try.  So no line is visited twice and the descent terminates without an
+iteration cap or a step tolerance.  The returned coefficients are computed
+from the two observations that define the final line, anchored on the one
+nearer x0.  The fitted value is therefore a function of the sample, x0,
+the bandwidth and the loss alone, and ``fit_curve`` is ``local_linear_fit``
+on a grid, bit for bit.
 
 References
 ----------
@@ -17,6 +52,9 @@ References
 .. [2] Wand, M. P. and Jones, M. C. (1995). *Kernel Smoothing.*
        Chapman & Hall.
 .. [3] Koenker, R. (2005). *Quantile Regression.* Cambridge University Press.
+       (Chapter 6: the simplex-type descent for the L1 / check-loss line.)
+.. [4] Wesolowsky, G. O. (1981). "A new descent algorithm for the least
+       absolute value regression problem." *Comm. Statist. B* 10: 479-491.
 """
 
 from __future__ import annotations
@@ -125,19 +163,13 @@ def _kernel_weights(x: np.ndarray, x0: float, bandwidth: float) -> np.ndarray:
     return w
 
 
-def _solve_wls(
-    d: np.ndarray, y: np.ndarray, w: np.ndarray, x0: float, extra: tuple[float, float] = (0.0, 0.0)
-) -> tuple[float, float]:
-    """Closed-form 2-parameter weighted least squares on the design (1, d).
-
-    ``extra`` adds a constant forcing term to the normal equations' right-hand
-    side (used by the check-loss iteration; zero for plain WLS).
-    """
+def _solve_wls(d: np.ndarray, y: np.ndarray, w: np.ndarray, x0: float) -> tuple[float, float]:
+    """Closed-form 2-parameter weighted least squares on the design (1, d)."""
     s0 = float(w.sum())
     s1 = float(w @ d)
     s2 = float(w @ (d * d))
-    t0 = float(w @ y) + extra[0]
-    t1 = float(w @ (d * y)) + extra[1]
+    t0 = float(w @ y)
+    t1 = float(w @ (d * y))
     det = s0 * s2 - s1 * s1
     if det <= 0.0 or det <= 1e-13 * s0 * s2:
         raise SmoothingError(f"singular weighted design at x0 = {x0}")
@@ -152,12 +184,123 @@ def check_loss_objective(
     """Kernel-weighted check-loss objective at (beta0, beta1).
 
     Exposed so optimization quality can be certified from outside: the value
-    at the returned minimizer should not exceed the value at any other
-    candidate, up to the solver tolerance.
+    at the minimizer returned by ``local_linear_fit`` should not exceed the
+    value at any other candidate.
     """
     w = _kernel_weights(sample.x, x0, bandwidth)
     r = sample.y - beta0 - beta1 * (sample.x - x0)
     return float(np.sum(w * r * (tau - (r < 0.0))))
+
+
+# An observation lies on a line when its residual is zero up to rounding: at
+# most this multiple of the largest magnitude the residuals are computed
+# from.  Counting a point that is merely close costs a little time, never the
+# optimum; exactly collinear points of tied data sit many orders below it.
+_ON_LINE = 2.0**-40
+
+
+def _rotate(
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float, k: int
+) -> tuple[int, float, float, np.ndarray, np.ndarray]:
+    """Best line through observation k.
+
+    Returns the partner j, the slope, the objective, the residuals and
+    a = x - x[k].  Differences are taken in x, not in x - x0, so the slope of
+    two close observations keeps its digits; it is symmetric in k and j.
+    """
+    a = x - x[k]
+    dy = y - y[k]
+    rows = np.flatnonzero(a)
+    ar = a[rows]
+    slopes = dy[rows] / ar
+    c = w[rows] * np.abs(ar)
+    cut = tau * float(c.sum()) + (1.0 - 2.0 * tau) * float(c[ar < 0.0].sum())
+    order = np.argsort(slopes)
+    pos = order[min(int(np.searchsorted(np.cumsum(c[order]), cut)), len(order) - 1)]
+    b1 = float(slopes[pos])
+    r = dy - b1 * a
+    return int(rows[pos]), b1, float(w @ np.maximum(tau * r, (tau - 1.0) * r)), r, a
+
+
+def _descending_pivot(
+    w: np.ndarray, tau: float, a: np.ndarray, r: np.ndarray, on_line: float,
+    tried: list[float],
+) -> int | None:
+    """A point of a line about which a rotation lowers the objective.
+
+    The line has residuals r, a = x - x[k] for a point k on it, and the rows
+    with |r| <= on_line lie on it.  Rotating the line about such a row i
+    changes the objective at two one-sided rates, computed here for every i
+    at once from prefix sums.  These rotations span every direction in
+    (b0, b1), so the line is optimal when no rate is negative, and None is
+    returned.  Otherwise the row with the steepest rate is returned, skipping
+    rows whose a is in ``tried``.
+    """
+    on = np.flatnonzero(np.abs(r) <= on_line)
+    if all(a[i] in tried for i in on):  # typically just the two defining points
+        return None
+    g = w * np.where(r > 0.0, tau, tau - 1.0)  # derivative of each row's loss in r
+    g[on] = 0.0
+    g0, g1 = float(g.sum()), float(g @ a)
+    on = on[np.argsort(a[on])]
+    ai = a[on]
+    cw = np.cumsum(w[on])
+    cwa = np.cumsum(w[on] * ai)
+    left = ai * cw - cwa  # sum of w_l (a_i - a_l) over rows on the line left of i
+    right = (cwa[-1] - cwa) - ai * (cw[-1] - cw)
+    pull = g1 - ai * g0  # sum of g_l (a_l - a_i) over rows off the line
+    rate = np.minimum((1.0 - tau) * right + tau * left - pull,
+                      tau * right + (1.0 - tau) * left + pull)
+    for i in np.argsort(rate):
+        if rate[i] >= 0.0:
+            return None
+        if ai[i] not in tried:
+            return int(on[i])
+    return None
+
+
+def _check_loss_line(
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float, k: int
+) -> tuple[int, int, float]:
+    """Pivoting descent from pivot k to an optimal line: (p, q, slope).
+
+    ``x``, ``y`` and ``w`` hold the weighted rows only, and at least two
+    distinct values of ``x``.
+    """
+    y_scale = 2.0 * float(np.abs(y).max())
+    x_span = float(x.max() - x.min())
+    best_f = math.inf
+    while True:
+        j, b1, f, r, a = _rotate(x, y, w, tau, k)
+        if f < best_f:
+            best, best_f = (k, j, b1), f
+            if f == 0.0:
+                break
+            line = (a, r, _ON_LINE * (y_scale + abs(b1) * x_span))
+            tried = [0.0]  # a of the pivot itself: the line is best through k
+            k = j
+            continue
+        tried.append(line[0][k])
+        k = _descending_pivot(w, tau, *line, tried)
+        if k is None:
+            break
+    return best
+
+
+def _start(d: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float, x0: float) -> int:
+    """A first pivot: the observation on the best line of least-squares slope.
+
+    With the slope fixed, the best intercept is the weighted tau-quantile of
+    y - slope * d, which is attained at an observation.  Any start reaches
+    the optimum; this one is usually on or next to the optimal line.
+    """
+    try:
+        slope = _solve_wls(d, y, w, x0)[1]
+    except SmoothingError:  # a nearly singular design: slope 0 starts as well
+        slope = 0.0
+    order = np.argsort(y - slope * d)
+    cum = np.cumsum(w[order])
+    return int(order[np.searchsorted(cum, tau * cum[-1])])
 
 
 def local_linear_fit(
@@ -168,48 +311,38 @@ def local_linear_fit(
 ) -> tuple[float, float]:
     """Local linear coefficients at x0; the fitted value is beta0.
 
-    Quadratic loss is solved in closed form.  Check loss is solved by IRLS on
-    the smoothed loss (tau - 1/2) r + sqrt(r^2 + eps^2) / 2 with
-    eps = 1e-6 * range(y), stopping when the coefficients move by less than
-    1e-8 (at most 200 iterations); for a 2-parameter problem this converges
-    in a handful of steps.
+    Quadratic loss is solved in closed form.  Check loss is solved exactly by
+    the pivoting descent of the module docstring, started from the
+    observation on the best line whose slope is the weighted least-squares
+    slope.  The result is a line through two observations that no other
+    line beats; the optimum is computed exactly, the coefficients are that
+    line rounded to floating point.  Where several lines attain the minimum
+    (tied data), the one the descent reaches first is returned; the result
+    is a function of (sample, x0, bandwidth, loss) alone.
 
     Raises SmoothingError when fewer than two distinct x values carry kernel
-    weight at x0, or when the weighted design is singular.
+    weight at x0, or, for quadratic loss, when the weighted design is
+    singular.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be > 0")
-    x = sample.x
-    y = sample.y
-    w = _kernel_weights(x, x0, bandwidth)
-    active = w > 0.0
-    if len(np.unique(x[active])) < 2:
+    w = _kernel_weights(sample.x, x0, bandwidth)
+    rows = np.flatnonzero(w)
+    x = sample.x[rows]
+    if not x.size or x.min() == x.max():
         raise SmoothingError(
             f"fewer than 2 distinct observations carry kernel weight at x0 = {x0}"
         )
-    d = x - x0
-
-    beta0, beta1 = _solve_wls(d, y, w, x0)
     if loss.kind == "quadratic":
-        return beta0, beta1
+        return _solve_wls(sample.x - x0, sample.y, w, x0)
 
-    tau = loss.tau
-    eps = 1e-6 * float(np.ptp(y))
-    if eps == 0.0:
-        # y is constant: zero residuals already minimize any check loss
-        return beta0, beta1
-
-    shift = tau - 0.5
-    extra = (2.0 * shift * float(w.sum()), 2.0 * shift * float(w @ d))
-    for _ in range(200):
-        r = y - beta0 - beta1 * d
-        irls_w = w / np.sqrt(r * r + eps * eps)
-        new0, new1 = _solve_wls(d, y, irls_w, x0, extra=extra)
-        if max(abs(new0 - beta0), abs(new1 - beta1)) < 1e-8:
-            beta0, beta1 = new0, new1
-            break
-        beta0, beta1 = new0, new1
-    return beta0, beta1
+    y = sample.y[rows]
+    w = w[rows]
+    p, q, b1 = _check_loss_line(x, y, w, loss.tau, _start(x - x0, y, w, loss.tau, x0))
+    # anchor on the point nearer x0: the value then depends on the line only
+    if (abs(x[p] - x0), x[p]) > (abs(x[q] - x0), x[q]):
+        p = q
+    return float(y[p] - b1 * (x[p] - x0)), b1
 
 
 def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:

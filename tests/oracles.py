@@ -62,14 +62,40 @@ def global_least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return float(intercept), float(slope)
 
 
-def check_loss_value(x, y, x0, bandwidth, tau, beta0, beta1) -> float:
-    """Kernel-weighted check loss, written out from its definition."""
+def check_loss_value(x, y, x0, bandwidth, tau, beta0, beta1):
+    """Kernel-weighted check loss, written out from its definition.
+
+    ``beta0`` and ``beta1`` may be arrays of shape (k, 1); the result is then
+    the k objective values.
+    """
     u = (np.asarray(x) - x0) / bandwidth
     w = np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi)
     w[w < 1e-12] = 0.0
     r = np.asarray(y) - beta0 - beta1 * (np.asarray(x) - x0)
     rho = np.where(r >= 0, tau * r, (tau - 1.0) * r)
-    return float(np.sum(w * rho))
+    total = np.sum(w * rho, axis=-1)
+    return float(total) if total.ndim == 0 else total
+
+
+def check_loss_minimum(x, y, x0, bandwidth, tau) -> float:
+    """Minimum kernel-weighted check loss by enumerating every two-point line.
+
+    The check-loss fit is a linear program in (b0, b1) whose optimum is
+    attained by a line through two observations with distinct x, so the
+    smallest ``check_loss_value`` over all such lines is the optimum.  The
+    enumeration is quadratic in n; it is meant for n <= 60.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if len(x) > 60:
+        raise ValueError("brute-force enumeration is meant for n <= 60")
+    p, q = np.triu_indices(len(x), 1)
+    distinct = x[p] != x[q]
+    p, q = p[distinct], q[distinct]
+    slope = (y[q] - y[p]) / (x[q] - x[p])
+    intercept = y[p] + slope * (x0 - x[p])
+    values = check_loss_value(x, y, x0, bandwidth, tau, intercept[:, None], slope[:, None])
+    return float(values.min())
 
 
 def amise_bandwidth(n: int, sigma: float, support: float, theta22: float) -> float:

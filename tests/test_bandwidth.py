@@ -156,6 +156,16 @@ class TestDpiBandwidth:
             est = dpi_bandwidth(PairedSample(x=x, y=x**2))
         assert est.diagnostics.block_count == 1
 
+    def test_constant_y_falls_back(self):
+        # ptp(y) = 0 zeroes both floors, and rounding leaves the curvature at
+        # about 1e-30, so only an explicit check catches it
+        x = np.linspace(0.0, 1.0, 40)
+        with pytest.warns(RuntimeWarning, match="y is constant"):
+            est = dpi_bandwidth(PairedSample(x=x, y=np.full(40, 0.3)))
+        assert est.diagnostics.fallback
+        assert est.diagnostics.block_count == 1
+        assert est.value == oversmoothed_bandwidth(x)
+
     def test_degenerate_x_rejected(self):
         with pytest.raises(BandwidthError, match="degenerate"):
             dpi_bandwidth(PairedSample(x=np.full(30, 0.4), y=np.linspace(0, 1, 30)))
