@@ -1,3 +1,15 @@
+"""CLI tests, with golden outputs of every subcommand on the fixture.
+
+Regenerate golden files with ``PYTHONPATH=src python tests/test_cli.py
+[CASE ...]`` (all cases when none is named); the two ``loc_matrix_*.json``
+snapshots are not regenerated by it.
+"""
+
+import json
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -5,6 +17,42 @@ import pytest
 from locindex.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+FIXTURE = Path(__file__).resolve().parent.parent / "data" / "synthetic_marks.csv"
+
+# case name -> argv after "--input FIXTURE --seed 0"; fit and plot-data also get --out
+CASES = {
+    "summarize_table": ["summarize"],
+    "summarize_csv": ["summarize", "--format", "csv"],
+    "summarize_json": ["summarize", "--format", "json"],
+    "compare_table": ["compare", "mathematics", "reading"],
+    "compare_csv": ["compare", "mathematics", "reading", "--format", "csv"],
+    "compare_json": ["compare", "mathematics", "reading", "--format", "json"],
+    "loc_matrix_both_table": ["loc-matrix", "--loss", "both"],
+    "loc_matrix_both_csv": ["loc-matrix", "--loss", "both", "--format", "csv"],
+    "fit": ["fit", "mathematics", "reading", "--grid", "50"],
+    "plot_data_median": ["plot-data", "mathematics", "reading", "--loss", "median",
+                         "--grid", "50"],
+}
+
+
+def run_case(name: str, out_dir: Path) -> str:
+    """Exit status, stdout, stderr and every written file of one case, as text."""
+    argv = [*CASES[name], "--input", str(FIXTURE), "--seed", "0"]
+    if argv[0] in ("fit", "plot-data"):
+        argv += ["--out", str(out_dir)]
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    parts = [f"exit: {code}", "--- stdout", out.getvalue(), "--- stderr", err.getvalue()]
+    for path in sorted(out_dir.iterdir()):
+        parts += [f"--- file {path.name}", path.read_text(encoding="utf-8")]
+    return "\n".join(parts).replace(str(out_dir), "<out>")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_subcommand_output_matches_golden(name, tmp_path):
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert run_case(name, tmp_path) == expected
 
 
 @pytest.mark.parametrize("loss", ["mean", "median"])
@@ -23,3 +71,50 @@ def test_unknown_subcommand_exits_with_status_2(capsys):
         main(["no-such-command"])
     assert info.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_failed_pair_exits_with_status_1(tmp_path, capsys):
+    # without jitter a constant x defeats the plug-in bandwidth; the other
+    # pairs are still reported
+    rows = [f"S{i},{10 + (7 * i) % 41},20,{25 + (11 * i) % 37}" for i in range(30)]
+    csv = tmp_path / "flat.csv"
+    csv.write_text("\n".join(["student_id,mathematics,reading,spelling", *rows]) + "\n",
+                   encoding="utf-8")
+    code = main(["loc-matrix", "--input", str(csv), "--jitter-sd", "0",
+                 "--grid", "50", "--m", "50", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error: pair (reading -> mathematics), mean fit: x is degenerate" in captured.err
+    assert "error: pair (reading -> spelling), mean fit: x is degenerate" in captured.err
+    entries = json.loads(captured.out)["mean"]["entries"]
+    assert entries[0][2] == entries[0][2]  # mathematics -> spelling is not NaN
+
+
+def test_flags_override_config_file_which_overrides_defaults(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"input": str(FIXTURE), "format": "csv", "bins": 5}),
+                      encoding="utf-8")
+    monkeypatch.setenv("LOCINDEX_CONFIG", str(config))
+
+    assert main(["summarize"]) == 0  # config over defaults: csv, 5 bins
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "statistic,mathematics,reading,spelling"
+    assert lines[-1].startswith("histogram spelling,")
+    assert len(lines[-1].split(",")) == 1 + 5
+
+    assert main(["summarize", "--bins", "3"]) == 0  # flag over config
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "statistic,mathematics,reading,spelling"
+    assert len(lines[-1].split(",")) == 1 + 3
+
+    assert main(["summarize", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["bins"] == 5 and payload["n"] == 52
+
+
+if __name__ == "__main__":
+    for case in sys.argv[1:] or sorted(CASES):
+        with tempfile.TemporaryDirectory() as tmp:
+            text = run_case(case, Path(tmp))
+        (GOLDEN / f"{case}.txt").write_text(text, encoding="utf-8")
+        print(f"wrote {GOLDEN / f'{case}.txt'}")
