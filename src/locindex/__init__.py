@@ -11,15 +11,17 @@ loc_index(rank_step_function(s)) == finite_population_I(s).
 """
 
 from .association import (
-    AssociationReport,
     LocMatrix,
+    PairFit,
     PsiFunction,
     Ranks,
     TiesError,
     empirical_ranks,
     finite_population_I,
+    fit_pair,
     liebscher_zeta,
     loc_matrix,
+    pair_seed,
     pearson,
     psi_norm_constant,
     rank_step_function,
@@ -74,7 +76,6 @@ from .smoothing import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssociationReport",
     "BandwidthDiagnostics",
     "BandwidthError",
     "BandwidthEstimate",
@@ -89,6 +90,7 @@ __all__ = [
     "LocValue",
     "LossKind",
     "NormalizedSample",
+    "PairFit",
     "PairedSample",
     "ParseError",
     "PsiFunction",
@@ -104,6 +106,7 @@ __all__ = [
     "empirical_ranks",
     "finite_population_I",
     "fit_curve",
+    "fit_pair",
     "histogram",
     "increasing_rearrangement",
     "jitter",
@@ -117,6 +120,7 @@ __all__ = [
     "normalize",
     "oversmoothed_bandwidth",
     "pair",
+    "pair_seed",
     "pearson",
     "psi_norm_constant",
     "rank_step_function",

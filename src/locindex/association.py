@@ -27,17 +27,17 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .bandwidth import BandwidthError, dpi_bandwidth, median_adjust
+from .bandwidth import BandwidthError, BandwidthEstimate, dpi_bandwidth, median_adjust
 from .dataset import NormalizedSample, PairedSample, jitter, pair
 from .rearrangement import StepFunction, loc_index, step_from_curve
-from .smoothing import FitSpec, SmoothingError, fit_curve
+from .smoothing import FitSpec, FittedCurve, SmoothingError, fit_curve
 
 __all__ = [
     "TiesError",
     "Ranks",
     "PsiFunction",
-    "AssociationReport",
     "LocMatrix",
+    "PairFit",
     "pearson",
     "empirical_ranks",
     "spearman",
@@ -45,6 +45,8 @@ __all__ = [
     "liebscher_zeta",
     "finite_population_I",
     "rank_step_function",
+    "pair_seed",
+    "fit_pair",
     "loc_matrix",
 ]
 
@@ -196,26 +198,6 @@ def rank_step_function(sample: PairedSample) -> StepFunction:
 
 
 @dataclass(frozen=True)
-class AssociationReport:
-    """All coefficients for one ordered pair, side by side.
-
-    ``loc_mean``/``loc_median`` are None when the smoothing stage is skipped.
-    ``identity_ok`` records whether the rank-based LOC reproduced
-    ``finite_population_I`` to near machine precision on this sample.
-    """
-
-    pearson: float
-    spearman: float
-    zeta_quadratic: float
-    zeta_absolute: float
-    finite_i: float
-    rank_loc: float
-    identity_ok: bool
-    loc_mean: float | None = None
-    loc_median: float | None = None
-
-
-@dataclass(frozen=True)
 class LocMatrix:
     """Asymmetric matrix of LOC values over all ordered column pairs.
 
@@ -230,9 +212,59 @@ class LocMatrix:
     failures: dict[tuple[str, str], str]
 
 
-def _pair_seed(seed: int, i: int, j: int) -> int:
-    # one master seed, an independent but reproducible substream per pair
+
+
+@dataclass(frozen=True)
+class PairFit:
+    """One ordered pair through the LOC pipeline.
+
+    ``sample`` is the jittered pair the curve is fitted to, ``bandwidth`` the
+    estimate used, ``curve`` the fitted curve and ``loc`` the exact LOC index
+    of its step function.  When bandwidth selection or fitting fails,
+    ``error`` holds the message, ``curve`` and ``loc`` are None, and
+    ``bandwidth`` is None if its selection was the stage that failed.
+    """
+
+    sample: PairedSample
+    bandwidth: BandwidthEstimate | None = None
+    curve: FittedCurve | None = None
+    loc: float | None = None
+    error: str | None = None
+
+
+def pair_seed(seed: int, i: int, j: int) -> int:
+    """Jitter seed of the ordered pair (column i, column j) under master ``seed``.
+
+    One master seed gives an independent but reproducible substream per
+    pair, so a pair gets the same jitter in every command.
+    """
     return int(np.random.SeedSequence([seed, i, j]).generate_state(1)[0])
+
+
+def fit_pair(pr: PairedSample, spec: FitSpec, jitter_sd: float = 1e-5,
+             seed: int = 0) -> PairFit:
+    """Jitter, bandwidth, curve and LOC index of one ordered pair.
+
+    The bandwidth is the fixed estimate carried by ``spec`` if there is one;
+    otherwise the plug-in estimate of the jittered pair, Yu-Jones adjusted
+    for quantile loss.  A ``BandwidthError``, ``SmoothingError`` or other
+    ``ValueError`` from bandwidth selection or fitting is returned in
+    ``PairFit.error``; a negative ``jitter_sd`` raises.
+    """
+    jittered = jitter(pr, jitter_sd, seed)
+    bw = None
+    try:
+        if spec.bandwidth is not None and spec.bandwidth.method == "fixed":
+            bw = spec.bandwidth
+        else:
+            bw = dpi_bandwidth(jittered)
+            if spec.loss.kind == "quantile":
+                bw = median_adjust(bw, spec.loss.tau)
+        curve = fit_curve(jittered, replace(spec, bandwidth=bw))
+    except (BandwidthError, SmoothingError, ValueError) as exc:
+        return PairFit(sample=jittered, bandwidth=bw, error=str(exc))
+    return PairFit(sample=jittered, bandwidth=bw, curve=curve,
+                   loc=loc_index(step_from_curve(curve)).value)
 
 
 def loc_matrix(
@@ -241,13 +273,11 @@ def loc_matrix(
     jitter_sd: float = 1e-5,
     seed: int = 0,
 ) -> LocMatrix:
-    """LOC of every ordered column pair through the full smoothing pipeline.
+    """LOC of every ordered column pair, each through ``fit_pair``.
 
-    Per pair: jitter (pair-specific substream of ``seed``), bandwidth
-    selection (plug-in; Yu-Jones adjusted for quantile loss; or the fixed
-    value carried by ``spec``), curve fitting, and the exact step-function
-    index.  The diagonal is zero by construction.  A failing pair is recorded
-    and does not stop the others.
+    Pair (i, j) is jittered with ``pair_seed(seed, i, j)``.  The diagonal is
+    zero by construction.  A failing pair gets NaN and its message in
+    ``failures`` and does not stop the others.
     """
     labels = sample.column_names
     if len(labels) < 2:
@@ -259,24 +289,12 @@ def loc_matrix(
         for j, y_name in enumerate(labels):
             if i == j:
                 continue
-            try:
-                entries[i, j] = _loc_of_pair(
-                    pair(sample, x_name, y_name), spec, jitter_sd, _pair_seed(seed, i, j)
-                )
-            except (BandwidthError, SmoothingError, ValueError) as exc:
+            fit = fit_pair(pair(sample, x_name, y_name), spec, jitter_sd,
+                           pair_seed(seed, i, j))
+            if fit.error is None:
+                entries[i, j] = fit.loc
+            else:
                 entries[i, j] = np.nan
-                failures[(x_name, y_name)] = str(exc)
+                failures[(x_name, y_name)] = fit.error
     return LocMatrix(labels=labels, entries=entries, loss_kind=spec.loss.kind,
                      failures=failures)
-
-
-def _loc_of_pair(pr: PairedSample, spec: FitSpec, jitter_sd: float, seed: int) -> float:
-    jittered = jitter(pr, jitter_sd, seed)
-    if spec.bandwidth is not None and spec.bandwidth.method == "fixed":
-        bw = spec.bandwidth
-    else:
-        bw = dpi_bandwidth(jittered)
-        if spec.loss.kind == "quantile":
-            bw = median_adjust(bw, spec.loss.tau)
-    curve = fit_curve(jittered, replace(spec, bandwidth=bw))
-    return loc_index(step_from_curve(curve)).value

@@ -1,4 +1,11 @@
-"""Command-line front end: summarize, fit, loc-matrix, compare, plot-data.
+"""Command-line front end: summarize, fit, plot-data, loc-matrix, compare.
+
+Every command that fits a curve runs each ordered pair through
+``association.fit_pair``: jitter, plug-in bandwidth, local linear mean or
+median curve, exact LOC index.  ``fit`` and ``plot-data`` are one command:
+both write the scatter and the fitted curves as plot data, ``fit`` always
+for both losses and with the bandwidths reported.  summarize, compare and
+loc-matrix build their result once and print it as a table, csv or json.
 
 Configuration precedence is flags > config file > built-in defaults; the
 config file is JSON, found via --config or the LOCINDEX_CONFIG environment
@@ -17,35 +24,38 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .association import (
+    PairFit,
     PsiFunction,
     TiesError,
     finite_population_I,
+    fit_pair,
     liebscher_zeta,
     loc_matrix,
     pearson,
     rank_step_function,
     spearman,
 )
-from .bandwidth import BandwidthError, BandwidthEstimate, dpi_bandwidth, median_adjust
+from .bandwidth import BandwidthEstimate
 from .dataset import (
     ColumnSchema,
     NormalizedSample,
+    PairedSample,
     ParseError,
     histogram,
-    jitter,
     load_csv,
     normalize,
     pair,
     summarize,
 )
-from .rearrangement import loc_index, step_from_curve
-from .smoothing import FitSpec, LossKind, SmoothingError, fit_curve
+from .rearrangement import loc_index
+from .smoothing import FitSpec, LossKind
 
 CONFIG_ENV = "LOCINDEX_CONFIG"
 
@@ -64,6 +74,17 @@ _DEFAULTS = {
 
 _CONFIG_KEYS = set(_DEFAULTS) | {"input"}
 
+# loss of each command; fit and compare have no --loss flag and always fit both
+_COMMAND_LOSS_DEFAULTS = {
+    "summarize": "mean",
+    "fit": "both",
+    "plot-data": "both",
+    "loc-matrix": "mean",
+    "compare": "both",
+}
+
+_LOSSES = {"mean": LossKind.quadratic(), "median": LossKind.median()}
+
 
 class CliError(Exception):
     """Input or configuration error; maps to exit status 2."""
@@ -75,7 +96,6 @@ class RunConfig:
     schema: ColumnSchema
     loss: str
     grid_size: int
-    m: int
     jitter_sd: float
     seed: int
     fmt: str
@@ -121,7 +141,7 @@ def _parse_max_items(raw) -> tuple[int, ...]:
     return tuple(values)
 
 
-def _build_config(args: argparse.Namespace, default_loss: str) -> RunConfig:
+def _build_config(args: argparse.Namespace) -> RunConfig:
     settings = dict(_DEFAULTS)
     settings.update(_load_config_file(getattr(args, "config", None)))
     for key in _DEFAULTS:
@@ -139,15 +159,29 @@ def _build_config(args: argparse.Namespace, default_loss: str) -> RunConfig:
         raise CliError(f"--max-items needs {len(base.names)} values, got {len(max_items)}")
     schema = ColumnSchema(names=base.names, max_items=max_items, id_column=base.id_column)
 
+    default_loss = _COMMAND_LOSS_DEFAULTS[args.command]
     loss = settings["loss"] or default_loss
     if loss not in ("mean", "median", "both"):
         raise CliError(f"unknown loss {loss!r}; expected mean, median or both")
+    if "loss" not in vars(args):
+        loss = default_loss
     fmt = settings["format"]
     if fmt not in ("table", "csv", "json"):
         raise CliError(f"unknown format {fmt!r}; expected table, csv or json")
     seed = int(settings["seed"])
     if seed < 0:
         raise CliError("--seed must be non-negative")
+    grid, m = int(settings["grid"]), int(settings["m"])
+    if grid < 2:
+        raise CliError("--grid must be at least 2")
+    if args.command in ("loc-matrix", "compare") and m != grid:
+        raise CliError(
+            f"m ({m}) must equal grid size ({grid}); the step "
+            "function is a direct transfer of the fitted grid"
+        )
+    jitter_sd = float(settings["jitter_sd"])
+    if jitter_sd < 0:
+        raise CliError("--jitter-sd must be non-negative")
     bandwidth = settings["bandwidth"]
     if bandwidth is not None:
         bandwidth = float(bandwidth)
@@ -158,9 +192,8 @@ def _build_config(args: argparse.Namespace, default_loss: str) -> RunConfig:
         input=Path(settings["input"]),
         schema=schema,
         loss=loss,
-        grid_size=int(settings["grid"]),
-        m=int(settings["m"]),
-        jitter_sd=float(settings["jitter_sd"]),
+        grid_size=grid,
+        jitter_sd=jitter_sd,
         seed=seed,
         fmt=fmt,
         bins=int(settings["bins"]),
@@ -178,88 +211,112 @@ def _load_normalized(config: RunConfig) -> NormalizedSample:
         raise CliError(str(exc)) from None
 
 
-def _loss_kinds(loss: str) -> list[tuple[str, LossKind]]:
-    kinds = []
-    if loss in ("mean", "both"):
-        kinds.append(("mean", LossKind.quadratic()))
-    if loss in ("median", "both"):
-        kinds.append(("median", LossKind.median()))
-    return kinds
+def _specs(config: RunConfig) -> dict[str, FitSpec]:
+    """Fit spec of each curve the command uses; no bandwidth means plug-in."""
+    fixed = (BandwidthEstimate(value=config.bandwidth, method="fixed")
+             if config.bandwidth is not None else None)
+    labels = ("mean", "median") if config.loss == "both" else (config.loss,)
+    return {label: FitSpec(loss=_LOSSES[label], bandwidth=fixed, grid_size=config.grid_size)
+            for label in labels}
 
 
-def _resolve_bandwidth(config, sample_pair, loss_kind) -> BandwidthEstimate:
-    if config.bandwidth is not None:
-        return BandwidthEstimate(value=config.bandwidth, method="fixed")
-    bw = dpi_bandwidth(sample_pair)
-    if loss_kind.kind == "quantile":
-        bw = median_adjust(bw, loss_kind.tau)
-    return bw
+def _fit_named_pair(config: RunConfig, x_name: str, y_name: str, jitter_sd: float,
+                    seed: int) -> tuple[PairedSample, dict[str, PairFit]]:
+    """The raw pair (x_name, y_name) and its fit for each curve."""
+    sample = _load_normalized(config)
+    try:
+        pr = pair(sample, x_name, y_name)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    return pr, {label: fit_pair(pr, spec, jitter_sd, seed)
+                for label, spec in _specs(config).items()}
 
 
-def _print_aligned(rows: list[list[str]]) -> None:
+def _report_errors(messages: list[str]) -> int:
+    for message in messages:
+        print(f"error: {message}", file=sys.stderr)
+    return 1 if messages else 0
+
+
+# ---------------------------------------------------------------------------
+# rendering
+
+
+def _aligned(rows: list[list[str]]) -> list[str]:
+    """First column left-aligned, the others right-aligned."""
+    if not rows:
+        return []
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    for row in rows:
-        cells = [row[0].ljust(widths[0])]
-        cells += [cell.rjust(widths[i]) for i, cell in enumerate(row) if i > 0]
-        print("  ".join(cells).rstrip())
+    return ["  ".join([row[0].ljust(widths[0]),
+                       *(cell.rjust(w) for cell, w in zip(row[1:], widths[1:]))]).rstrip()
+            for row in rows]
+
+
+@dataclass(frozen=True)
+class Section:
+    """A block of table or csv output.
+
+    csv prints ``csv_head`` and then the rows joined by commas; table prints
+    ``head``, the rows laid out by ``layout`` and then ``tail``.
+    """
+
+    rows: list[list[str]]
+    head: tuple[str, ...] = ()
+    csv_head: tuple[str, ...] = ()
+    tail: tuple[str, ...] = ()
+    layout: Callable[[list[list[str]]], list[str]] = _aligned
+
+
+def _render(fmt: str, payload: dict, sections: list[Section]) -> None:
+    """Print ``payload`` as json, or ``sections`` as a table or csv."""
+    if fmt == "json":
+        print(json.dumps(payload, indent=2))
+        return
+    for s in sections:
+        if fmt == "csv":
+            lines = [*s.csv_head, *(",".join(row) for row in s.rows)]
+        else:
+            lines = [*s.head, *s.layout(s.rows), *s.tail]
+        for line in lines:
+            print(line)
 
 
 # ---------------------------------------------------------------------------
 # summarize
+
+_SUMMARY_ROWS = (
+    ("Minimum", "minimum"),
+    ("1st quartile", "q1"),
+    ("2nd quartile (median)", "median"),
+    ("3rd quartile", "q3"),
+    ("Mean", "mean"),
+    ("Maximum", "maximum"),
+    ("Standard deviation", "sd"),
+)
 
 
 def cmd_summarize(config: RunConfig) -> int:
     sample = _load_normalized(config)
     names = sample.column_names
     stats = {name: summarize(sample.columns[name]) for name in names}
-    hists = {name: histogram(sample.columns[name], config.bins) for name in names}
-
-    if config.fmt == "json":
-        payload = {
-            "columns": {
-                name: {
-                    "minimum": stats[name].minimum,
-                    "q1": stats[name].q1,
-                    "median": stats[name].median,
-                    "q3": stats[name].q3,
-                    "mean": stats[name].mean,
-                    "maximum": stats[name].maximum,
-                    "sd": stats[name].sd,
-                }
-                for name in names
-            },
-            "bins": config.bins,
-            "histograms": {name: hists[name].tolist() for name in names},
-            "n": sample.n,
-        }
-        print(json.dumps(payload, indent=2))
-        return 0
-
-    labels = [
-        ("Minimum", "minimum"),
-        ("1st quartile", "q1"),
-        ("2nd quartile (median)", "median"),
-        ("3rd quartile", "q3"),
-        ("Mean", "mean"),
-        ("Maximum", "maximum"),
-        ("Standard deviation", "sd"),
-    ]
-    if config.fmt == "csv":
-        print(",".join(["statistic", *names]))
-        for label, attr in labels:
-            print(",".join([label, *(_fmt(getattr(stats[n], attr)) for n in names)]))
-        for name in names:
-            print(",".join([f"histogram {name}", *(str(c) for c in hists[name])]))
-        return 0
-
-    rows = [["Summary statistics", *names]]
-    for label, attr in labels:
-        rows.append([label, *(_fmt(getattr(stats[n], attr)) for n in names)])
-    _print_aligned(rows)
-    print()
-    print(f"Histogram counts ({config.bins} bins, n = {sample.n})")
-    for name in names:
-        print(f"  {name}: " + " ".join(str(c) for c in hists[name]))
+    hists = {name: histogram(sample.columns[name], config.bins).tolist() for name in names}
+    payload = {
+        "columns": {name: asdict(stats[name]) for name in names},
+        "bins": config.bins,
+        "histograms": hists,
+        "n": sample.n,
+    }
+    corner = "statistic" if config.fmt == "csv" else "Summary statistics"
+    rows = [[corner, *names]] + [[label, *(_fmt(getattr(stats[n], attr)) for n in names)]
+                                 for label, attr in _SUMMARY_ROWS]
+    counts = {name: [str(c) for c in hists[name]] for name in names}
+    _render(config.fmt, payload, [
+        Section(rows),
+        Section([], head=("", f"Histogram counts ({config.bins} bins, n = {sample.n})",
+                          *(f"  {name}: " + " ".join(counts[name]) for name in names)),
+                csv_head=tuple(",".join([f"histogram {name}", *counts[name]])
+                               for name in names)),
+    ])
     return 0
 
 
@@ -267,151 +324,106 @@ def cmd_summarize(config: RunConfig) -> int:
 # fit / plot-data
 
 
-def _write_curve_files(config, x_name, y_name, losses):
-    """Write scatter + requested curve files; returns (written, failures, reports)."""
-    sample = _load_normalized(config)
-    try:
-        pr = pair(sample, x_name, y_name)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-    config.out.mkdir(parents=True, exist_ok=True)
-    written = []
-    scatter_path = config.out / f"{x_name}_{y_name}_scatter.dat"
-    with scatter_path.open("w", encoding="utf-8") as fh:
-        for xv, yv in zip(pr.x, pr.y):
+def _write_points(path: Path, xs, ys) -> None:
+    with path.open("w", encoding="utf-8") as fh:
+        for xv, yv in zip(xs, ys):
             fh.write(f"{xv:.6f} {yv:.6f}\n")
-    written.append(str(scatter_path))
 
-    failures: dict[str, str] = {}
-    reports = []
-    for label, kind in losses:
-        try:
-            bw = _resolve_bandwidth(config, pr, kind)
-            curve = fit_curve(pr, FitSpec(loss=kind, bandwidth=bw, grid_size=config.grid_size))
-        except (BandwidthError, SmoothingError, ValueError) as exc:
-            failures[label] = str(exc)
+
+def cmd_plot_data(config: RunConfig, x_name: str, y_name: str,
+                  report_bandwidth: bool = False) -> int:
+    """Write the raw scatter and each fitted curve of one pair as plot data.
+
+    ``fit`` is this command with both curves and ``report_bandwidth``.
+    """
+    pr, fits = _fit_named_pair(config, x_name, y_name, 0.0, config.seed)
+    config.out.mkdir(parents=True, exist_ok=True)
+    written = [config.out / f"{x_name}_{y_name}_scatter.dat"]
+    _write_points(written[0], pr.x, pr.y)
+    bandwidths = []
+    for label, fit in fits.items():
+        if fit.error is not None:
             continue
-        path = config.out / f"{x_name}_{y_name}_{label}.dat"
-        clamped = np.clip(curve.values, 0.0, 1.0)  # presentation-layer clamp
-        with path.open("w", encoding="utf-8") as fh:
-            for t, v in zip(curve.grid, clamped):
-                fh.write(f"{t:.6f} {v:.6f}\n")
-        written.append(str(path))
-        reports.append((label, bw))
-    return written, failures, reports
-
-
-def cmd_fit(config: RunConfig, x_name: str, y_name: str) -> int:
-    # fit always produces both curves; plot-data honors --loss selection
-    written, failures, reports = _write_curve_files(config, x_name, y_name,
-                                                    _loss_kinds("both"))
-    for path in written:
-        print(f"wrote {path}")
-    for label, bw in reports:
+        written.append(config.out / f"{x_name}_{y_name}_{label}.dat")
+        # presentation-layer clamp
+        _write_points(written[-1], fit.curve.grid, np.clip(fit.curve.values, 0.0, 1.0))
+        bw = fit.bandwidth
         blocks = f" blocks={bw.diagnostics.block_count}" if bw.diagnostics else ""
-        print(f"bandwidth {label}: {_fmt(bw.value)} method={bw.method}{blocks}")
-    for label, message in failures.items():
-        print(f"error: {label} curve failed: {message}", file=sys.stderr)
-    return 1 if failures else 0
-
-
-def cmd_plot_data(config: RunConfig, x_name: str, y_name: str) -> int:
-    written, failures, _ = _write_curve_files(config, x_name, y_name,
-                                              _loss_kinds(config.loss))
+        bandwidths.append(f"bandwidth {label}: {_fmt(bw.value)} method={bw.method}{blocks}")
     for path in written:
         print(f"wrote {path}")
-    for label, message in failures.items():
-        print(f"error: {label} curve failed: {message}", file=sys.stderr)
-    return 1 if failures else 0
+    for line in bandwidths if report_bandwidth else ():
+        print(line)
+    return _report_errors([f"{label} curve failed: {fit.error}"
+                           for label, fit in fits.items() if fit.error is not None])
 
 
 # ---------------------------------------------------------------------------
 # loc-matrix
 
 
-def _print_matrix_table(matrix) -> None:
-    k = len(matrix.labels)
-    header_span = " " * 12 + "Y"
-    print(header_span)
-    rows = [["X", *matrix.labels]]
-    for i in range(k):
-        cells = [_fmt(matrix.entries[i, j] * 1000.0) for j in range(k)]
-        rows.append([matrix.labels[i], *cells])
-    _print_aligned(rows)
-
-
 def cmd_loc_matrix(config: RunConfig) -> int:
-    if config.m != config.grid_size:
-        raise CliError(
-            f"m ({config.m}) must equal grid size ({config.grid_size}); the step "
-            "function is a direct transfer of the fitted grid"
-        )
     sample = _load_normalized(config)
-    fixed = (
-        BandwidthEstimate(value=config.bandwidth, method="fixed")
-        if config.bandwidth is not None
-        else None
-    )
+    try:
+        matrices = {label: loc_matrix(sample, spec, jitter_sd=config.jitter_sd,
+                                      seed=config.seed)
+                    for label, spec in _specs(config).items()}
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
-    matrices = []
-    for label, kind in _loss_kinds(config.loss):
-        spec = FitSpec(loss=kind, bandwidth=fixed, grid_size=config.grid_size)
-        matrices.append(
-            (label, loc_matrix(sample, spec, jitter_sd=config.jitter_sd, seed=config.seed))
-        )
-
-    if config.fmt == "json":
-        payload = {}
-        for label, matrix in matrices:
-            payload[label] = {
-                "labels": list(matrix.labels),
-                "loss": label,
-                "entries": [[v for v in row] for row in matrix.entries.tolist()],
-                "entries_x1000": [[v * 1000.0 for v in row] for row in matrix.entries.tolist()],
-                "failures": {f"{a}->{b}": msg for (a, b), msg in matrix.failures.items()},
-            }
-        print(json.dumps(payload, indent=2))
-    elif config.fmt == "csv":
-        for label, matrix in matrices:
-            print(f"loss,{label}")
-            print(",".join(["X", *matrix.labels]))
-            for i, name in enumerate(matrix.labels):
-                print(",".join([name, *(
-                    _fmt(matrix.entries[i, j] * 1000.0) for j in range(len(matrix.labels))
-                )]))
-    else:
-        for label, matrix in matrices:
-            print(f"LOC matrix, conditional-{label} fit (entries multiplied by 1000)")
-            _print_matrix_table(matrix)
-            print()
-
-    any_failures = False
-    for label, matrix in matrices:
-        for (a, b), msg in matrix.failures.items():
-            any_failures = True
-            print(f"error: pair ({a} -> {b}), {label} fit: {msg}", file=sys.stderr)
-    return 1 if any_failures else 0
+    payload = {
+        label: {
+            "labels": list(matrix.labels),
+            "loss": label,
+            "entries": matrix.entries.tolist(),
+            "entries_x1000": [[v * 1000.0 for v in row] for row in matrix.entries.tolist()],
+            "failures": {f"{a}->{b}": msg for (a, b), msg in matrix.failures.items()},
+        }
+        for label, matrix in matrices.items()
+    }
+    _render(config.fmt, payload, [
+        Section([["X", *block["labels"]]]
+                + [[name, *map(_fmt, row)]
+                   for name, row in zip(block["labels"], block["entries_x1000"])],
+                head=(f"LOC matrix, conditional-{label} fit (entries multiplied by 1000)",
+                      " " * 12 + "Y"),
+                csv_head=(f"loss,{label}",),
+                tail=("",))
+        for label, block in payload.items()
+    ])
+    return _report_errors([f"pair ({a} -> {b}), {label} fit: {msg}"
+                           for label, matrix in matrices.items()
+                           for (a, b), msg in matrix.failures.items()])
 
 
 # ---------------------------------------------------------------------------
 # compare
 
+_COMPARE_ROWS = (
+    ("pearson", "pearson"),
+    ("spearman", "spearman"),
+    ("zeta_quadratic", "zeta (quadratic psi)"),
+    ("zeta_absolute", "zeta (absolute psi)"),
+    ("finite_population_I", "finite-population I"),
+    ("rank_loc", "loc (rank step function)"),
+    ("identity_rank_loc_equals_I", "identity rank-loc == I"),
+    ("loc_mean", "loc (mean fit)"),
+    ("loc_median", "loc (median fit)"),
+)
+
+
+def _cell(value: float | bool | None) -> str:
+    if value is None:
+        return "unavailable"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return _fmt(value)
+
 
 def cmd_compare(config: RunConfig, x_name: str, y_name: str) -> int:
-    if config.m != config.grid_size:
-        raise CliError(
-            f"m ({config.m}) must equal grid size ({config.grid_size}); the step "
-            "function is a direct transfer of the fitted grid"
-        )
-    sample = _load_normalized(config)
-    try:
-        pr = pair(sample, x_name, y_name)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
+    pr, fits = _fit_named_pair(config, x_name, y_name, config.jitter_sd, config.seed)
+    jittered = fits["mean"].sample
     had_ties = (len(np.unique(pr.x)) < pr.n) or (len(np.unique(pr.y)) < pr.n)
-    jittered = jitter(pr, config.jitter_sd, config.seed)
     if had_ties and config.jitter_sd > 0:
         print(
             f"note: ties present; applied jitter sd={config.jitter_sd:g} "
@@ -420,66 +432,30 @@ def cmd_compare(config: RunConfig, x_name: str, y_name: str) -> int:
         )
 
     try:
-        rho = pearson(pr)
-        srho = spearman(jittered)
-        zeta_quad = liebscher_zeta(jittered, PsiFunction.quadratic())
-        zeta_abs = liebscher_zeta(jittered, PsiFunction.absolute())
-        fin_i = finite_population_I(jittered)
-        rank_loc = loc_index(rank_step_function(jittered)).value
-    except TiesError as exc:
-        raise CliError(f"{exc} (jitter_sd is 0; set --jitter-sd > 0)") from None
-    identity_ok = bool(math.isclose(rank_loc, fin_i, rel_tol=1e-12, abs_tol=1e-15))
-
-    loc_values: dict[str, float | None] = {}
-    loc_errors: dict[str, str] = {}
-    for label, kind in _loss_kinds("both"):
-        try:
-            bw = _resolve_bandwidth(config, jittered, kind)
-            curve = fit_curve(jittered, FitSpec(loss=kind, bandwidth=bw,
-                                                grid_size=config.grid_size))
-            loc_values[label] = loc_index(step_from_curve(curve)).value
-        except (BandwidthError, SmoothingError, ValueError) as exc:
-            loc_values[label] = None
-            loc_errors[label] = str(exc)
-
-    if config.fmt == "json":
         payload = {
             "pair": {"x": x_name, "y": y_name},
-            "pearson": rho,
-            "spearman": srho,
-            "zeta_quadratic": zeta_quad,
-            "zeta_absolute": zeta_abs,
-            "finite_population_I": fin_i,
-            "rank_loc": rank_loc,
-            "identity_rank_loc_equals_I": identity_ok,
-            "loc_mean": loc_values["mean"],
-            "loc_median": loc_values["median"],
+            "pearson": pearson(pr),
+            "spearman": spearman(jittered),
+            "zeta_quadratic": liebscher_zeta(jittered, PsiFunction.quadratic()),
+            "zeta_absolute": liebscher_zeta(jittered, PsiFunction.absolute()),
+            "finite_population_I": finite_population_I(jittered),
+            "rank_loc": loc_index(rank_step_function(jittered)).value,
         }
-        print(json.dumps(payload, indent=2))
-    else:
-        sep = "," if config.fmt == "csv" else "  "
-        def emit(label: str, value: str) -> None:
-            if config.fmt == "csv":
-                print(f"{label}{sep}{value}")
-            else:
-                print(f"{label:<28}{value}")
+    except TiesError as exc:
+        raise CliError(f"{exc} (jitter_sd is 0; set --jitter-sd > 0)") from None
+    payload["identity_rank_loc_equals_I"] = bool(math.isclose(
+        payload["rank_loc"], payload["finite_population_I"], rel_tol=1e-12, abs_tol=1e-15))
+    payload["loc_mean"] = fits["mean"].loc
+    payload["loc_median"] = fits["median"].loc
 
-        print(f"pair: {x_name} -> {y_name}" if config.fmt != "csv"
-              else f"pair,{x_name}->{y_name}")
-        emit("pearson", _fmt(rho))
-        emit("spearman", _fmt(srho))
-        emit("zeta (quadratic psi)", _fmt(zeta_quad))
-        emit("zeta (absolute psi)", _fmt(zeta_abs))
-        emit("finite-population I", _fmt(fin_i))
-        emit("loc (rank step function)", _fmt(rank_loc))
-        emit("identity rank-loc == I", "true" if identity_ok else "false")
-        for label in ("mean", "median"):
-            value = loc_values[label]
-            emit(f"loc ({label} fit)", _fmt(value) if value is not None else "unavailable")
-
-    for label, message in loc_errors.items():
-        print(f"error: {label} fit failed: {message}", file=sys.stderr)
-    return 1 if loc_errors else 0
+    _render(config.fmt, payload, [Section(
+        [[label, _cell(payload[key])] for key, label in _COMPARE_ROWS],
+        head=(f"pair: {x_name} -> {y_name}",),
+        csv_head=(f"pair,{x_name}->{y_name}",),
+        layout=lambda rows: [f"{label:<28}{value}" for label, value in rows],
+    )])
+    return _report_errors([f"{label} fit failed: {fit.error}"
+                           for label, fit in fits.items() if fit.error is not None])
 
 
 # ---------------------------------------------------------------------------
@@ -539,31 +515,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMAND_LOSS_DEFAULTS = {
-    "summarize": "mean",
-    "fit": "both",
-    "plot-data": "both",
-    "loc-matrix": "mean",
-    "compare": "both",
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _build_config(args, _COMMAND_LOSS_DEFAULTS[args.command])
+        config = _build_config(args)
         if args.command == "summarize":
             return cmd_summarize(config)
-        if args.command == "fit":
-            return cmd_fit(config, args.x_name, args.y_name)
-        if args.command == "plot-data":
-            return cmd_plot_data(config, args.x_name, args.y_name)
         if args.command == "loc-matrix":
             return cmd_loc_matrix(config)
         if args.command == "compare":
             return cmd_compare(config, args.x_name, args.y_name)
-        raise CliError(f"unknown command {args.command!r}")
+        return cmd_plot_data(config, args.x_name, args.y_name,
+                             report_bandwidth=args.command == "fit")
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
