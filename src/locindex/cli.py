@@ -38,6 +38,7 @@ from .association import (
     fit_pair,
     liebscher_zeta,
     loc_matrix,
+    pair_seed,
     pearson,
     rank_step_function,
     spearman,
@@ -220,15 +221,21 @@ def _specs(config: RunConfig) -> dict[str, FitSpec]:
             for label in labels}
 
 
-def _fit_named_pair(config: RunConfig, x_name: str, y_name: str, jitter_sd: float,
-                    seed: int) -> tuple[PairedSample, dict[str, PairFit]]:
-    """The raw pair (x_name, y_name) and its fit for each curve."""
+def _fit_named_pair(config: RunConfig, x_name: str,
+                    y_name: str) -> tuple[PairedSample, dict[str, PairFit]]:
+    """The raw pair (x_name, y_name) and its fit for each curve.
+
+    The pair is jittered with its own seed, as in loc-matrix, so each
+    command gives the pair the same curves and LOC.
+    """
     sample = _load_normalized(config)
     try:
         pr = pair(sample, x_name, y_name)
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    return pr, {label: fit_pair(pr, spec, jitter_sd, seed)
+    names = sample.column_names
+    seed = pair_seed(config.seed, names.index(x_name), names.index(y_name))
+    return pr, {label: fit_pair(pr, spec, config.jitter_sd, seed)
                 for label, spec in _specs(config).items()}
 
 
@@ -336,7 +343,7 @@ def cmd_plot_data(config: RunConfig, x_name: str, y_name: str,
 
     ``fit`` is this command with both curves and ``report_bandwidth``.
     """
-    pr, fits = _fit_named_pair(config, x_name, y_name, 0.0, config.seed)
+    pr, fits = _fit_named_pair(config, x_name, y_name)
     config.out.mkdir(parents=True, exist_ok=True)
     written = [config.out / f"{x_name}_{y_name}_scatter.dat"]
     _write_points(written[0], pr.x, pr.y)
@@ -421,7 +428,7 @@ def _cell(value: float | bool | None) -> str:
 
 
 def cmd_compare(config: RunConfig, x_name: str, y_name: str) -> int:
-    pr, fits = _fit_named_pair(config, x_name, y_name, config.jitter_sd, config.seed)
+    pr, fits = _fit_named_pair(config, x_name, y_name)
     jittered = fits["mean"].sample
     had_ties = (len(np.unique(pr.x)) < pr.n) or (len(np.unique(pr.y)) < pr.n)
     if had_ties and config.jitter_sd > 0:

@@ -66,6 +66,21 @@ def test_loc_matrix_json_matches_golden_output(marks_csv, capsys, loss):
     assert capsys.readouterr().out == expected
 
 
+def test_compare_gives_the_loc_matrix_entries_of_its_pair(marks_csv, capsys):
+    common = ["--input", str(marks_csv), "--format", "json", "--seed", "3", "--grid", "200",
+              "--m", "200"]
+    assert main(["loc-matrix", "--loss", "both", *common]) == 0
+    matrix = json.loads(capsys.readouterr().out)
+    labels = matrix["mean"]["labels"]
+    for x_name, y_name in [("mathematics", "reading"), ("spelling", "mathematics"),
+                           ("reading", "spelling")]:
+        assert main(["compare", x_name, y_name, *common]) == 0
+        result = json.loads(capsys.readouterr().out)
+        i, j = labels.index(x_name), labels.index(y_name)
+        assert result["loc_mean"] == matrix["mean"]["entries"][i][j]
+        assert result["loc_median"] == matrix["median"]["entries"][i][j]
+
+
 def test_unknown_subcommand_exits_with_status_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["no-such-command"])
