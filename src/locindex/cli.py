@@ -20,6 +20,7 @@ others were produced, 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -45,6 +46,7 @@ from .association import (
 )
 from .bandwidth import BandwidthEstimate
 from .dataset import (
+    DEFAULT_SCHEMA,
     ColumnSchema,
     NormalizedSample,
     PairedSample,
@@ -69,7 +71,7 @@ _DEFAULTS = {
     "format": "table",
     "bins": 10,
     "bandwidth": None,
-    "max_items": "65,45,80",
+    "max_items": None,  # DEFAULT_SCHEMA's counts for its columns; else required
     "out": ".",
 }
 
@@ -94,7 +96,7 @@ class CliError(Exception):
 @dataclass(frozen=True)
 class RunConfig:
     input: Path
-    schema: ColumnSchema
+    max_items: tuple[int, ...] | None
     loss: str
     grid_size: int
     jitter_sd: float
@@ -129,7 +131,9 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _parse_max_items(raw) -> tuple[int, ...]:
+def _parse_max_items(raw) -> tuple[int, ...] | None:
+    if raw is None:
+        return None
     if isinstance(raw, (list, tuple)):
         values = [int(v) for v in raw]
     else:
@@ -153,12 +157,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         settings["input"] = args.input
     if settings.get("input") is None:
         raise CliError("no input file given (use --input or a config file)")
-
-    max_items = _parse_max_items(settings["max_items"])
-    base = ColumnSchema(names=("mathematics", "reading", "spelling"), max_items=(65, 45, 80))
-    if len(max_items) != len(base.names):
-        raise CliError(f"--max-items needs {len(base.names)} values, got {len(max_items)}")
-    schema = ColumnSchema(names=base.names, max_items=max_items, id_column=base.id_column)
 
     default_loss = _COMMAND_LOSS_DEFAULTS[args.command]
     loss = settings["loss"] or default_loss
@@ -191,7 +189,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
     return RunConfig(
         input=Path(settings["input"]),
-        schema=schema,
+        max_items=_parse_max_items(settings["max_items"]),
         loss=loss,
         grid_size=grid,
         jitter_sd=jitter_sd,
@@ -203,9 +201,26 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
+def _schema(path: Path, max_items: tuple[int, ...] | None) -> ColumnSchema:
+    """Every header column but the id column, with its number of items."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        names = tuple(c for c in next(csv.reader(fh), []) if c != DEFAULT_SCHEMA.id_column)
+    if not names:
+        raise CliError(f"{path}: no score columns in the header")
+    if max_items is None:
+        if set(names) != set(DEFAULT_SCHEMA.names):
+            raise CliError(f"--max-items is required for the columns {', '.join(names)}")
+        default = dict(zip(DEFAULT_SCHEMA.names, DEFAULT_SCHEMA.max_items))
+        max_items = tuple(default[name] for name in names)
+    if len(max_items) != len(names):
+        raise CliError(f"--max-items needs {len(names)} values, one per column "
+                       f"{', '.join(names)}; got {len(max_items)}")
+    return ColumnSchema(names=names, max_items=max_items)
+
+
 def _load_normalized(config: RunConfig) -> NormalizedSample:
     try:
-        return normalize(load_csv(config.input, config.schema))
+        return normalize(load_csv(config.input, _schema(config.input, config.max_items)))
     except FileNotFoundError:
         raise CliError(f"input file not found: {config.input}") from None
     except (ParseError, ValueError) as exc:
@@ -473,7 +488,8 @@ def _add_common(parser: argparse.ArgumentParser, with_loss: bool = True) -> None
     parser.add_argument("--input", help="CSV file of raw integer marks")
     parser.add_argument("--config", help=f"JSON config file (default: ${CONFIG_ENV})")
     parser.add_argument("--max-items", dest="max_items",
-                        help="items per test, e.g. 65,45,80")
+                        help="items per score column, in header order (default "
+                             "65,45,80 for mathematics,reading,spelling)")
     parser.add_argument("--format", choices=("table", "csv", "json"),
                         help="output format (default table)")
     parser.add_argument("--grid", type=int, help="curve evaluation grid size (default 1000)")

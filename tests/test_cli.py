@@ -105,6 +105,43 @@ def test_failed_pair_exits_with_status_1(tmp_path, capsys):
     assert entries[0][2] == entries[0][2]  # mathematics -> spelling is not NaN
 
 
+def _algebra_geometry_csv(tmp_path: Path) -> Path:
+    rows = [f"S{i},{5 + (13 * i) % 44},{3 + (7 * i + i * i) % 36}" for i in range(30)]
+    path = tmp_path / "other.csv"
+    path.write_text("\n".join(["student_id,algebra,geometry", *rows]) + "\n", encoding="utf-8")
+    return path
+
+
+def test_score_columns_come_from_the_csv_header(tmp_path, capsys):
+    path = _algebra_geometry_csv(tmp_path)
+    code = main(["loc-matrix", "--input", str(path), "--max-items", "50,40",
+                 "--grid", "50", "--m", "50", "--format", "json"])
+    assert code == 0
+    block = json.loads(capsys.readouterr().out)["mean"]
+    assert block["labels"] == ["algebra", "geometry"]
+    assert len(block["entries"]) == 2 and all(len(row) == 2 for row in block["entries"])
+    assert block["entries"][0][1] > 0.0 and block["entries"][1][0] > 0.0
+
+
+@pytest.mark.parametrize("max_items", [[], ["--max-items", "50,40,30"]])
+def test_other_columns_need_one_max_items_value_each(tmp_path, capsys, max_items):
+    path = _algebra_geometry_csv(tmp_path)
+    assert main(["summarize", "--input", str(path), *max_items]) == 2
+    assert "algebra, geometry" in capsys.readouterr().err
+
+
+def test_default_columns_in_another_order_keep_their_max_items(tmp_path, capsys):
+    lines = FIXTURE.read_text(encoding="utf-8").splitlines()
+    swapped = [",".join([c[0], c[3], c[1], c[2]]) for c in (line.split(",") for line in lines)]
+    path = tmp_path / "swapped.csv"
+    path.write_text("\n".join(swapped) + "\n", encoding="utf-8")
+    assert main(["summarize", "--input", str(path), "--format", "json"]) == 0
+    swapped_stats = json.loads(capsys.readouterr().out)["columns"]
+    assert main(["summarize", "--input", str(FIXTURE), "--format", "json"]) == 0
+    assert swapped_stats == json.loads(capsys.readouterr().out)["columns"]
+    assert list(swapped_stats) == ["spelling", "mathematics", "reading"]
+
+
 def test_flags_override_config_file_which_overrides_defaults(tmp_path, monkeypatch, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"input": str(FIXTURE), "format": "csv", "bins": 5}),
