@@ -28,11 +28,11 @@ from .association import (
     spearman,
 )
 from .bandwidth import (
-    GAUSSIAN_KERNEL,
+    KERNEL_ROUGHNESS,
+    KERNEL_SECOND_MOMENT,
     BandwidthDiagnostics,
     BandwidthError,
     BandwidthEstimate,
-    KernelConstants,
     dpi_bandwidth,
     median_adjust,
     oversmoothed_bandwidth,
@@ -83,8 +83,8 @@ __all__ = [
     "DEFAULT_SCHEMA",
     "FitSpec",
     "FittedCurve",
-    "GAUSSIAN_KERNEL",
-    "KernelConstants",
+    "KERNEL_ROUGHNESS",
+    "KERNEL_SECOND_MOMENT",
     "LocMatrix",
     "LocRefinement",
     "LocValue",

@@ -38,8 +38,8 @@ from .dataset import PairedSample
 
 __all__ = [
     "BandwidthError",
-    "KernelConstants",
-    "GAUSSIAN_KERNEL",
+    "KERNEL_ROUGHNESS",
+    "KERNEL_SECOND_MOMENT",
     "BandwidthDiagnostics",
     "BandwidthEstimate",
     "dpi_bandwidth",
@@ -53,22 +53,11 @@ class BandwidthError(ValueError):
     """Raised when a bandwidth cannot be selected for the given sample."""
 
 
-@dataclass(frozen=True)
-class KernelConstants:
-    """Roughness R(K) = integral K^2 and second moment mu2(K) of the kernel."""
-
-    roughness: float
-    second_moment: float
-
-    def __post_init__(self) -> None:
-        if self.roughness <= 0 or self.second_moment <= 0:
-            raise ValueError("kernel constants must be strictly positive")
-
-
-#: Standard normal kernel: R(K) = 1/(2 sqrt(pi)), mu2 = 1.  The smoothing
-#: machinery is hard-wired to this kernel; the constants live here so the
+#: Roughness R(K) = integral K^2 and second moment mu2(K) of the standard
+#: normal kernel, the one kernel of the smoothing machinery; named so the
 #: plug-in formula reads like the display above.
-GAUSSIAN_KERNEL = KernelConstants(roughness=1.0 / (2.0 * math.sqrt(math.pi)), second_moment=1.0)
+KERNEL_ROUGHNESS = 1.0 / (2.0 * math.sqrt(math.pi))
+KERNEL_SECOND_MOMENT = 1.0
 
 
 @dataclass(frozen=True)
@@ -124,10 +113,7 @@ def _blocked_quartic(xs: np.ndarray, ys: np.ndarray, n_blocks: int) -> tuple[flo
     return rss, curv_sq / n
 
 
-def dpi_bandwidth(
-    sample: PairedSample,
-    kernel: KernelConstants = GAUSSIAN_KERNEL,
-) -> BandwidthEstimate:
+def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:
     """Direct plug-in bandwidth for the conditional-mean local linear fit.
 
     Needs at least 20 observations (the blocked quartic fits are meaningless
@@ -204,7 +190,7 @@ def dpi_bandwidth(
         )
 
     value = (
-        kernel.roughness * sigma2 * support / (n * kernel.second_moment**2 * theta22)
+        KERNEL_ROUGHNESS * sigma2 * support / (n * KERNEL_SECOND_MOMENT**2 * theta22)
     ) ** 0.2
     return BandwidthEstimate(
         value=value,

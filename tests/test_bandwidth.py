@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from locindex import (
-    GAUSSIAN_KERNEL,
+    KERNEL_ROUGHNESS,
+    KERNEL_SECOND_MOMENT,
     BandwidthError,
     BandwidthEstimate,
     FitSpec,
-    KernelConstants,
     LossKind,
     PairedSample,
     dpi_bandwidth,
@@ -29,12 +29,8 @@ def noisy_quadratic(n: int, sigma: float, seed: int) -> PairedSample:
 
 class TestKernelConstants:
     def test_gaussian_values(self):
-        assert GAUSSIAN_KERNEL.roughness == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)))
-        assert GAUSSIAN_KERNEL.second_moment == 1.0
-
-    def test_positivity_enforced(self):
-        with pytest.raises(ValueError):
-            KernelConstants(roughness=0.0, second_moment=1.0)
+        assert KERNEL_ROUGHNESS == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)))
+        assert KERNEL_SECOND_MOMENT == 1.0
 
 
 class TestYuJonesFactor:
