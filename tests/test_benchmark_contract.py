@@ -1,0 +1,51 @@
+"""The names and behaviour the benchmark in perfbench/ relies on.
+
+perfbench wraps module attributes of ``locindex`` by name and finds every
+fit through ``association.fit_curve``; these tests fail when a rename or a
+fit made another way would break it.
+"""
+
+from pathlib import Path
+
+import pytest
+
+import locindex
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture()
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    # FitCapture replaces association.fit_curve; setting it to itself makes
+    # monkeypatch put the original back after the test
+    monkeypatch.setattr(locindex.association, "fit_curve", locindex.association.fit_curve)
+    import layers
+    import tracing
+    import worker
+    import workloads
+
+    return layers, tracing, worker, workloads
+
+
+def test_every_traced_attribute_exists(perfbench):
+    _, tracing, worker, _ = perfbench
+    before = dict(vars(locindex.association))
+    tracer = tracing.Tracer()
+    worker.install_trace(tracer, locindex)  # raises AttributeError on a missing name
+    tracer.restore()
+    assert dict(vars(locindex.association)) == before
+
+
+def test_fixture_warm_up_runs_through_fit_capture(perfbench):
+    layers, _, worker, workloads = perfbench
+    capture = worker.FitCapture(locindex.association)
+    workload = workloads.warm_up_copy(workloads.FixtureMatrix(0))
+    inputs = workload.build(workload.generate())
+    result = workload.run(inputs)
+    ops = workload.ops(inputs, result)
+    assert result[0] == 0
+    assert len(capture.fits) == 12  # 6 ordered pairs x 2 losses
+    report = layers.check_and_count(workload, inputs, ops, capture.fits, [ops])
+    assert report["ops_attempted"] == 12
+    assert report["ops_failed"] == 0, report["problems"]
