@@ -12,6 +12,14 @@ is exactly the expectation entering Liebscher's zeta under the quadratic
 psi -- so zeta is the LOC index of the *rank-based* scatterplot, while the
 LOC matrix entries come from the raw-data scatterplot.
 
+Those entries come from ``fit_pair``, the one LOC pipeline for an ordered
+pair: jitter with the pair's seed (``pair_seed``), plug-in or fixed
+bandwidth, local linear mean or median curve, exact LOC index of its step
+function.  It returns a ``PairFit`` with every stage's result, or the
+message of the stage that failed.  ``loc_matrix`` runs it over every
+ordered column pair, and each CLI command that fits a curve calls it, so
+a pair gets the same numbers everywhere.
+
 References
 ----------
 .. [1] Liebscher, E. (2014). "Copula-based dependence measures."

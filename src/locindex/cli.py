@@ -1,11 +1,14 @@
 """Command-line front end: summarize, fit, plot-data, loc-matrix, compare.
 
-Every command that fits a curve runs each ordered pair through
-``association.fit_pair``: jitter, plug-in bandwidth, local linear mean or
-median curve, exact LOC index.  ``fit`` and ``plot-data`` are one command:
-both write the scatter and the fitted curves as plot data, ``fit`` always
-for both losses and with the bandwidths reported.  summarize, compare and
-loc-matrix build their result once and print it as a table, csv or json.
+The score columns are the CSV header's columns other than ``student_id``;
+``--max-items`` gives their numbers of items, in header order, and defaults
+to 65,45,80 only for the columns mathematics, reading and spelling.  Every
+command that fits a curve runs each ordered pair through
+``association.fit_pair``, jittered with the pair's own seed, so a pair gets
+the same curves and LOC in every command.  ``fit`` is ``plot-data`` with
+both curves and the bandwidths reported.  summarize, compare and loc-matrix
+build their result once and print it as a table, csv or json.  ``--m`` must
+equal ``--grid`` for loc-matrix and compare and has no other effect.
 
 Configuration precedence is flags > config file > built-in defaults; the
 config file is JSON, found via --config or the LOCINDEX_CONFIG environment
@@ -76,15 +79,6 @@ _DEFAULTS = {
 }
 
 _CONFIG_KEYS = set(_DEFAULTS) | {"input"}
-
-# loss of each command; fit and compare have no --loss flag and always fit both
-_COMMAND_LOSS_DEFAULTS = {
-    "summarize": "mean",
-    "fit": "both",
-    "plot-data": "both",
-    "loc-matrix": "mean",
-    "compare": "both",
-}
 
 _LOSSES = {"mean": LossKind.quadratic(), "median": LossKind.median()}
 
@@ -158,12 +152,11 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if settings.get("input") is None:
         raise CliError("no input file given (use --input or a config file)")
 
-    default_loss = _COMMAND_LOSS_DEFAULTS[args.command]
-    loss = settings["loss"] or default_loss
+    loss = settings["loss"] or ("mean" if args.command == "loc-matrix" else "both")
     if loss not in ("mean", "median", "both"):
         raise CliError(f"unknown loss {loss!r}; expected mean, median or both")
-    if "loss" not in vars(args):
-        loss = default_loss
+    if "loss" not in vars(args):  # fit and compare have no --loss: both curves
+        loss = "both"
     fmt = settings["format"]
     if fmt not in ("table", "csv", "json"):
         raise CliError(f"unknown format {fmt!r}; expected table, csv or json")
