@@ -220,8 +220,6 @@ class LocMatrix:
     failures: dict[tuple[str, str], str]
 
 
-
-
 @dataclass(frozen=True)
 class PairFit:
     """One ordered pair through the LOC pipeline.

@@ -6,6 +6,7 @@ snapshots are not regenerated by it.
 """
 
 import json
+import math
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -88,6 +89,17 @@ def test_unknown_subcommand_exits_with_status_2(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "mathematics", "reading", "--jitter-sd", "-1"], "--jitter-sd"),
+    (["loc-matrix", "--jitter-sd", "-1"], "--jitter-sd"),
+    (["fit", "mathematics", "reading", "--grid", "1"], "--grid"),
+    (["loc-matrix", "--grid", "50"], "must equal grid size"),
+])
+def test_invalid_settings_exit_with_status_2(marks_csv, capsys, argv, message):
+    assert main([*argv, "--input", str(marks_csv)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_failed_pair_exits_with_status_1(tmp_path, capsys):
     # without jitter a constant x defeats the plug-in bandwidth; the other
     # pairs are still reported
@@ -102,7 +114,7 @@ def test_failed_pair_exits_with_status_1(tmp_path, capsys):
     assert "error: pair (reading -> mathematics), mean fit: x is degenerate" in captured.err
     assert "error: pair (reading -> spelling), mean fit: x is degenerate" in captured.err
     entries = json.loads(captured.out)["mean"]["entries"]
-    assert entries[0][2] == entries[0][2]  # mathematics -> spelling is not NaN
+    assert math.isnan(entries[1][0]) and math.isfinite(entries[0][2])
 
 
 def _algebra_geometry_csv(tmp_path: Path) -> Path:
