@@ -83,6 +83,10 @@ WEIGHT_FLOOR = 1e-12
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# |u| at which the kernel falls to WEIGHT_FLOOR (about 7.31), padded by 1% so
+# that no rounding of (x - x0) / h leaves a weighted row outside a window
+_REACH = 1.01 * math.sqrt(-2.0 * math.log(WEIGHT_FLOOR * _SQRT_2PI))
+
 
 class SmoothingError(ValueError):
     """Raised when a local fit is not identifiable at an evaluation point."""
@@ -330,14 +334,12 @@ def local_linear_fit(
     rows = np.flatnonzero(w)
     x = sample.x[rows]
     if not x.size or x.min() == x.max():
-        raise SmoothingError(
-            f"fewer than 2 distinct observations carry kernel weight at x0 = {x0}"
-        )
-    if loss.kind == "quadratic":
-        return _solve_wls(sample.x - x0, sample.y, w, x0)
-
+        raise _too_few(x0)
     y = sample.y[rows]
     w = w[rows]
+    if loss.kind == "quadratic":
+        return _solve_wls(x - x0, y, w, x0)
+
     p, q, b1 = _check_loss_line(x, y, w, loss.tau, _start(x - x0, y, w, loss.tau, x0))
     # anchor on the point nearer x0: the value then depends on the line only
     if (abs(x[p] - x0), x[p]) > (abs(x[q] - x0), x[q]):
@@ -345,8 +347,23 @@ def local_linear_fit(
     return float(y[p] - b1 * (x[p] - x0)), b1
 
 
+def _too_few(x0: float) -> SmoothingError:
+    return SmoothingError(
+        f"fewer than 2 distinct observations carry kernel weight at x0 = {x0}"
+    )
+
+
 def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     """Evaluate the local fit on an equispaced grid over [min(x), max(x)].
+
+    Each grid point x0 is fitted by ``local_linear_fit`` on its window: the
+    rows with |x - x0| <= _REACH * h, found by binary search in x sorted once
+    per curve.  The window keeps its rows in their original order and holds
+    every row with kernel weight, and ``local_linear_fit`` works on the
+    weighted rows alone, in row order.  So it sees the same numbers in the
+    same order as on the full sample, and the curve is ``local_linear_fit``
+    on the full sample, bit for bit, for both losses.  Neighbouring grid
+    points usually share a window; it is built once for them.
 
     No extrapolation is attempted beyond the data range, and fitted values
     are never clamped here; clamping to [0, 1] is a presentation concern.
@@ -355,11 +372,23 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
         raise ValueError("curve fitting needs at least 4 observations")
     if spec.bandwidth is None:
         raise ValueError("spec.bandwidth must be set before fitting")
+    h = spec.bandwidth.value
     grid = np.linspace(float(sample.x.min()), float(sample.x.max()), spec.grid_size)
+    order = np.argsort(sample.x, kind="stable")
+    sorted_x = sample.x[order]
+    los = np.searchsorted(sorted_x, grid - _REACH * h, side="left")
+    his = np.searchsorted(sorted_x, grid + _REACH * h, side="right")
     values = np.empty(spec.grid_size)
+    bounds, window = None, None
     for i, x0 in enumerate(grid):
+        lo, hi = int(los[i]), int(his[i])
         try:
-            values[i], _ = local_linear_fit(sample, float(x0), spec.bandwidth.value, spec.loss)
+            if hi - lo < 2:  # a PairedSample needs two rows, and so does the fit
+                raise _too_few(float(x0))
+            if (lo, hi) != bounds:
+                rows = np.sort(order[lo:hi])
+                bounds, window = (lo, hi), PairedSample(x=sample.x[rows], y=sample.y[rows])
+            values[i], _ = local_linear_fit(window, float(x0), h, spec.loss)
         except SmoothingError as exc:
             raise SmoothingError(f"grid point {i}: {exc}") from exc
     return FittedCurve(grid=grid, values=values, spec=spec)

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from locindex import (
+    BandwidthEstimate,
     FitSpec,
     LossKind,
     PairedSample,
@@ -138,18 +139,66 @@ class TestLocalLinearFit:
             local_linear_fit(sample, x0, 0.1, loss)
 
 
+def assert_curve_is_local_fit(pr: PairedSample, loss: LossKind, h: BandwidthEstimate) -> None:
+    curve = fit_curve(pr, FitSpec(loss=loss, bandwidth=h, grid_size=200))
+    for i in range(0, 200, 3):
+        b0, _ = local_linear_fit(pr, float(curve.grid[i]), h.value, loss)
+        assert curve.values[i] == b0, (loss, i)
+
+
 class TestFitCurve:
+    # fit_curve fits each grid point on its kernel window only; the curve is
+    # still local_linear_fit on the full sample, bit for bit
+
     @pytest.mark.parametrize("x_name,y_name", ORDERED_PAIRS)
     def test_median_curve_equals_local_fit(self, marks_sample, x_name, y_name):
-        # the curve is local_linear_fit evaluated on the grid, bit for bit,
         # on jittered data and on tied data where the optimum is not unique
         raw = pair(marks_sample, x_name, y_name)
         jittered = jitter(raw, 1e-5, 11)
         h = median_adjust(dpi_bandwidth(jittered))
         for pr in (jittered, raw):
             for tau in TAUS:
-                loss = LossKind.quantile(tau)
-                curve = fit_curve(pr, FitSpec(loss=loss, bandwidth=h, grid_size=200))
-                for i in range(0, 200, 3):
-                    b0, _ = local_linear_fit(pr, float(curve.grid[i]), h.value, loss)
-                    assert curve.values[i] == b0, (tau, i)
+                assert_curve_is_local_fit(pr, LossKind.quantile(tau), h)
+
+    @pytest.mark.parametrize("x_name,y_name", ORDERED_PAIRS)
+    def test_mean_curve_equals_local_fit(self, marks_sample, x_name, y_name):
+        raw = pair(marks_sample, x_name, y_name)
+        jittered = jitter(raw, 1e-5, 11)
+        h = dpi_bandwidth(jittered)
+        for pr in (jittered, raw):
+            assert_curve_is_local_fit(pr, LossKind.quadratic(), h)
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_row_just_inside_the_weight_floor_is_in_the_window(self, loss):
+        # the row at x = 1 carries the smallest weight above the floor at the
+        # grid point x0 = 0.5; its large y moves the mean fit there
+        x = np.linspace(0.0, 1.0, 21)
+        y = np.where(x == 1.0, 1e6, np.sin(3.0 * x))
+        sample = PairedSample(x=x, y=y)
+        floor_u = np.sqrt(-2.0 * np.log(smoothing.WEIGHT_FLOOR * np.sqrt(2.0 * np.pi)))
+        h = BandwidthEstimate(value=0.5 / (floor_u * (1.0 - 1e-9)), method="fixed")
+        assert 0.0 < smoothing._kernel_weights(x, 0.5, h.value)[-1] < 2e-12
+        curve = fit_curve(sample, FitSpec(loss=loss, bandwidth=h, grid_size=101))
+        assert curve.grid[50] == 0.5
+        for x0, value in zip(curve.grid, curve.values):
+            assert value == local_linear_fit(sample, float(x0), h.value, loss)[0]
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_gap_wider_than_the_window_raises_at_its_first_grid_point(self, loss):
+        # grid points inside the gap see one row or none, which a window
+        # cannot even hold; the error is local_linear_fit's on the full sample
+        x = np.concatenate([np.linspace(0.0, 0.2, 10), np.linspace(0.8, 1.0, 10)])
+        sample = PairedSample(x=x, y=np.cos(4.0 * x))
+        h = BandwidthEstimate(value=0.02, method="fixed")
+        with pytest.raises(SmoothingError) as info:
+            fit_curve(sample, FitSpec(loss=loss, bandwidth=h, grid_size=101))
+        grid = np.linspace(0.0, 1.0, 101)
+        for i, x0 in enumerate(grid):
+            try:
+                local_linear_fit(sample, float(x0), h.value, loss)
+            except SmoothingError as exc:
+                message = str(exc)
+                break
+        assert str(info.value) == f"grid point {i}: {message}"
+        assert "fewer than 2 distinct" in message
+        assert np.sum(np.abs(x - grid[i]) <= smoothing._REACH * h.value) < 2
