@@ -255,9 +255,12 @@ def fit_pair(pr: PairedSample, spec: FitSpec, jitter_sd: float = 1e-5,
     otherwise the plug-in estimate of the jittered pair, Yu-Jones adjusted
     for quantile loss.  A ``BandwidthError``, ``SmoothingError`` or other
     ``ValueError`` from bandwidth selection or fitting is returned in
-    ``PairFit.error``; a negative ``jitter_sd`` raises.
+    ``PairFit.error``, and so is a constant x before jitter, which has no
+    curve to fit; a negative ``jitter_sd`` raises.
     """
     jittered = jitter(pr, jitter_sd, seed)
+    if np.ptp(pr.x) == 0.0:  # the jitter alone would spread x, and fit its noise
+        return PairFit(sample=jittered, error="x is degenerate (all values equal)")
     bw = None
     try:
         if spec.bandwidth is not None and spec.bandwidth.method == "fixed":

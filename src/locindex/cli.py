@@ -174,6 +174,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     jitter_sd = float(settings["jitter_sd"])
     if jitter_sd < 0:
         raise CliError("--jitter-sd must be non-negative")
+    bins = int(settings["bins"])
+    if bins < 1:
+        raise CliError("--bins must be at least 1")
     bandwidth = settings["bandwidth"]
     if bandwidth is not None:
         bandwidth = float(bandwidth)
@@ -188,7 +191,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         jitter_sd=jitter_sd,
         seed=seed,
         fmt=fmt,
-        bins=int(settings["bins"]),
+        bins=bins,
         bandwidth=bandwidth,
         out=Path(settings["out"]),
     )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from locindex import (
     BandwidthEstimate,
@@ -11,6 +13,7 @@ from locindex import (
     TiesError,
     empirical_ranks,
     finite_population_I,
+    fit_pair,
     liebscher_zeta,
     loc_index,
     loc_matrix,
@@ -286,3 +289,30 @@ class TestLocMatrix:
         sample = NormalizedSample(column_names=("a",), columns={"a": np.linspace(0, 1, 30)})
         with pytest.raises(ValueError):
             loc_matrix(sample, FitSpec(loss=LossKind.quadratic(), grid_size=100))
+
+
+class TestFitPair:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 60),
+        h=st.sampled_from((0.05, 0.1, 0.3)),
+        c=st.floats(0.05, 1.0),
+        where=st.floats(0.0, 1.0),
+    )
+    def test_loc_is_homogeneous_and_shift_invariant_in_y(self, seed, n, h, c, where):
+        # at a fixed bandwidth the mean curve of (x, c y + a) is c times the
+        # curve of (x, y) plus a, and the LOC is positively homogeneous and
+        # shift invariant; x is tie-free and c y + a stays in [0, 1]
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, n)
+        y = np.clip(0.5 + 0.3 * np.sin(6.0 * x) + rng.normal(0.0, 0.2, n), 0.0, 1.0)
+        a = -c * y.min() + where * (1.0 - c * np.ptp(y))
+        spec = FitSpec(loss=LossKind.quadratic(),
+                       bandwidth=BandwidthEstimate(value=h, method="fixed"), grid_size=200)
+        base = fit_pair(PairedSample(x=x, y=y), spec, jitter_sd=0.0)
+        assume(base.error is None)  # a gap in x wider than the kernel's reach
+        moved = fit_pair(PairedSample(x=x, y=c * y + a), spec, jitter_sd=0.0)
+        # the curves agree to rounding, about 1e-16 of each value, which can
+        # move the LOC sum by about as much in absolute terms
+        assert moved.loc == pytest.approx(c * base.loc, rel=1e-9, abs=1e-14)

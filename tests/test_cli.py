@@ -104,6 +104,7 @@ def test_unknown_subcommand_exits_with_status_2(capsys):
     (["loc-matrix", "--jitter-sd", "-1"], "--jitter-sd"),
     (["fit", "mathematics", "reading", "--grid", "1"], "--grid"),
     (["loc-matrix", "--grid", "50"], "must equal grid size"),
+    (["summarize", "--bins", "0"], "--bins"),
 ])
 def test_invalid_settings_exit_with_status_2(marks_csv, capsys, argv, message):
     assert main([*argv, "--input", str(marks_csv)]) == 2
@@ -111,20 +112,21 @@ def test_invalid_settings_exit_with_status_2(marks_csv, capsys, argv, message):
 
 
 def test_failed_pair_exits_with_status_1(tmp_path, capsys):
-    # without jitter a constant x defeats the plug-in bandwidth; the other
-    # pairs are still reported
+    # a constant x has no curve, with or without jitter (the jitter would only
+    # spread it into noise); the other pairs are still reported
     rows = [f"S{i},{10 + (7 * i) % 41},20,{25 + (11 * i) % 37}" for i in range(30)]
     csv = tmp_path / "flat.csv"
     csv.write_text("\n".join(["student_id,mathematics,reading,spelling", *rows]) + "\n",
                    encoding="utf-8")
-    code = main(["loc-matrix", "--input", str(csv), "--jitter-sd", "0",
-                 "--grid", "50", "--m", "50", "--format", "json"])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "error: pair (reading -> mathematics), mean fit: x is degenerate" in captured.err
-    assert "error: pair (reading -> spelling), mean fit: x is degenerate" in captured.err
-    entries = json.loads(captured.out)["mean"]["entries"]
-    assert math.isnan(entries[1][0]) and math.isfinite(entries[0][2])
+    for jitter_sd in (["--jitter-sd", "0"], []):
+        code = main(["loc-matrix", "--input", str(csv), *jitter_sd,
+                     "--grid", "50", "--m", "50", "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 1, jitter_sd
+        assert "error: pair (reading -> mathematics), mean fit: x is degenerate" in captured.err
+        assert "error: pair (reading -> spelling), mean fit: x is degenerate" in captured.err
+        entries = json.loads(captured.out)["mean"]["entries"]
+        assert math.isnan(entries[1][0]) and math.isfinite(entries[0][2])
 
 
 def _algebra_geometry_csv(tmp_path: Path) -> Path:
