@@ -42,8 +42,19 @@ try.  So no line is visited twice and the descent terminates without an
 iteration cap or a step tolerance.  The returned coefficients are computed
 from the two observations that define the final line, anchored on the one
 nearer x0.  The fitted value is therefore a function of the sample, x0,
-the bandwidth and the loss alone, and ``fit_curve`` is ``local_linear_fit``
-on a grid, bit for bit.
+the bandwidth and the loss alone.
+
+Both losses are solved on the rows whose kernel weight reaches
+``WEIGHT_FLOOR``; the others carry weight zero.  Those rows lie within
+about 7.31 bandwidths of x0, so ``fit_curve`` sorts x once per curve and
+fits each grid point on its window, the rows within ``_REACH`` (that
+distance plus 1%) of x0, found by binary search [5].  A window keeps its
+rows in their original order.  The weighted rows then reach the solvers in
+the same order as from the full sample, every sum and every tie-break sees
+the same numbers in the same sequence, and ``fit_curve`` is
+``local_linear_fit`` on the full sample at each grid point, bit for bit.
+Windows in sorted order would change the order of summation, and on tied
+data the line the check-loss descent reaches among several optimal ones.
 
 References
 ----------
@@ -55,6 +66,8 @@ References
        (Chapter 6: the simplex-type descent for the L1 / check-loss line.)
 .. [4] Wesolowsky, G. O. (1981). "A new descent algorithm for the least
        absolute value regression problem." *Comm. Statist. B* 10: 479-491.
+.. [5] Fan, J. and Marron, J. S. (1994). "Fast implementations of
+       nonparametric curve estimators." *JCGS* 3: 35-56.
 """
 
 from __future__ import annotations
@@ -322,7 +335,9 @@ def local_linear_fit(
     line beats; the optimum is computed exactly, the coefficients are that
     line rounded to floating point.  Where several lines attain the minimum
     (tied data), the one the descent reaches first is returned; the result
-    is a function of (sample, x0, bandwidth, loss) alone.
+    is a function of (sample, x0, bandwidth, loss) alone.  Both losses see
+    only the rows that carry kernel weight, in row order, so rows without
+    weight can be left out of ``sample`` without changing a bit.
 
     Raises SmoothingError when fewer than two distinct x values carry kernel
     weight at x0, or, for quadratic loss, when the weighted design is
@@ -362,8 +377,10 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     every row with kernel weight, and ``local_linear_fit`` works on the
     weighted rows alone, in row order.  So it sees the same numbers in the
     same order as on the full sample, and the curve is ``local_linear_fit``
-    on the full sample, bit for bit, for both losses.  Neighbouring grid
-    points usually share a window; it is built once for them.
+    on the full sample, bit for bit, for both losses, errors included: a
+    window of fewer than two rows raises the ``SmoothingError`` that
+    ``local_linear_fit`` raises there.  Neighbouring grid points usually
+    share a window; it is built once for them.
 
     No extrapolation is attempted beyond the data range, and fitted values
     are never clamped here; clamping to [0, 1] is a presentation concern.
@@ -380,15 +397,14 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     his = np.searchsorted(sorted_x, grid + _REACH * h, side="right")
     values = np.empty(spec.grid_size)
     bounds, window = None, None
-    for i, x0 in enumerate(grid):
-        lo, hi = int(los[i]), int(his[i])
+    for i, (x0, lo, hi) in enumerate(zip(grid.tolist(), los.tolist(), his.tolist())):
         try:
             if hi - lo < 2:  # a PairedSample needs two rows, and so does the fit
-                raise _too_few(float(x0))
+                raise _too_few(x0)
             if (lo, hi) != bounds:
                 rows = np.sort(order[lo:hi])
                 bounds, window = (lo, hi), PairedSample(x=sample.x[rows], y=sample.y[rows])
-            values[i], _ = local_linear_fit(window, float(x0), h, spec.loss)
+            values[i], _ = local_linear_fit(window, x0, h, spec.loss)
         except SmoothingError as exc:
             raise SmoothingError(f"grid point {i}: {exc}") from exc
     return FittedCurve(grid=grid, values=values, spec=spec)
