@@ -371,16 +371,14 @@ def _too_few(x0: float) -> SmoothingError:
 def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     """Evaluate the local fit on an equispaced grid over [min(x), max(x)].
 
-    Each grid point x0 is fitted by ``local_linear_fit`` on its window: the
+    Each grid point x0 is fitted by ``local_linear_fit`` on its window, the
     rows with |x - x0| <= _REACH * h, found by binary search in x sorted once
-    per curve.  The window keeps its rows in their original order and holds
-    every row with kernel weight, and ``local_linear_fit`` works on the
-    weighted rows alone, in row order.  So it sees the same numbers in the
-    same order as on the full sample, and the curve is ``local_linear_fit``
-    on the full sample, bit for bit, for both losses, errors included: a
-    window of fewer than two rows raises the ``SmoothingError`` that
-    ``local_linear_fit`` raises there.  Neighbouring grid points usually
-    share a window; it is built once for them.
+    per curve; neighbouring grid points usually share a window, which is
+    built once for them.  The window holds every row with kernel weight, in
+    original row order, so the curve is ``local_linear_fit`` on the full
+    sample, bit for bit, for both losses (see the module docstring), errors
+    included: a window of fewer than two rows raises the ``SmoothingError``
+    that ``local_linear_fit`` raises there.
 
     No extrapolation is attempted beyond the data range, and fitted values
     are never clamped here; clamping to [0, 1] is a presentation concern.
