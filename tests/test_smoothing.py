@@ -170,8 +170,8 @@ class TestFitCurve:
 
     @pytest.mark.parametrize("loss", LOSSES)
     def test_row_just_inside_the_weight_floor_is_in_the_window(self, loss):
-        # the row at x = 1 carries the smallest weight above the floor at the
-        # grid point x0 = 0.5; its large y moves the mean fit there
+        # at the grid point x0 = 0.5 the row at x = 1 carries a weight just
+        # above the floor, and its large y moves the mean fit there
         x = np.linspace(0.0, 1.0, 21)
         y = np.where(x == 1.0, 1e6, np.sin(3.0 * x))
         sample = PairedSample(x=x, y=y)
