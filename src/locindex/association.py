@@ -30,10 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .bandwidth import BandwidthError, BandwidthEstimate, dpi_bandwidth, median_adjust
 from .dataset import NormalizedSample, PairedSample, jitter, pair
@@ -85,13 +83,20 @@ class Ranks:
 class PsiFunction:
     """Non-negative, symmetric, psi(0) = 0 distance shape on [-1, 1].
 
+    Two kinds: ``"quadratic"``, psi(u) = u^2 / 2, and ``"absolute"``,
+    psi(u) = |u|; any other kind raises ``ValueError``.
     ``c_psi = 2 * integral (1-u) psi(u) du`` over [0, 1] is the normalizer
-    that calibrates Liebscher's zeta to 1 under perfect co-monotonicity.
+    that calibrates Liebscher's zeta to 1 under perfect co-monotonicity
+    (``psi_norm_constant``).
     """
 
-    kind: str  # "quadratic" | "absolute" | "custom"
-    func: Callable[[np.ndarray], np.ndarray] | None = None
-    c_psi: float | None = None
+    kind: str  # "quadratic" | "absolute"
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("quadratic", "absolute"):
+            raise ValueError(
+                f"unknown psi kind {self.kind!r}; expected 'quadratic' or 'absolute'"
+            )
 
     @classmethod
     def quadratic(cls) -> "PsiFunction":
@@ -103,16 +108,10 @@ class PsiFunction:
         """psi(u) = |u|, normalizer 1/3."""
         return cls(kind="absolute")
 
-    @classmethod
-    def custom(cls, func: Callable, c_psi: float | None = None) -> "PsiFunction":
-        return cls(kind="custom", func=func, c_psi=c_psi)
-
     def __call__(self, u: np.ndarray) -> np.ndarray:
         if self.kind == "quadratic":
             return np.square(u) / 2.0
-        if self.kind == "absolute":
-            return np.abs(u)
-        return np.asarray(self.func(u), dtype=float)
+        return np.abs(u)
 
 
 def pearson(sample: PairedSample) -> float:
@@ -155,20 +154,9 @@ def spearman(sample: PairedSample) -> float:
 def psi_norm_constant(psi: PsiFunction) -> float:
     """The normalizer c_psi = 2 * integral over [0,1] of (1-u) psi(u) du.
 
-    Closed form for the built-in shapes, adaptive quadrature for custom ones.
+    In closed form: 1/12 for the quadratic psi and 1/3 for the absolute one.
     """
-    if psi.kind == "quadratic":
-        return 1.0 / 12.0
-    if psi.kind == "absolute":
-        return 1.0 / 3.0
-    if psi.c_psi is not None:
-        value = psi.c_psi
-    else:
-        value, _ = integrate.quad(lambda u: 2.0 * (1.0 - u) * float(psi(u)), 0.0, 1.0,
-                                  epsabs=1e-10, epsrel=1e-10)
-    if value <= 0.0:
-        raise ValueError("psi normalizer must be positive; degenerate psi")
-    return float(value)
+    return 1.0 / 12.0 if psi.kind == "quadratic" else 1.0 / 3.0
 
 
 def liebscher_zeta(sample: PairedSample, psi: PsiFunction) -> float:
@@ -257,6 +245,7 @@ def fit_pair(pr: PairedSample, spec: FitSpec, jitter_sd: float = 1e-5,
     ``ValueError`` from bandwidth selection or fitting is returned in
     ``PairFit.error``, and so is a constant x before jitter, which has no
     curve to fit; a negative ``jitter_sd`` raises.
+
     """
     jittered = jitter(pr, jitter_sd, seed)
     if np.ptp(pr.x) == 0.0:  # the jitter alone would spread x, and fit its noise

@@ -30,9 +30,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .dataset import PairedSample
 
@@ -207,10 +207,13 @@ def yu_jones_factor(tau: float) -> float:
     """Multiplier converting a mean-regression bandwidth to quantile level tau.
 
     {tau(1-tau) / phi(PHI^-1(tau))^2}^(1/5); equals (pi/2)^(1/5) at the median.
+    The standard normal density phi and quantile PHI^-1 come from the
+    standard library's ``statistics.NormalDist``.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie strictly inside (0, 1)")
-    density = norm.pdf(norm.ppf(tau))
+    normal = NormalDist()
+    density = normal.pdf(normal.inv_cdf(tau))
     return float((tau * (1.0 - tau) / density**2) ** 0.2)
 
 

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the code paths it checks: the LOC
 integral is assembled from the distribution function and the infimum
 definition of the quantile instead of the sorting formula, rank coefficients
-come from scipy / the classical rank-difference identity, and least squares
-comes from numpy's polynomial fit.
+come from scipy / the classical rank-difference identity, the Yu-Jones factor
+from scipy's normal distribution, and least squares comes from numpy's
+polynomial fit.
 """
 
 from __future__ import annotations
@@ -102,6 +103,12 @@ def amise_bandwidth(n: int, sigma: float, support: float, theta22: float) -> flo
     """Closed-form asymptotically optimal bandwidth for the Gaussian kernel."""
     roughness = 1.0 / (2.0 * np.sqrt(np.pi))
     return float((roughness * sigma**2 * support / (n * theta22)) ** 0.2)
+
+
+def scipy_yu_jones_factor(tau: float) -> float:
+    """Yu-Jones factor {tau(1-tau) / phi(PHI^-1(tau))^2}^(1/5) through scipy's normal."""
+    density = stats.norm.pdf(stats.norm.ppf(tau))
+    return float((tau * (1.0 - tau) / density**2) ** 0.2)
 
 
 def random_tie_free_sample(rng: np.random.Generator, n: int):

@@ -134,13 +134,10 @@ class TestPsiNormConstant:
         oracle, _ = integrate.quad(lambda u: 2 * (1 - u) * abs(u), 0, 1)
         assert psi_norm_constant(PsiFunction.absolute()) == pytest.approx(oracle, abs=1e-12)
 
-    def test_custom_uses_quadrature(self):
-        psi = PsiFunction.custom(lambda u: np.square(u) / 2.0)
-        assert psi_norm_constant(psi) == pytest.approx(1 / 12, abs=1e-10)
-
-    def test_degenerate_psi_rejected(self):
-        with pytest.raises(ValueError):
-            psi_norm_constant(PsiFunction.custom(lambda u: 0.0 * np.asarray(u)))
+    @pytest.mark.parametrize("kind", ["custom", "Quadratic", "", "abs"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="unknown psi kind"):
+            PsiFunction(kind=kind)
 
 
 class TestLiebscherZeta:

@@ -18,7 +18,7 @@ from locindex import (
     yu_jones_factor,
 )
 
-from oracles import amise_bandwidth
+from oracles import amise_bandwidth, scipy_yu_jones_factor
 
 
 def noisy_quadratic(n: int, sigma: float, seed: int) -> PairedSample:
@@ -40,6 +40,14 @@ class TestYuJonesFactor:
 
     def test_symmetric_in_tau(self):
         assert yu_jones_factor(0.25) == pytest.approx(yu_jones_factor(0.75), abs=1e-13)
+
+    def test_matches_scipy_normal_formula(self):
+        # the oracle is the formula through scipy's normal pdf and quantile;
+        # at the median, the level the CLI uses, the factor is the same double
+        assert yu_jones_factor(0.5) == scipy_yu_jones_factor(0.5)
+        for tau in np.linspace(0.01, 0.99, 197):
+            assert yu_jones_factor(tau) == pytest.approx(scipy_yu_jones_factor(tau),
+                                                         rel=1e-14, abs=0.0)
 
     def test_tau_domain(self):
         for tau in (0.0, 1.0, -0.2, 1.3):

@@ -7,6 +7,8 @@ Regenerate golden files with ``PYTHONPATH=src python tests/test_cli.py
 
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -90,6 +92,18 @@ def test_compare_gives_the_loc_matrix_entries_of_its_pair(marks_csv, capsys):
         i, j = labels.index(x_name), labels.index(y_name)
         assert result["loc_mean"] == matrix["mean"]["entries"][i][j]
         assert result["loc_median"] == matrix["median"]["entries"][i][j]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # a fresh interpreter, because other tests import scipy into this one;
+    # scipy is a test dependency, not a runtime one
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, locindex.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_unknown_subcommand_exits_with_status_2(capsys):
