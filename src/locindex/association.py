@@ -246,10 +246,18 @@ def fit_pair(pr: PairedSample, spec: FitSpec, jitter_sd: float = 1e-5,
     ``PairFit.error``, and so is a constant x before jitter, which has no
     curve to fit; a negative ``jitter_sd`` raises.
 
+    A constant y before jitter is fitted as it is, against the jittered x:
+    its curve is constant, and a constant curve is non-decreasing, so its LOC
+    is 0 up to rounding.  Jittering it would give the curve only the noise
+    to follow, and a LOC of that noise.  This is the path ``jitter_sd = 0``
+    takes: the plug-in bandwidth falls back ("y is constant"), and
+    ``PairFit.sample`` holds the raw y.
     """
     jittered = jitter(pr, jitter_sd, seed)
     if np.ptp(pr.x) == 0.0:  # the jitter alone would spread x, and fit its noise
         return PairFit(sample=jittered, error="x is degenerate (all values equal)")
+    if np.ptp(pr.y) == 0.0:
+        jittered = PairedSample(x=jittered.x, y=pr.y)
     bw = None
     try:
         if spec.bandwidth is not None and spec.bandwidth.method == "fixed":

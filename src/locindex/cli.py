@@ -16,8 +16,9 @@ variable.  Numeric output uses 6 decimal places in table mode, and LOC
 matrices are presented multiplied by 1000 (table/csv modes only; JSON carries
 both the unscaled and the scaled entries).
 
-Exit status: 0 on success, 1 when some ordered pairs or curves failed but
-others were produced, 2 on input errors.
+Exit status: 0 on success, 1 when some ordered pairs or curves failed, or
+compare's coefficients are undefined for a constant column, but others were
+produced, 2 on input errors.
 """
 
 from __future__ import annotations
@@ -429,6 +430,9 @@ _COMPARE_ROWS = (
     ("loc_median", "loc (median fit)"),
 )
 
+#: The rows a constant column leaves undefined: all but the two curves' LOC.
+_COEFFICIENTS = [key for key, _ in _COMPARE_ROWS if key not in ("loc_mean", "loc_median")]
+
 
 def _cell(value: float | bool | None) -> str:
     if value is None:
@@ -449,20 +453,26 @@ def cmd_compare(config: RunConfig, x_name: str, y_name: str) -> int:
             file=sys.stderr,
         )
 
-    try:
-        payload = {
-            "pair": {"x": x_name, "y": y_name},
-            "pearson": pearson(pr),
-            "spearman": spearman(jittered),
-            "zeta_quadratic": liebscher_zeta(jittered, PsiFunction.quadratic()),
-            "zeta_absolute": liebscher_zeta(jittered, PsiFunction.absolute()),
-            "finite_population_I": finite_population_I(jittered),
-            "rank_loc": loc_index(rank_step_function(jittered)).value,
-        }
-    except TiesError as exc:
-        raise CliError(f"{exc} (jitter_sd is 0; set --jitter-sd > 0)") from None
-    payload["identity_rank_loc_equals_I"] = bool(math.isclose(
-        payload["rank_loc"], payload["finite_population_I"], rel_tol=1e-12, abs_tol=1e-15))
+    # a constant column leaves every coefficient undefined; the jitter would
+    # only give it noise to rank
+    constant = [name for name, values in ((x_name, pr.x), (y_name, pr.y))
+                if np.ptp(values) == 0.0]
+    payload = {"pair": {"x": x_name, "y": y_name}, **dict.fromkeys(_COEFFICIENTS)}
+    if not constant:
+        try:
+            payload.update({
+                "pearson": pearson(pr),
+                "spearman": spearman(jittered),
+                "zeta_quadratic": liebscher_zeta(jittered, PsiFunction.quadratic()),
+                "zeta_absolute": liebscher_zeta(jittered, PsiFunction.absolute()),
+                "finite_population_I": finite_population_I(jittered),
+                "rank_loc": loc_index(rank_step_function(jittered)).value,
+            })
+        except TiesError as exc:
+            raise CliError(f"{exc} (jitter_sd is 0; set --jitter-sd > 0)") from None
+        payload["identity_rank_loc_equals_I"] = bool(math.isclose(
+            payload["rank_loc"], payload["finite_population_I"], rel_tol=1e-12,
+            abs_tol=1e-15))
     payload["loc_mean"] = fits["mean"].loc
     payload["loc_median"] = fits["median"].loc
 
@@ -472,8 +482,10 @@ def cmd_compare(config: RunConfig, x_name: str, y_name: str) -> int:
         csv_head=(f"pair,{x_name}->{y_name}",),
         layout=lambda rows: [f"{label:<28}{value}" for label, value in rows],
     )])
-    return _report_errors([f"{label} fit failed: {fit.error}"
-                           for label, fit in fits.items() if fit.error is not None])
+    return _report_errors(
+        [f"coefficients unavailable: {name} is constant" for name in constant]
+        + [f"{label} fit failed: {fit.error}" for label, fit in fits.items()
+           if fit.error is not None])
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,23 @@ class TestLocMatrix:
 
 
 class TestFitPair:
+    @pytest.mark.parametrize("jitter_sd", [1e-5, 0.0])
+    @pytest.mark.parametrize("loss", [LossKind.quadratic(), LossKind.median()])
+    def test_constant_y_is_fitted_raw_and_has_loc_zero(self, jitter_sd, loss):
+        # under jitter the curve would follow the noise of the constant y;
+        # the raw y gives a constant curve, as at jitter_sd = 0
+        x = np.linspace(0.05, 0.95, 30) ** 2
+        y = np.full(30, 0.4)
+        with pytest.warns(RuntimeWarning, match="y is constant"):
+            fit = fit_pair(PairedSample(x=x, y=y), FitSpec(loss=loss, grid_size=200),
+                           jitter_sd=jitter_sd, seed=5)
+        assert fit.error is None
+        assert fit.bandwidth.diagnostics.fallback
+        assert (fit.sample.y == y).all()
+        assert abs(fit.loc) <= 1e-16
+        if loss.kind == "quantile":
+            assert (fit.curve.values == 0.4).all() and fit.loc == 0.0
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -125,13 +125,19 @@ def test_invalid_settings_exit_with_status_2(marks_csv, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
-def test_failed_pair_exits_with_status_1(tmp_path, capsys):
-    # a constant x has no curve, with or without jitter (the jitter would only
-    # spread it into noise); the other pairs are still reported
+def _flat_reading_csv(tmp_path: Path) -> Path:
+    """30 rows whose reading column is always 20."""
     rows = [f"S{i},{10 + (7 * i) % 41},20,{25 + (11 * i) % 37}" for i in range(30)]
     csv = tmp_path / "flat.csv"
     csv.write_text("\n".join(["student_id,mathematics,reading,spelling", *rows]) + "\n",
                    encoding="utf-8")
+    return csv
+
+
+def test_failed_pair_exits_with_status_1(tmp_path, capsys):
+    # a constant x has no curve, with or without jitter (the jitter would only
+    # spread it into noise); the other pairs are still reported
+    csv = _flat_reading_csv(tmp_path)
     for jitter_sd in (["--jitter-sd", "0"], []):
         code = main(["loc-matrix", "--input", str(csv), *jitter_sd,
                      "--grid", "50", "--m", "50", "--format", "json"])
@@ -141,6 +147,40 @@ def test_failed_pair_exits_with_status_1(tmp_path, capsys):
         assert "error: pair (reading -> spelling), mean fit: x is degenerate" in captured.err
         entries = json.loads(captured.out)["mean"]["entries"]
         assert math.isnan(entries[1][0]) and math.isfinite(entries[0][2])
+
+
+@pytest.mark.parametrize("jitter_sd", [[], ["--jitter-sd", "0"]])
+def test_constant_y_column_has_loc_zero(tmp_path, capsys, jitter_sd):
+    # a constant curve is non-decreasing; under jitter the curve must not
+    # follow the noise of the constant column
+    code = main(["loc-matrix", "--input", str(_flat_reading_csv(tmp_path)), "--loss", "both",
+                 "--grid", "50", "--m", "50", *jitter_sd])
+    assert code == 1  # reading as x fails
+    # the rows of mathematics and spelling as x in the mean and median tables
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("mathematics ", "spelling "))]
+    assert len(rows) == 4
+    assert [row[2] for row in rows] == ["0.000000"] * 4  # the reading column
+
+
+@pytest.mark.parametrize("jitter_sd", [[], ["--jitter-sd", "0"]])
+@pytest.mark.parametrize("x_name, y_name", [("reading", "mathematics"),
+                                            ("mathematics", "reading")])
+def test_compare_on_a_constant_column_reports_no_coefficients(tmp_path, capsys, jitter_sd,
+                                                              x_name, y_name):
+    code = main(["compare", x_name, y_name, "--input", str(_flat_reading_csv(tmp_path)),
+                 "--grid", "50", "--m", "50", "--format", "json", *jitter_sd])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "error: coefficients unavailable: reading is constant" in captured.err
+    result = json.loads(captured.out)
+    for key in ("pearson", "spearman", "zeta_quadratic", "zeta_absolute",
+                "finite_population_I", "rank_loc", "identity_rank_loc_equals_I"):
+        assert result[key] is None, key
+    if x_name == "reading":
+        assert result["loc_mean"] is None and result["loc_median"] is None
+    else:
+        assert abs(result["loc_mean"]) < 1e-15 and result["loc_median"] == 0.0
 
 
 def _algebra_geometry_csv(tmp_path: Path) -> Path:
