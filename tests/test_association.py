@@ -282,6 +282,33 @@ class TestLocMatrix:
         matrix = loc_matrix(marks_sample, spec, seed=0)
         assert not matrix.failures
 
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 40),
+           h=st.sampled_from((0.1, 0.3)))
+    def test_invariant_under_row_permutation(self, seed, n, h):
+        # only without jitter, which assigns its noise by row position, and on
+        # tie-free columns: on tied data the median descent may reach another
+        # optimal line.  The mean sums add in another order, which moves each
+        # curve value by about 1e-16 and a LOC near 0 by about as much in
+        # absolute terms (at most 6.4e-17 over 150 seeds), hence the floor
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.0, 1.0, n)
+        columns = {"a": a, "b": 0.2 + 0.6 * a + rng.uniform(-0.2, 0.2, n),
+                   "c": rng.uniform(0.0, 1.0, n)}
+        assume(all(len(np.unique(col)) == n for col in columns.values()))
+        order = rng.permutation(n)
+        sample = NormalizedSample(column_names=("a", "b", "c"), columns=columns)
+        permuted = NormalizedSample(column_names=("a", "b", "c"),
+                                    columns={k: col[order] for k, col in columns.items()})
+        for loss in (LossKind.quadratic(), LossKind.median()):
+            spec = FitSpec(loss=loss, bandwidth=BandwidthEstimate(value=h, method="fixed"),
+                           grid_size=100)
+            base = loc_matrix(sample, spec, jitter_sd=0.0)
+            moved = loc_matrix(permuted, spec, jitter_sd=0.0)
+            assert moved.failures == base.failures
+            np.testing.assert_allclose(moved.entries, base.entries, rtol=1e-12, atol=1e-15,
+                                       equal_nan=True)
+
     def test_needs_two_columns(self):
         sample = NormalizedSample(column_names=("a",), columns={"a": np.linspace(0, 1, 30)})
         with pytest.raises(ValueError):
