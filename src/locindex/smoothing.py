@@ -19,11 +19,25 @@ It is found exactly by pivoting descent over such lines [4, 3]:
    s_i = (y_i - y_k) / a_i.  Its objective is a weighted check loss in b1,
    with weights c_i = w_i |a_i| and level tau (a_i > 0) or 1 - tau
    (a_i < 0).  So the best slope is the smallest s_(j) whose cumulative
-   weight reaches sum_i c_i (tau if a_i > 0 else 1 - tau).
+   weight reaches cut = sum_i c_i (tau if a_i > 0 else 1 - tau), a weighted
+   quantile of the slopes.  In a window of ``_SMALL_WINDOW`` (64) rows or
+   more it is found by selection [6, 3], not by sorting every row: a bracket
+   (lo, hi] whose weight below lo falls short of cut and whose weight up to
+   hi reaches it is grown geometrically from a guess, the slope of the
+   current line (which passes through k) or, at the first rotation, the
+   least-squares slope; each end costs one weighted count, and only the
+   rows inside the bracket are sorted.  Rows with a_i = 0 keep weight 0 and
+   are never the partner.  Among equal slopes, rows count in row order: the
+   partner is the row at which the running weight reaches cut, or the last
+   row of positive weight when rounding puts cut above the total.  Smaller
+   windows sort every row with a_i != 0, as numpy's default sort orders
+   them, because a sort that small costs fewer numpy calls than the
+   selection.  Equal slopes give one line through k; the partner among them
+   only decides which point of it the descent rotates about next.
 2. Descent.  The line through k and that observation j is taken when it
    lowers the objective strictly, and j becomes the next pivot.  The first
    pivot is the observation on the best line of weighted least-squares
-   slope.
+   slope, found by the same selection.
 3. Optimality.  When a rotation brings no strict decrease, the line is
    optimal against rotations about the points tried on it.  The line is a
    vertex, and a vertex is optimal when no rotation about any observation
@@ -68,12 +82,15 @@ References
        absolute value regression problem." *Comm. Statist. B* 10: 479-491.
 .. [5] Fan, J. and Marron, J. S. (1994). "Fast implementations of
        nonparametric curve estimators." *JCGS* 3: 35-56.
+.. [6] Bloomfield, P. and Steiger, W. L. (1983). *Least Absolute
+       Deviations: Theory, Applications, and Algorithms.* Birkhauser.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -216,27 +233,98 @@ def check_loss_objective(
 _ON_LINE = 2.0**-40
 
 
+# Windows of fewer rows than this find a weighted quantile by sorting every
+# row; the selection below costs more numpy calls than a sort that small.
+_SMALL_WINDOW = 64
+
+# A bracket of the selection starts this many typical slope spacings wide
+# (the spread of the values over their count) and widens by _WIDEN at each
+# step; after _MAX_WIDENINGS steps every row is sorted instead.
+_FIRST_BRACKET = 16.0
+_WIDEN = 4.0
+_MAX_WIDENINGS = 24
+
+
+def _select(v: np.ndarray, c: np.ndarray, cut: float, guess: float, spread: float) -> int:
+    """Row of the smallest v whose cumulative weight c, in order of v, reaches cut.
+
+    Equal values count in row order.  Rows with c = 0 are never returned, so
+    their v may be inf or nan; when rounding puts ``cut`` above the total
+    weight, the largest v of positive weight is returned.  ``guess`` should be
+    near the answer and ``spread`` should be about the c-weighted mean of
+    |v - guess|; both affect the time taken, never the result.
+
+    The answer is bracketed in (lo, hi] with W(v <= lo) < cut <= W(v <= hi),
+    one weighted count (a masked dot product) per end, starting at the guess
+    and widening geometrically; only the rows inside the bracket are sorted.
+    """
+    step = _FIRST_BRACKET * spread / len(v)
+    lo = hi = guess
+    at_lo_mask = at_hi_mask = v <= guess
+    at_lo = at_hi = float(np.dot(c, at_lo_mask))
+    for _ in range(_MAX_WIDENINGS if step > 0.0 else 0):
+        if at_hi < cut:
+            lo, at_lo, at_lo_mask = hi, at_hi, at_hi_mask
+            hi += step
+            at_hi_mask = v <= hi
+            at_hi = float(np.dot(c, at_hi_mask))
+        elif at_lo >= cut:
+            hi, at_hi, at_hi_mask = lo, at_lo, at_lo_mask
+            lo -= step
+            at_lo_mask = v <= lo
+            at_lo = float(np.dot(c, at_lo_mask))
+        else:
+            inside = np.flatnonzero(at_hi_mask > at_lo_mask)
+            return _sorted_select(v, c, cut, inside, at_lo)
+        step *= _WIDEN
+    return _sorted_select(v, c, cut, np.arange(len(v)), 0.0)
+
+
+def _sorted_select(v: np.ndarray, c: np.ndarray, cut: float, rows: np.ndarray,
+                   below: float) -> int:
+    """``_select`` among ``rows``, which hold every row whose running weight
+    can reach ``cut``; the rows of smaller v weigh ``below``."""
+    order = rows[np.argsort(v[rows], kind="stable")]
+    c_order = c[order]
+    pos = int(np.searchsorted(below + np.cumsum(c_order), cut))
+    if pos == len(order):  # cut above the total weight by rounding
+        pos = int(np.flatnonzero(c_order)[-1])
+    return int(order[pos])
+
+
 def _rotate(
-    x: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float, k: int
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float, k: int, guess: float,
+    spread: float,
 ) -> tuple[int, float, float, np.ndarray, np.ndarray]:
     """Best line through observation k.
 
     Returns the partner j, the slope, the objective, the residuals and
     a = x - x[k].  Differences are taken in x, not in x - x0, so the slope of
     two close observations keeps its digits; it is symmetric in k and j.
+    ``guess`` is a slope near the best one and ``spread`` about the weighted
+    sum of absolute residuals of the line through k of that slope; they only
+    steer ``_select``.
     """
     a = x - x[k]
     dy = y - y[k]
-    rows = np.flatnonzero(a)
-    ar = a[rows]
-    slopes = dy[rows] / ar
-    c = w[rows] * np.abs(ar)
-    cut = tau * float(c.sum()) + (1.0 - 2.0 * tau) * float(c[ar < 0.0].sum())
-    order = np.argsort(slopes)
-    pos = order[min(int(np.searchsorted(np.cumsum(c[order]), cut)), len(order) - 1)]
-    b1 = float(slopes[pos])
+    if len(a) < _SMALL_WINDOW:
+        rows = np.flatnonzero(a)
+        ar = a[rows]
+        slopes = dy[rows] / ar
+        c = w[rows] * np.abs(ar)
+        cut = tau * float(c.sum()) + (1.0 - 2.0 * tau) * float(c[ar < 0.0].sum())
+        order = np.argsort(slopes)
+        j = rows[order[min(int(np.searchsorted(np.cumsum(c[order]), cut)), len(order) - 1)]]
+    else:
+        c = w * np.abs(a)  # 0 where a = 0, whose slope is inf or nan
+        total = float(c.sum())
+        cut = tau * total + (1.0 - 2.0 * tau) * float(np.dot(c, a < 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slopes = dy / a
+        j = _select(slopes, c, cut, guess, spread / total)
+    b1 = float(dy[j] / a[j])
     r = dy - b1 * a
-    return int(rows[pos]), b1, float(w @ np.maximum(tau * r, (tau - 1.0) * r)), r, a
+    return int(j), b1, float(w @ np.maximum(tau * r, (tau - 1.0) * r)), r, a
 
 
 def _descending_pivot(
@@ -277,25 +365,30 @@ def _descending_pivot(
 
 
 def _check_loss_line(
-    x: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float, k: int
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float,
+    start: tuple[int, float, float],
 ) -> tuple[int, int, float]:
-    """Pivoting descent from pivot k to an optimal line: (p, q, slope).
+    """Pivoting descent from a start to an optimal line: (p, q, slope).
 
     ``x``, ``y`` and ``w`` hold the weighted rows only, and at least two
-    distinct values of ``x``.
+    distinct values of ``x``.  ``start`` is ``_start``'s pivot, slope and
+    spread.
     """
+    k, guess, spread = start
     y_scale = 2.0 * float(np.abs(y).max())
     x_span = float(x.max() - x.min())
     best_f = math.inf
     while True:
-        j, b1, f, r, a = _rotate(x, y, w, tau, k)
+        j, b1, f, r, a = _rotate(x, y, w, tau, k, guess, spread)
         if f < best_f:
             best, best_f = (k, j, b1), f
             if f == 0.0:
                 break
             line = (a, r, _ON_LINE * (y_scale + abs(b1) * x_span))
             tried = [0.0]  # a of the pivot itself: the line is best through k
-            k = j
+            # every later pivot is on this line: its slope guesses the next
+            # rotation's, and 2f (exact at tau = 1/2) sizes the bracket
+            k, guess, spread = j, b1, 2.0 * f
             continue
         tried.append(line[0][k])
         k = _descending_pivot(w, tau, *line, tried)
@@ -304,20 +397,33 @@ def _check_loss_line(
     return best
 
 
-def _start(d: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float, x0: float) -> int:
+def _start(
+    d: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float, x0: float
+) -> tuple[int, float, float]:
     """A first pivot: the observation on the best line of least-squares slope.
 
     With the slope fixed, the best intercept is the weighted tau-quantile of
     y - slope * d, which is attained at an observation.  Any start reaches
     the optimum; this one is usually on or next to the optimal line.
+    Returns the pivot, the slope and the weighted sum of absolute deviations
+    of y - slope * d from their weighted mean, which steer the first
+    rotation's selection (0 in a small window, which sorts instead).
     """
     try:
         slope = _solve_wls(d, y, w, x0)[1]
     except SmoothingError:  # a nearly singular design: slope 0 starts as well
         slope = 0.0
-    order = np.argsort(y - slope * d)
-    cum = np.cumsum(w[order])
-    return int(order[np.searchsorted(cum, tau * cum[-1])])
+    v = y - slope * d
+    if len(v) < _SMALL_WINDOW:
+        order = np.argsort(v)
+        cum = np.cumsum(w[order])
+        return int(order[np.searchsorted(cum, tau * cum[-1])]), slope, 0.0
+    total = float(w.sum())
+    mean = float(w @ v) / total
+    spread = float(w @ np.abs(v - mean))
+    # the tau-quantile of normal deviations of mean absolute value spread/total
+    guess = mean + math.sqrt(math.pi / 2.0) * NormalDist().inv_cdf(tau) * spread / total
+    return _select(v, w, tau * total, guess, spread / total), slope, spread
 
 
 def local_linear_fit(

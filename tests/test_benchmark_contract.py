@@ -7,6 +7,7 @@ fit made another way would break it.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import locindex
@@ -49,3 +50,24 @@ def test_fixture_warm_up_runs_through_fit_capture(perfbench):
     report = layers.check_and_count(workload, inputs, ops, capture.fits, [ops])
     assert report["ops_attempted"] == 12
     assert report["ops_failed"] == 0, report["problems"]
+
+
+def test_median_curve_in_large_windows_passes_verification(perfbench):
+    # at n = 2000 every window holds hundreds of rows, above the size below
+    # which the median solver sorts instead of selecting; perfbench's check
+    # must find every sampled fit at the linear programming optimum
+    _, _, _, workloads = perfbench
+    import verification
+
+    x, y = workloads.synthetic_pair(2000, 0)
+    jittered = locindex.jitter(locindex.PairedSample(x=x, y=y), workloads.JITTER_SD, 0)
+    h = locindex.median_adjust(locindex.dpi_bandwidth(jittered))
+    spec = locindex.FitSpec(loss=locindex.LossKind.median(), bandwidth=h, grid_size=200)
+    curve = locindex.fit_curve(jittered, spec)
+    reach = locindex.smoothing._REACH * h.value
+    windows = np.sum(np.abs(jittered.x[None, :] - curve.grid[:, None]) <= reach, axis=1)
+    assert windows.min() >= locindex.smoothing._SMALL_WINDOW
+    check = verification.check_median_curve(jittered, curve)
+    assert check.ok, check.problems
+    assert check.points == verification.POINTS_PER_FIT
+    assert check.worst <= 1e-12

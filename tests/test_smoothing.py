@@ -19,10 +19,12 @@ from locindex import (
 )
 
 from oracles import (
+    check_loss_lp_minimum,
     check_loss_minimum,
     check_loss_value,
     global_least_squares,
     random_tie_free_sample,
+    weighted_quantile_row,
 )
 
 TAUS = (0.1, 0.5, 0.9)
@@ -31,10 +33,11 @@ ORDERED_PAIRS = [(a, b) for a in COLUMNS for b in COLUMNS if a != b]
 LOSSES = (LossKind.quadratic(), LossKind.median())
 
 
-def assert_reaches_minimum(sample: PairedSample, x0: float, h: float, tau: float) -> None:
+def assert_reaches_minimum(sample: PairedSample, x0: float, h: float, tau: float,
+                           minimum=check_loss_minimum) -> None:
     b0, b1 = local_linear_fit(sample, x0, h, LossKind.quantile(tau))
     fitted = check_loss_value(sample.x, sample.y, x0, h, tau, b0, b1)
-    optimum = check_loss_minimum(sample.x, sample.y, x0, h, tau)
+    optimum = minimum(sample.x, sample.y, x0, h, tau)
     # (b0, b1) is the optimal line rounded to floating point, which moves each
     # residual by a few ulps of the terms it is computed from
     d = sample.x - x0
@@ -83,6 +86,63 @@ class TestCheckLossOptimality:
         weighted = np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi) >= 1e-12
         assume(len(np.unique(x[weighted])) >= 2)
         assert_reaches_minimum(sample, x0, h, tau)
+
+
+class TestCheckLossOptimalityInLargeWindows:
+    # windows above smoothing._SMALL_WINDOW rows, where each rotation finds
+    # its slope by selection instead of sorting every row
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_reaches_the_linear_programming_optimum(self, tau, tied):
+        rng = np.random.default_rng(12)
+        x = rng.uniform(0.0, 1.0, 500)
+        y = 0.3 + 0.5 * x + 0.1 * np.sin(8.0 * x) + rng.normal(0.0, 0.1, 500)
+        if tied:  # many points on each candidate line
+            x, y = np.round(x, 2), np.round(y, 1)
+        sample = PairedSample(x=x, y=y)
+        for h in (0.04, 0.1):
+            for x0 in np.linspace(0.0, 1.0, 7):
+                u = (x - x0) / h
+                assert np.sum(np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi) >= 1e-12) \
+                    >= smoothing._SMALL_WINDOW
+                assert_reaches_minimum(sample, float(x0), h, tau, check_loss_lp_minimum)
+
+
+class TestSelect:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_sorting_and_running_sums(self, data):
+        # small integer weights keep every partial sum exact, so the row is
+        # determined; few levels of v give exact ties
+        n = data.draw(st.integers(1, 150))
+        v = np.array(data.draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n)),
+                     dtype=float) / 4.0
+        c = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)),
+                     dtype=float)
+        assume(c.sum() > 0.0)
+        # a zero-weight row may carry the inf or nan slope of a row at a = 0
+        specials = data.draw(st.lists(st.sampled_from([None, np.inf, -np.inf, np.nan]),
+                                      min_size=n, max_size=n))
+        for i, special in enumerate(specials):
+            if c[i] == 0.0 and special is not None:
+                v[i] = special
+        partial = np.cumsum(c[sorted(np.flatnonzero(c), key=lambda i: (v[i], i))])
+        total = float(partial[-1])
+        cut = data.draw(st.one_of(
+            st.sampled_from(partial.tolist()),  # a cut equal to a partial sum
+            st.floats(0.0, total, exclude_min=True),
+            st.sampled_from([total * (1.0 + 1e-15), total + 0.5]),  # above the total
+        ))
+        # the guess of a rotation is often one of the slopes
+        guess = data.draw(st.one_of(st.floats(-3.0, 3.0),
+                                    st.sampled_from(np.arange(-8, 9) / 4.0)))
+        spread = data.draw(st.sampled_from([0.0, 1e-12, 0.1, 1.0, 1e6]))
+        row = smoothing._select(v, c, cut, guess, spread)
+        expected = weighted_quantile_row(v, c, cut)
+        assert c[row] > 0.0
+        assert v[row] == v[expected]
+        assert row == expected
 
 
 class TestLocalLinearFit:
