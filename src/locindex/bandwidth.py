@@ -27,8 +27,8 @@ References
 
 from __future__ import annotations
 
+import logging
 import math
-import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 
+_log = logging.getLogger(__name__)
+
+
 class BandwidthError(ValueError):
     """Raised when a bandwidth cannot be selected for the given sample."""
 
@@ -62,12 +65,17 @@ KERNEL_SECOND_MOMENT = 1.0
 
 @dataclass(frozen=True)
 class BandwidthDiagnostics:
-    """What the plug-in saw: chosen block count, curvature and variance."""
+    """What the plug-in saw: chosen block count, curvature and variance.
+
+    ``reason`` says why the plug-in fell back ("y is constant",
+    "curvature ~ 0" or "residual variance ~ 0"), and is None when it did not.
+    """
 
     block_count: int
     curvature: float            # estimate of integral h''(x)^2 f(x) dx
     residual_variance: float
     fallback: bool = False
+    reason: str | None = None
 
 
 @dataclass(frozen=True)
@@ -121,7 +129,8 @@ def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:
     functional collapses (linear data) or the residual variance is zero
     (interpolating fits, e.g. noiseless polynomial data), the plug-in formula
     degenerates; the estimate then falls back to ``oversmoothed_bandwidth``
-    and says so in the diagnostics and via a RuntimeWarning.
+    and says so, with the reason, in the diagnostics and in a warning of the
+    ``locindex.bandwidth`` logger, once per fallback.
 
     Rounding never gives an exact zero, so both quantities are compared with
     floors relative to the amplitude of y, which keeps the fallback decision
@@ -172,12 +181,8 @@ def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:
         reason = ("y is constant" if amplitude == 0.0
                   else "curvature ~ 0" if theta22 <= curvature_floor
                   else "residual variance ~ 0")
-        warnings.warn(
-            f"plug-in bandwidth degenerate ({reason}); "
-            "falling back to oversmoothed bandwidth",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        _log.warning("plug-in bandwidth degenerate (%s); "
+                     "falling back to oversmoothed bandwidth", reason)
         return BandwidthEstimate(
             value=oversmoothed_bandwidth(x),
             method="dpi",
@@ -186,6 +191,7 @@ def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:
                 curvature=theta22,
                 residual_variance=sigma2,
                 fallback=True,
+                reason=reason,
             ),
         )
 

@@ -16,6 +16,9 @@ variable.  Numeric output uses 6 decimal places in table mode, and LOC
 matrices are presented multiplied by 1000 (table/csv modes only; JSON carries
 both the unscaled and the scaled entries).
 
+A plug-in bandwidth that falls back prints one ``warning: ...`` line on
+stderr per fit, with the reason.
+
 Exit status: 0 on success, 1 when some ordered pairs or curves failed, or
 compare's coefficients are undefined for a constant column, but others were
 produced, 2 on input errors.
@@ -26,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import math
 import os
 import sys
@@ -548,6 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # the program's warnings (a plug-in bandwidth that falls back, once per
+    # fit) go to stderr as "warning: ..." lines while the command runs
+    to_stderr = logging.StreamHandler(sys.stderr)
+    to_stderr.setFormatter(logging.Formatter("warning: %(message)s"))
+    logger = logging.getLogger("locindex")
+    logger.addHandler(to_stderr)
     try:
         config = _build_config(args)
         if args.command == "summarize":
@@ -561,6 +571,8 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        logger.removeHandler(to_stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,3 +1,4 @@
+import logging
 import sys
 from pathlib import Path
 
@@ -20,6 +21,17 @@ def marks_csv() -> Path:
 @pytest.fixture(scope="session")
 def marks_sample() -> NormalizedSample:
     return normalize(load_csv(FIXTURE_CSV))
+
+
+@pytest.fixture()
+def fallback_warnings(caplog):
+    """A function that returns, and clears, the bandwidth fallback warnings logged so far."""
+    def take() -> list[str]:
+        messages = [r.getMessage() for r in caplog.records
+                    if r.name == "locindex.bandwidth" and r.levelno == logging.WARNING]
+        caplog.clear()
+        return messages
+    return take
 
 
 @pytest.fixture()

@@ -127,23 +127,29 @@ class TestDpiBandwidth:
         b_large = dpi_bandwidth(sin_sample(600, seed=5)).value
         assert abs(b_large / b_small / 2.0 ** (-0.2) - 1.0) <= 0.15
 
-    def test_linear_noiseless_falls_back_with_warning(self, linear_pair):
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            est = dpi_bandwidth(linear_pair)
+    def test_linear_noiseless_falls_back_with_warning(self, linear_pair, fallback_warnings):
+        est = dpi_bandwidth(linear_pair)
+        [message] = fallback_warnings()
+        assert "falling back" in message
         assert est.diagnostics.fallback
+        assert est.diagnostics.reason == "curvature ~ 0"
+        assert f"({est.diagnostics.reason})" in message
         assert est.value == pytest.approx(oversmoothed_bandwidth(linear_pair.x))
 
-    def test_noiseless_curved_data_also_falls_back(self):
+    def test_noiseless_curved_data_also_falls_back(self, fallback_warnings):
         # quartic fits interpolate: the residual variance is zero up to
         # rounding (2.7e-32 here), never exactly zero
         x = np.linspace(0.0, 1.0, 40)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            est = dpi_bandwidth(PairedSample(x=x, y=x**2))
+        est = dpi_bandwidth(PairedSample(x=x, y=x**2))
+        [message] = fallback_warnings()
+        assert "falling back" in message
         assert est.diagnostics.fallback
+        assert est.diagnostics.reason == "residual variance ~ 0"
         # the floor is relative to the amplitude of y
         for c in (1e6, 1e-6):
-            with pytest.warns(RuntimeWarning, match="falling back"):
-                scaled = dpi_bandwidth(PairedSample(x=x, y=c * x**2))
+            scaled = dpi_bandwidth(PairedSample(x=x, y=c * x**2))
+            [message] = fallback_warnings()
+            assert "falling back" in message
             assert scaled.diagnostics.fallback
             assert scaled.value == est.value
         # the fallback exists so that the fits at the returned bandwidth work
@@ -152,21 +158,24 @@ class TestDpiBandwidth:
             curve = fit_curve(sample, FitSpec(loss=loss, bandwidth=b, grid_size=50))
             assert np.all(np.isfinite(curve.values))
 
-    def test_noiseless_data_uses_one_block(self):
+    def test_noiseless_data_uses_one_block(self, fallback_warnings):
         # interpolating fits leave Mallows' Cp undefined; its choice would
         # otherwise be made from rounding noise
         x = np.linspace(0.0, 1.0, 100)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            est = dpi_bandwidth(PairedSample(x=x, y=x**2))
+        est = dpi_bandwidth(PairedSample(x=x, y=x**2))
+        [message] = fallback_warnings()
+        assert "falling back" in message
         assert est.diagnostics.block_count == 1
 
-    def test_constant_y_falls_back(self):
+    def test_constant_y_falls_back(self, fallback_warnings):
         # ptp(y) = 0 zeroes both floors, and rounding leaves the curvature at
         # about 1e-30, so only an explicit check catches it
         x = np.linspace(0.0, 1.0, 40)
-        with pytest.warns(RuntimeWarning, match="y is constant"):
-            est = dpi_bandwidth(PairedSample(x=x, y=np.full(40, 0.3)))
+        est = dpi_bandwidth(PairedSample(x=x, y=np.full(40, 0.3)))
+        [message] = fallback_warnings()
+        assert "y is constant" in message
         assert est.diagnostics.fallback
+        assert est.diagnostics.reason == "y is constant"
         assert est.diagnostics.block_count == 1
         assert est.value == oversmoothed_bandwidth(x)
 
@@ -186,6 +195,7 @@ class TestDpiBandwidth:
         assert est.diagnostics.curvature > 0
         assert est.diagnostics.residual_variance > 0
         assert not est.diagnostics.fallback
+        assert est.diagnostics.reason is None
 
     def test_block_cap_for_52_rows(self, marks_sample):
         from locindex import jitter, pair

@@ -163,6 +163,21 @@ def test_constant_y_column_has_loc_zero(tmp_path, capsys, jitter_sd):
     assert [row[2] for row in rows] == ["0.000000"] * 4  # the reading column
 
 
+def test_bandwidth_fallback_warns_once_per_fit(tmp_path, capsys):
+    # mathematics -> reading and spelling -> reading fall back ("y is
+    # constant") in the mean and in the median fit; a second run in the same
+    # process prints its own four lines, no more
+    argv = ["loc-matrix", "--input", str(_flat_reading_csv(tmp_path)), "--loss", "both",
+            "--grid", "50", "--m", "50"]
+    for _ in range(2):
+        assert main(argv) == 1  # reading as x fails
+        err = capsys.readouterr().err
+        warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+        assert warnings == ["warning: plug-in bandwidth degenerate (y is constant); "
+                            "falling back to oversmoothed bandwidth"] * 4
+        assert ".py:" not in err
+
+
 @pytest.mark.parametrize("jitter_sd", [[], ["--jitter-sd", "0"]])
 @pytest.mark.parametrize("x_name, y_name", [("reading", "mathematics"),
                                             ("mathematics", "reading")])
