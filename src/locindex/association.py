@@ -125,24 +125,26 @@ def pearson(sample: PairedSample) -> float:
     return float(dx @ dy) / math.sqrt(vx * vy)
 
 
-def _dense_ranks(values: np.ndarray, label: str) -> np.ndarray:
-    n = len(values)
-    if len(np.unique(values)) != n:
+def _dense_ranks(values: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks 1..n of tie-free values, and the order that sorts them."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    # ties as np.unique counts them: equal neighbours, or two nans (sorted last)
+    if np.any(ordered[1:] == ordered[:-1]) or np.isnan(ordered[-2]):
         raise TiesError(
             f"tied values in {label}; jitter the sample (sd ~ 1e-5) before ranking"
         )
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[np.argsort(values, kind="stable")] = np.arange(1, n + 1)
-    return ranks
+    ranks = np.empty(len(values), dtype=np.int64)
+    ranks[order] = np.arange(1, len(values) + 1)
+    return ranks, order
 
 
 def empirical_ranks(sample: PairedSample) -> Ranks:
     """Empirical cdf evaluations and induced y ranks for a tie-free sample."""
-    rx = _dense_ranks(sample.x, "x")
-    ry = _dense_ranks(sample.y, "y")
+    rx, x_order = _dense_ranks(sample.x, "x")
+    ry, _ = _dense_ranks(sample.y, "y")
     n = sample.n
-    induced = ry[np.argsort(sample.x, kind="stable")]
-    return Ranks(fx=rx / n, gy=ry / n, induced=induced)
+    return Ranks(fx=rx / n, gy=ry / n, induced=ry[x_order])
 
 
 def spearman(sample: PairedSample) -> float:
