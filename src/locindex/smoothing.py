@@ -314,7 +314,8 @@ def _rotate(
         c = w[rows] * np.abs(ar)
         cut = tau * float(c.sum()) + (1.0 - 2.0 * tau) * float(c[ar < 0.0].sum())
         order = np.argsort(slopes)
-        j = rows[order[min(int(np.searchsorted(np.cumsum(c[order]), cut)), len(order) - 1)]]
+        pos = order[min(int(np.searchsorted(np.cumsum(c[order]), cut)), len(order) - 1)]
+        j, b1 = rows[pos], float(slopes[pos])
     else:
         c = w * np.abs(a)  # 0 where a = 0, whose slope is inf or nan
         total = float(c.sum())
@@ -322,7 +323,7 @@ def _rotate(
         with np.errstate(divide="ignore", invalid="ignore"):
             slopes = dy / a
         j = _select(slopes, c, cut, guess, spread / total)
-    b1 = float(dy[j] / a[j])
+        b1 = float(slopes[j])
     r = dy - b1 * a
     return int(j), b1, float(w @ np.maximum(tau * r, (tau - 1.0) * r)), r, a
 
