@@ -90,7 +90,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -422,9 +421,7 @@ def _start(
     total = float(w.sum())
     mean = float(w @ v) / total
     spread = float(w @ np.abs(v - mean))
-    # the tau-quantile of normal deviations of mean absolute value spread/total
-    guess = mean + math.sqrt(math.pi / 2.0) * NormalDist().inv_cdf(tau) * spread / total
-    return _select(v, w, tau * total, guess, spread / total), slope, spread
+    return _select(v, w, tau * total, mean, spread / total), slope, spread
 
 
 def local_linear_fit(
