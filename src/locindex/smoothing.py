@@ -472,17 +472,41 @@ def _too_few(x0: float) -> SmoothingError:
     )
 
 
+def _local_mean(x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float) -> float:
+    """Local linear mean at x0 from rows sorted by x: ``local_linear_fit``'s
+    quadratic value on them.
+
+    The kernel weights fall monotonically away from x0, so the rows with
+    positive weight are one contiguous run; the fit solves on views of it.
+    When rounding breaks the run, its rows are gathered instead.
+    """
+    w = _kernel_weights(x, x0, bandwidth)
+    positive = w > 0.0
+    first = int(positive.argmax())
+    end = first + int(np.count_nonzero(positive))
+    if positive[first:end].all():
+        x, y, w = x[first:end], y[first:end], w[first:end]
+    else:
+        rows = np.flatnonzero(positive)
+        x, y, w = x[rows], y[rows], w[rows]
+    if not x.size or x[0] == x[-1]:
+        raise _too_few(x0)
+    return _solve_wls(x - x0, y, w, x0)[0]
+
+
 def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     """Evaluate the local fit on an equispaced grid over [min(x), max(x)].
 
-    Each grid point x0 is fitted by ``local_linear_fit`` on its window, the
-    rows with |x - x0| <= _REACH * h, found by binary search in x sorted once
-    per curve; neighbouring grid points usually share a window, which is
-    built once for them.  The window holds every row with kernel weight, in
-    original row order, so the curve is ``local_linear_fit`` on the full
-    sample, bit for bit, for both losses (see the module docstring), errors
-    included: a window of fewer than two rows raises the ``SmoothingError``
-    that ``local_linear_fit`` raises there.
+    The sample is sorted by x once per curve (a stable sort), and each grid
+    point x0 is fitted on its window, the slice of the sorted rows with
+    |x - x0| <= _REACH * h, found by binary search.  Quadratic loss is solved
+    in closed form on the run of the window's rows that carry kernel
+    weight; check loss calls ``local_linear_fit`` on the window, which is
+    built once for neighbouring grid points that share it.  The window holds
+    every row with kernel weight, so the curve is ``local_linear_fit`` on the
+    sample stably sorted by x, bit for bit, for both losses (see the module
+    docstring), errors included: a window of fewer than two rows raises the
+    ``SmoothingError`` that ``local_linear_fit`` raises there.
 
     No extrapolation is attempted beyond the data range, and fitted values
     are never clamped here; clamping to [0, 1] is a presentation concern.
@@ -492,20 +516,23 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     if spec.bandwidth is None:
         raise ValueError("spec.bandwidth must be set before fitting")
     h = spec.bandwidth.value
-    grid = np.linspace(float(sample.x.min()), float(sample.x.max()), spec.grid_size)
     order = np.argsort(sample.x, kind="stable")
-    sorted_x = sample.x[order]
-    los = np.searchsorted(sorted_x, grid - _REACH * h, side="left")
-    his = np.searchsorted(sorted_x, grid + _REACH * h, side="right")
+    xs, ys = sample.x[order], sample.y[order]
+    grid = np.linspace(float(xs[0]), float(xs[-1]), spec.grid_size)
+    los = np.searchsorted(xs, grid - _REACH * h, side="left")
+    his = np.searchsorted(xs, grid + _REACH * h, side="right")
     values = np.empty(spec.grid_size)
+    mean = spec.loss.kind == "quadratic"
     bounds, window = None, None
     for i, (x0, lo, hi) in enumerate(zip(grid.tolist(), los.tolist(), his.tolist())):
         try:
             if hi - lo < 2:  # a PairedSample needs two rows, and so does the fit
                 raise _too_few(x0)
+            if mean:
+                values[i] = _local_mean(xs[lo:hi], ys[lo:hi], x0, h)
+                continue
             if (lo, hi) != bounds:
-                rows = np.sort(order[lo:hi])
-                bounds, window = (lo, hi), PairedSample(x=sample.x[rows], y=sample.y[rows])
+                bounds, window = (lo, hi), PairedSample(x=xs[lo:hi], y=ys[lo:hi])
             values[i], _ = local_linear_fit(window, x0, h, spec.loss)
         except SmoothingError as exc:
             raise SmoothingError(f"grid point {i}: {exc}") from exc

@@ -199,16 +199,25 @@ class TestLocalLinearFit:
             local_linear_fit(sample, x0, 0.1, loss)
 
 
-def assert_curve_is_local_fit(pr: PairedSample, loss: LossKind, h: BandwidthEstimate) -> None:
+def sorted_by_x(pr: PairedSample) -> PairedSample:
+    order = np.argsort(pr.x, kind="stable")
+    return PairedSample(x=pr.x[order], y=pr.y[order])
+
+
+def assert_curve_is_local_fit(pr: PairedSample, loss: LossKind, h: BandwidthEstimate,
+                              reference: PairedSample | None = None) -> None:
+    # the reference defaults to the sample stably sorted by x
+    reference = sorted_by_x(pr) if reference is None else reference
     curve = fit_curve(pr, FitSpec(loss=loss, bandwidth=h, grid_size=200))
     for i in range(0, 200, 3):
-        b0, _ = local_linear_fit(pr, float(curve.grid[i]), h.value, loss)
+        b0, _ = local_linear_fit(reference, float(curve.grid[i]), h.value, loss)
         assert curve.values[i] == b0, (loss, i)
 
 
 class TestFitCurve:
-    # fit_curve fits each grid point on its kernel window only; the curve is
-    # still local_linear_fit on the full sample, bit for bit
+    # fit_curve fits each grid point on its kernel window of the sample sorted
+    # by x; the curve is local_linear_fit on the stably x-sorted sample, bit
+    # for bit, tied data included
 
     @pytest.mark.parametrize("x_name,y_name", ORDERED_PAIRS)
     def test_median_curve_equals_local_fit(self, marks_sample, x_name, y_name):
@@ -219,6 +228,30 @@ class TestFitCurve:
         for pr in (jittered, raw):
             for tau in TAUS:
                 assert_curve_is_local_fit(pr, LossKind.quantile(tau), h)
+
+    @pytest.mark.parametrize("x_name,y_name", ORDERED_PAIRS)
+    def test_jittered_median_curve_equals_local_fit_on_the_unsorted_sample(
+            self, marks_sample, x_name, y_name):
+        # on tie-free data the optimal line is unique and the value depends
+        # on the line only, so the order of the rows does not matter
+        jittered = jitter(pair(marks_sample, x_name, y_name), 1e-5, 11)
+        assert len(np.unique(jittered.x)) == jittered.n
+        h = median_adjust(dpi_bandwidth(jittered))
+        assert_curve_is_local_fit(jittered, LossKind.median(), h, reference=jittered)
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_permutation_gives_the_same_curve_on_tie_free_x(self, loss, seed):
+        rng = np.random.default_rng(seed)
+        x, y = random_tie_free_sample(rng, 300)
+        sample = PairedSample(x=x, y=y)
+        order = rng.permutation(300)
+        spec = FitSpec(loss=loss, bandwidth=BandwidthEstimate(value=0.08, method="fixed"),
+                       grid_size=100)
+        base = fit_curve(sample, spec)
+        moved = fit_curve(PairedSample(x=x[order], y=y[order]), spec)
+        np.testing.assert_array_equal(moved.grid, base.grid)
+        np.testing.assert_array_equal(moved.values, base.values)
 
     @pytest.mark.parametrize("x_name,y_name", ORDERED_PAIRS)
     def test_mean_curve_equals_local_fit(self, marks_sample, x_name, y_name):
