@@ -129,8 +129,7 @@ def _dense_ranks(values: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray
     """Ranks 1..n of tie-free values, and the order that sorts them."""
     order = np.argsort(values, kind="stable")
     ordered = values[order]
-    # ties as np.unique counts them: equal neighbours, or two nans (sorted last)
-    if np.any(ordered[1:] == ordered[:-1]) or np.isnan(ordered[-2]):
+    if np.any(ordered[1:] == ordered[:-1]):
         raise TiesError(
             f"tied values in {label}; jitter the sample (sd ~ 1e-5) before ranking"
         )

@@ -120,6 +120,7 @@ class PairedSample:
 
     ``pair(A, B)`` and ``pair(B, A)`` are different objects with different
     meanings; none of the downstream machinery treats them symmetrically.
+    Both coordinates must be finite: a nan or inf raises ``ValueError``.
     """
 
     x: np.ndarray
@@ -132,6 +133,9 @@ class PairedSample:
             raise ValueError("x and y must be 1-d vectors of equal length")
         if len(x) < 2:
             raise ValueError("a paired sample needs at least 2 observations")
+        for name, values in (("x", x), ("y", y)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} has a non-finite value (nan or inf)")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 

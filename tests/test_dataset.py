@@ -196,6 +196,21 @@ class TestPair:
             pair(marks_sample, "mathematics", "science")
 
 
+class TestPairedSample:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("coordinate", ["x", "y"])
+    def test_non_finite_value_names_its_coordinate(self, bad, coordinate):
+        values = {"x": np.array([0.1, 0.3, 0.25, 0.2]), "y": np.array([0.5, 0.1, 0.4, 0.9])}
+        values[coordinate][1] = bad
+        with pytest.raises(ValueError, match=f"^{coordinate} has a non-finite value"):
+            PairedSample(**values)
+
+    def test_finite_extremes_are_accepted(self):
+        big = np.finfo(float).max
+        sample = PairedSample(x=np.array([-big, big]), y=np.array([5e-324, 0.0]))
+        assert sample.n == 2
+
+
 class TestSchema:
     def test_schema_validation(self):
         with pytest.raises(ValueError):
