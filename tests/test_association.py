@@ -88,6 +88,12 @@ class TestEmpiricalRanks:
         with pytest.raises(TiesError):
             empirical_ranks(pr)
 
+    def test_a_nan_never_reaches_the_ranks(self):
+        # numpy sorts a nan last, so it would be ranked the largest value
+        with pytest.raises(ValueError, match="^x has a non-finite value"):
+            empirical_ranks(PairedSample(x=np.array([0.1, np.nan, 0.3, 0.25, 0.2]),
+                                         y=np.linspace(0.0, 1.0, 5)))
+
     def test_fx_is_a_permutation_of_grid(self):
         rng = np.random.default_rng(2)
         x, y = random_tie_free_sample(rng, 17)
@@ -359,3 +365,21 @@ class TestFitPair:
         # the curves agree to rounding, about 1e-16 of each value, which can
         # move the LOC sum by about as much in absolute terms
         assert moved.loc == pytest.approx(c * base.loc, rel=1e-9, abs=1e-14)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 120),
+           c=st.floats(0.05, 20.0), a=st.floats(-2.0, 2.0))
+    def test_loc_is_homogeneous_under_the_plug_in_bandwidth(self, seed, n, c, a):
+        # y -> c y + a keeps the plug-in bandwidth up to rounding, so the
+        # curves of both losses, and the LOC, follow the map; x is tie-free,
+        # so the median's optimal line is unique
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, n)
+        y = np.clip(0.5 + 0.3 * np.sin(6.0 * x) + rng.normal(0.0, 0.2, n), 0.0, 1.0)
+        for loss in (LossKind.quadratic(), LossKind.median()):
+            spec = FitSpec(loss=loss, grid_size=200)
+            base = fit_pair(PairedSample(x=x, y=y), spec, jitter_sd=0.0)
+            moved = fit_pair(PairedSample(x=x, y=c * y + a), spec, jitter_sd=0.0)
+            assert (base.error, moved.error) == (None, None)
+            assert moved.bandwidth.value == pytest.approx(base.bandwidth.value, rel=1e-9)
+            assert moved.loc == pytest.approx(c * base.loc, rel=1e-9)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locindex import (
     KERNEL_ROUGHNESS,
@@ -90,6 +92,21 @@ class TestDpiBandwidth:
         for c in (2.0, 3.0, 0.5):
             scaled = dpi_bandwidth(PairedSample(x=c * x, y=y)).value
             assert abs(scaled / (c * base) - 1.0) < 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(40, 120),
+           c=st.floats(0.05, 20.0), a=st.floats(-2.0, 2.0))
+    def test_affine_map_of_y_keeps_the_bandwidth(self, seed, n, c, a):
+        # sigma^2 and theta22 both scale by c^2 and both floors are relative
+        # to ptp(y), so neither the Cp choice nor h moves beyond rounding
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, n)
+        y = np.clip(0.5 + 0.3 * np.sin(6.0 * x) + rng.normal(0.0, 0.2, n), 0.0, 1.0)
+        base = dpi_bandwidth(PairedSample(x=x, y=y))
+        moved = dpi_bandwidth(PairedSample(x=x, y=c * y + a))
+        assert moved.diagnostics.block_count == base.diagnostics.block_count
+        assert moved.diagnostics.fallback == base.diagnostics.fallback
+        assert moved.value == pytest.approx(base.value, rel=1e-9)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(4)

@@ -52,6 +52,24 @@ def test_fixture_warm_up_runs_through_fit_capture(perfbench):
     assert report["ops_failed"] == 0, report["problems"]
 
 
+def test_fixture_warm_up_fits_only_medians_through_local_linear_fit(perfbench):
+    # perfbench's smoothing.local_fit_calls counts the calls made through the
+    # module attribute: fit_curve calls it once per grid point for check
+    # loss and solves the mean itself, so 6 median curves x 20 points
+    _, tracing, worker, workloads = perfbench
+    tracer = tracing.Tracer()
+    worker.install_trace(tracer, locindex)
+    try:
+        workload = workloads.warm_up_copy(workloads.FixtureMatrix(0))
+        inputs = workload.build(workload.generate())
+        assert workload.run(inputs)[0] == 0
+    finally:
+        tracer.restore()
+    names = [span[tracing.NAME] for span in tracer.spans]
+    assert names.count("smoothing.fit_curve") == 12
+    assert names.count("smoothing.local_linear_fit") == 120
+
+
 def test_median_curve_in_large_windows_passes_verification(perfbench):
     # at n = 2000 every window holds hundreds of rows, above the size below
     # which the median solver sorts instead of selecting; perfbench's check
