@@ -60,15 +60,22 @@ the bandwidth and the loss alone.
 
 Both losses are solved on the rows whose kernel weight reaches
 ``WEIGHT_FLOOR``; the others carry weight zero.  Those rows lie within
-about 7.31 bandwidths of x0, so ``fit_curve`` sorts x once per curve and
-fits each grid point on its window, the rows within ``_REACH`` (that
-distance plus 1%) of x0, found by binary search [5].  A window keeps its
-rows in their original order.  The weighted rows then reach the solvers in
-the same order as from the full sample, every sum and every tie-break sees
-the same numbers in the same sequence, and ``fit_curve`` is
-``local_linear_fit`` on the full sample at each grid point, bit for bit.
-Windows in sorted order would change the order of summation, and on tied
-data the line the check-loss descent reaches among several optimal ones.
+about 7.31 bandwidths of x0, so ``fit_curve`` sorts the sample by x once
+per curve, with a stable sort, and fits each grid point on its window: the
+slice of the sorted rows within ``_REACH`` (that distance plus 1%) of x0,
+found by binary search [5].  The kernel falls away from x0 on both sides,
+so the weighted rows of a window are one contiguous run, and the mean is
+solved on views of it; the check-loss fit calls ``local_linear_fit`` on the
+window.  Either way the weighted rows reach the solvers in the order of the
+sorted sample, and ``fit_curve`` is ``local_linear_fit`` on the sample
+stably sorted by x at each grid point, bit for bit.  On tie-free x that
+sorted sample, and so the curve, does not depend on the order of the input
+rows.  Against ``local_linear_fit`` on the unsorted sample, the mean can
+differ in the last bits, because its sums add the rows in another order,
+and on tied data the check-loss descent can reach another of several
+optimal lines.  On tie-free data the check-loss optimum is unique and the
+value depends on the line only, so there the median curve equals
+``local_linear_fit`` on the unsorted sample too.
 
 References
 ----------

@@ -276,6 +276,45 @@ class TestFitCurve:
         for x0, value in zip(curve.grid, curve.values):
             assert value == local_linear_fit(sample, float(x0), h.value, loss)[0]
 
+    def test_mean_singular_design_raises_local_linear_fits_error(self):
+        # near x0 = 0.02 the weighted rows are two x values 1e-8 apart, far
+        # from x0 against their spread
+        x = np.array([0.0, 1e-8, 1.0, 1.0 + 1e-8])
+        sample = PairedSample(x=x, y=np.array([0.1, 0.2, 0.3, 0.4]))
+        h = BandwidthEstimate(value=0.05, method="fixed")
+        loss = LossKind.quadratic()
+        with pytest.raises(SmoothingError) as info:
+            fit_curve(sample, FitSpec(loss=loss, bandwidth=h, grid_size=101))
+        x0 = float(np.linspace(0.0, 1.0 + 1e-8, 101)[2])
+        with pytest.raises(SmoothingError) as expected:
+            local_linear_fit(sample, x0, h.value, loss)
+        assert "singular weighted design" in str(expected.value)
+        assert str(info.value) == f"grid point 2: {expected.value}"
+
+    def test_mean_gathers_weighted_rows_around_a_zero_weight_row(self, monkeypatch):
+        # the kernel falls away from x0, so the weighted rows of a window are
+        # one run in x order; should rounding ever zero a row inside it, the
+        # mean fits the weighted rows alone, as local_linear_fit does
+        x = np.linspace(0.0, 1.0, 41)
+        sample = PairedSample(x=x, y=np.sin(3.0 * x))
+        kernel = smoothing._kernel_weights
+
+        def holed(xw, x0, h):
+            w = kernel(xw, x0, h)
+            w[xw == 0.5] = 0.0
+            return w
+
+        rows = []
+        solve = smoothing._solve_wls
+        monkeypatch.setattr(smoothing, "_kernel_weights", holed)
+        monkeypatch.setattr(smoothing, "_solve_wls", lambda d, *a: rows.append(len(d)) or solve(d, *a))
+        loss = LossKind.quadratic()
+        h = BandwidthEstimate(value=0.2, method="fixed")  # every row has weight
+        curve = fit_curve(sample, FitSpec(loss=loss, bandwidth=h, grid_size=30))
+        assert rows == [40] * 30
+        for x0, value in zip(curve.grid, curve.values):
+            assert value == local_linear_fit(sample, float(x0), h.value, loss)[0]
+
     @pytest.mark.parametrize("loss", LOSSES)
     def test_gap_wider_than_the_window_raises_at_its_first_grid_point(self, loss):
         # grid points inside the gap see one row or none, which a window
