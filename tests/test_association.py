@@ -88,12 +88,6 @@ class TestEmpiricalRanks:
         with pytest.raises(TiesError):
             empirical_ranks(pr)
 
-    def test_a_nan_never_reaches_the_ranks(self):
-        # numpy sorts a nan last, so it would be ranked the largest value
-        with pytest.raises(ValueError, match="^x has a non-finite value"):
-            empirical_ranks(PairedSample(x=np.array([0.1, np.nan, 0.3, 0.25, 0.2]),
-                                         y=np.linspace(0.0, 1.0, 5)))
-
     def test_fx_is_a_permutation_of_grid(self):
         rng = np.random.default_rng(2)
         x, y = random_tie_free_sample(rng, 17)
