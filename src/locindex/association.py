@@ -126,8 +126,13 @@ def pearson(sample: PairedSample) -> float:
 
 
 def _dense_ranks(values: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks 1..n of tie-free values, and the order that sorts them."""
-    order = np.argsort(values, kind="stable")
+    """Ranks 1..n of tie-free values, and the order that sorts them.
+
+    Tie-free values have one sorted order, so numpy's default sort, which
+    need not be stable, gives it.  Ties raise ``TiesError``: equal values end
+    up adjacent under any sort, so the check after it finds them.
+    """
+    order = np.argsort(values)
     ordered = values[order]
     if np.any(ordered[1:] == ordered[:-1]):
         raise TiesError(

@@ -157,10 +157,14 @@ def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:
     if support == 0.0:
         raise BandwidthError("x is degenerate (all values equal)")
 
-    # Sorting pairs lexicographically keeps blocking invariant under row
-    # permutation even when x carries ties.
-    order = np.lexsort((y, x))
+    # Blocks are cut from the sample in order of x.  Tie-free x has one such
+    # order, which numpy's default sort gives; tied x is sorted by (x, y)
+    # instead, which keeps the blocking invariant under row permutation.
+    order = np.argsort(x)
     xs = x[order]
+    if np.any(xs[1:] == xs[:-1]):
+        order = np.lexsort((y, x))
+        xs = x[order]
     ys = y[order]
 
     amplitude = float(np.ptp(y))

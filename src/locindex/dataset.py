@@ -94,7 +94,11 @@ class RawScores:
 
 @dataclass(frozen=True)
 class NormalizedSample:
-    """Columns of marks normalized to the unit interval."""
+    """Columns of marks normalized to the unit interval.
+
+    Every value must be finite and lie in [0, 1]; otherwise ``ValueError``
+    names the column.
+    """
 
     column_names: tuple[str, ...]
     columns: dict[str, np.ndarray]
@@ -105,6 +109,8 @@ class NormalizedSample:
             raise ValueError("all columns must have equal length")
         for name in self.column_names:
             col = np.asarray(self.columns[name], dtype=float)
+            if not np.isfinite(col).all():
+                raise ValueError(f"column '{name}' has a non-finite value (nan or inf)")
             if col.size and (col.min() < 0.0 or col.max() > 1.0):
                 raise ValueError(f"column '{name}' has values outside [0, 1]")
             self.columns[name] = col

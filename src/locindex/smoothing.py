@@ -59,23 +59,25 @@ nearer x0.  The fitted value is therefore a function of the sample, x0,
 the bandwidth and the loss alone.
 
 Both losses are solved on the rows whose kernel weight reaches
-``WEIGHT_FLOOR``; the others carry weight zero.  Those rows lie within
-about 7.31 bandwidths of x0, so ``fit_curve`` sorts the sample by x once
-per curve, with a stable sort, and fits each grid point on its window: the
-slice of the sorted rows within ``_REACH`` (that distance plus 1%) of x0,
-found by binary search [5].  The kernel falls away from x0 on both sides,
-so the weighted rows of a window are one contiguous run, and the mean is
-solved on views of it; the check-loss fit calls ``local_linear_fit`` on the
-window.  Either way the weighted rows reach the solvers in the order of the
-sorted sample, and ``fit_curve`` is ``local_linear_fit`` on the sample
-stably sorted by x at each grid point, bit for bit.  On tie-free x that
-sorted sample, and so the curve, does not depend on the order of the input
-rows.  Against ``local_linear_fit`` on the unsorted sample, the mean can
-differ in the last bits, because its sums add the rows in another order,
-and on tied data the check-loss descent can reach another of several
-optimal lines.  On tie-free data the check-loss optimum is unique and the
-value depends on the line only, so there the median curve equals
-``local_linear_fit`` on the unsorted sample too.
+``WEIGHT_FLOOR``; the others carry weight zero.  Those rows lie within about
+7.31 bandwidths of x0, so ``fit_curve`` sorts the sample by x once per
+curve, rows of equal x in their input order, and fits each grid point on its
+window: the slice of the sorted rows within ``_REACH`` (that distance plus
+1%) of x0, found by binary search [5].  Tie-free x has one sorted order,
+which numpy's default sort gives; only tied x needs a stable sort.  The
+kernel falls away from x0 on both sides, so the weighted rows of a window
+are one contiguous run, and the mean is solved on views of it; the
+check-loss fit calls ``local_linear_fit`` on the window.  Either way the
+weighted rows reach the solvers in the order of the sorted sample, and
+``fit_curve`` is ``local_linear_fit`` on the sample stably sorted by x at
+each grid point, bit for bit.  On tie-free x that sorted sample, and so the
+curve, does not depend on the order of the input rows.  Against
+``local_linear_fit`` on the unsorted sample, the mean can differ in the last
+bits, because its sums add the rows in another order, and on tied data the
+check-loss descent can reach another of several optimal lines.  On tie-free
+data the check-loss optimum is unique and the value depends on the line
+only, so there the median curve equals ``local_linear_fit`` on the unsorted
+sample too.
 
 References
 ----------
@@ -197,8 +199,14 @@ class FittedCurve:
 
 
 def _kernel_weights(x: np.ndarray, x0: float, bandwidth: float) -> np.ndarray:
-    u = (x - x0) / bandwidth
-    w = np.exp(-0.5 * u * u) / _SQRT_2PI
+    # exp(-0.5 * u * u) / sqrt(2 pi) with u = (x - x0) / h, computed in place
+    # in the formula's order of operations, so the doubles are the formula's
+    u = x - x0
+    u /= bandwidth
+    w = -0.5 * u
+    w *= u
+    np.exp(w, out=w)
+    w /= _SQRT_2PI
     w[w < WEIGHT_FLOOR] = 0.0
     return w
 
@@ -504,8 +512,9 @@ def _local_mean(x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float) -> fl
 def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     """Evaluate the local fit on an equispaced grid over [min(x), max(x)].
 
-    The sample is sorted by x once per curve (a stable sort), and each grid
-    point x0 is fitted on its window, the slice of the sorted rows with
+    The sample is sorted by x once per curve, rows of equal x in their input
+    order (a stable sort, needed only when x has ties), and each grid point
+    x0 is fitted on its window, the slice of the sorted rows with
     |x - x0| <= _REACH * h, found by binary search.  Quadratic loss is solved
     in closed form on the run of the window's rows that carry kernel
     weight; check loss calls ``local_linear_fit`` on the window, which is
@@ -523,8 +532,12 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     if spec.bandwidth is None:
         raise ValueError("spec.bandwidth must be set before fitting")
     h = spec.bandwidth.value
-    order = np.argsort(sample.x, kind="stable")
-    xs, ys = sample.x[order], sample.y[order]
+    order = np.argsort(sample.x)
+    xs = sample.x[order]
+    if np.any(xs[1:] == xs[:-1]):
+        order = np.argsort(sample.x, kind="stable")
+        xs = sample.x[order]
+    ys = sample.y[order]
     grid = np.linspace(float(xs[0]), float(xs[-1]), spec.grid_size)
     los = np.searchsorted(xs, grid - _REACH * h, side="left")
     his = np.searchsorted(xs, grid + _REACH * h, side="right")

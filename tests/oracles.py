@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the code paths it checks: the LOC
 integral is assembled from the distribution function and the infimum
-definition of the quantile instead of the sorting formula, rank coefficients
-come from scipy / the classical rank-difference identity, the Yu-Jones factor
-from scipy's normal distribution, least squares comes from numpy's
+definition of the quantile instead of the sorting formula, ranks and rank
+coefficients come from scipy / the classical rank-difference identity, the
+Yu-Jones factor from scipy's normal distribution, kernel weights from the
+kernel's formula in one expression, least squares comes from numpy's
 polynomial fit, the check-loss optimum from scipy's linear programming
 solver, and a weighted quantile from a plain loop over the sorted rows.
 """
@@ -60,6 +61,29 @@ def pearson_scipy(x: np.ndarray, y: np.ndarray) -> float:
     return float(stats.pearsonr(x, y).statistic)
 
 
+def scipy_ranks(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(fx, gy, induced) of a tie-free sample from ``scipy.stats.rankdata``.
+
+    fx and gy are the ranks over n; induced[i - 1] is the y rank of the row
+    whose x rank is i, placed by the x ranks instead of by a sort.
+    """
+    n = len(x)
+    rx = stats.rankdata(x, method="ordinal")
+    ry = stats.rankdata(y, method="ordinal")
+    induced = np.empty(n, dtype=np.int64)
+    induced[rx - 1] = ry
+    return rx / n, ry / n, induced
+
+
+def kernel_weights(x: np.ndarray, x0: float, bandwidth: float) -> np.ndarray:
+    """Gaussian kernel weights exp(-u^2 / 2) / sqrt(2 pi), u = (x - x0) / h,
+    with the weights below 1e-12 set to zero."""
+    u = (np.asarray(x) - x0) / bandwidth
+    w = np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi)
+    w[w < 1e-12] = 0.0
+    return w
+
+
 def global_least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Unweighted OLS line fit; returns (intercept, slope)."""
     slope, intercept = np.polyfit(x, y, 1)
@@ -72,9 +96,7 @@ def check_loss_value(x, y, x0, bandwidth, tau, beta0, beta1):
     ``beta0`` and ``beta1`` may be arrays of shape (k, 1); the result is then
     the k objective values.
     """
-    u = (np.asarray(x) - x0) / bandwidth
-    w = np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi)
-    w[w < 1e-12] = 0.0
+    w = kernel_weights(x, x0, bandwidth)
     r = np.asarray(y) - beta0 - beta1 * (np.asarray(x) - x0)
     rho = np.where(r >= 0, tau * r, (tau - 1.0) * r)
     total = np.sum(w * rho, axis=-1)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +29,7 @@ from scipy import integrate
 from oracles import (
     pearson_scipy,
     random_tie_free_sample,
+    scipy_ranks,
     spearman_rank_formula,
     spearman_scipy,
 )
@@ -93,6 +96,28 @@ class TestEmpiricalRanks:
         x, y = random_tie_free_sample(rng, 17)
         ranks = empirical_ranks(PairedSample(x=x, y=y))
         assert sorted(ranks.fx) == pytest.approx([i / 17 for i in range(1, 18)])
+
+    # at n = 1e5 numpy's default sort is a vectorised one, not the stable one
+
+    def test_matches_scipy_at_a_large_n(self):
+        rng = np.random.default_rng(3)
+        x, y = random_tie_free_sample(rng, 100_000)
+        ranks = empirical_ranks(PairedSample(x=x, y=y))
+        fx, gy, induced = scipy_ranks(x, y)
+        np.testing.assert_array_equal(ranks.fx, fx)
+        np.testing.assert_array_equal(ranks.gy, gy)
+        np.testing.assert_array_equal(ranks.induced, induced)
+
+    @pytest.mark.parametrize("tie", [(0.5, 0.5), (0.0, -0.0)])
+    @pytest.mark.parametrize("coordinate", ["x", "y"])
+    def test_one_tie_at_a_large_n_raises(self, coordinate, tie):
+        rng = np.random.default_rng(4)
+        values = dict(zip("xy", random_tie_free_sample(rng, 100_000)))
+        values[coordinate][[17, 90_000]] = tie
+        assert len(np.unique(values[coordinate])) == 100_000 - 1
+        message = f"tied values in {coordinate}; jitter the sample (sd ~ 1e-5) before ranking"
+        with pytest.raises(TiesError, match=f"^{re.escape(message)}$"):
+            empirical_ranks(PairedSample(**values))
 
 
 class TestSpearman:

@@ -133,6 +133,17 @@ class TestDpiBandwidth:
         shuffled = dpi_bandwidth(PairedSample(x=x[perm], y=y[perm])).value
         assert shuffled == base
 
+    def test_permutation_invariance_with_tied_x_at_a_large_n(self):
+        # x rounded to 1e-3 puts about 20 rows on each value; at n = 2e4
+        # numpy's default sort is not stable, so the ties take the (x, y) sort
+        rng = np.random.default_rng(8)
+        x = np.round(rng.uniform(0.0, 1.0, 20_000), 3)
+        y = np.sin(8.0 * x) + rng.normal(0.0, 0.1, 20_000)
+        base = dpi_bandwidth(PairedSample(x=x, y=y))
+        assert base.diagnostics.block_count > 1  # blocks split groups of ties
+        perm = rng.permutation(20_000)
+        assert dpi_bandwidth(PairedSample(x=x[perm], y=y[perm])) == base
+
     def test_n_power_scaling(self):
         # doubling n should shrink the bandwidth by about 2^(-1/5)
         def sin_sample(n, seed):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from locindex import (
     ColumnSchema,
+    NormalizedSample,
     PairedSample,
     ParseError,
     RawScores,
@@ -194,6 +195,20 @@ class TestPair:
     def test_unknown_label(self, marks_sample):
         with pytest.raises(ValueError, match="science"):
             pair(marks_sample, "mathematics", "science")
+
+
+class TestNormalizedSample:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_names_its_column(self, bad):
+        columns = {"a": np.array([0.1, 0.3, 0.2]), "b": np.array([0.5, 0.1, 0.4])}
+        columns["b"][1] = bad
+        with pytest.raises(ValueError, match="^column 'b' has a non-finite value"):
+            NormalizedSample(column_names=("a", "b"), columns=columns)
+
+    def test_value_outside_the_unit_interval_names_its_column(self):
+        columns = {"a": np.array([0.1, 0.3, 0.2]), "b": np.array([0.5, 1.5, 0.4])}
+        with pytest.raises(ValueError, match="^column 'b' has values outside"):
+            NormalizedSample(column_names=("a", "b"), columns=columns)
 
 
 class TestPairedSample:

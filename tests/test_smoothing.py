@@ -23,6 +23,7 @@ from oracles import (
     check_loss_minimum,
     check_loss_value,
     global_least_squares,
+    kernel_weights,
     random_tie_free_sample,
     weighted_quantile_row,
 )
@@ -199,6 +200,20 @@ class TestLocalLinearFit:
             local_linear_fit(sample, x0, 0.1, loss)
 
 
+class TestKernelWeights:
+    @pytest.mark.parametrize("n", [52, 1_000, 25_000, 100_000])
+    def test_equal_to_the_kernel_formula_on_windows(self, n):
+        rng = np.random.default_rng(n)
+        xs = np.sort(rng.uniform(0.0, 1.0, n))
+        for h in (0.002, 0.03, 0.2):
+            for x0 in rng.uniform(0.0, 1.0, 5).tolist():
+                lo, hi = np.searchsorted(xs, [x0 - smoothing._REACH * h,
+                                              x0 + smoothing._REACH * h])
+                window = xs[lo:hi]
+                np.testing.assert_array_equal(smoothing._kernel_weights(window, x0, h),
+                                              kernel_weights(window, x0, h))
+
+
 def sorted_by_x(pr: PairedSample) -> PairedSample:
     order = np.argsort(pr.x, kind="stable")
     return PairedSample(x=pr.x[order], y=pr.y[order])
@@ -260,6 +275,17 @@ class TestFitCurve:
         h = dpi_bandwidth(jittered)
         for pr in (jittered, raw):
             assert_curve_is_local_fit(pr, LossKind.quadratic(), h)
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_tied_x_at_a_large_n_equals_local_fit(self, loss):
+        # x rounded to 1e-3 puts about 20 rows on each value; at n = 2e4
+        # numpy's default sort is not stable, so the ties take the stable sort.
+        # y is rounded too, so that several lines can be optimal for the median
+        rng = np.random.default_rng(5)
+        x = np.round(rng.uniform(0.0, 1.0, 20_000), 3)
+        y = np.round(np.sin(3.0 * x) + rng.normal(0.0, 0.1, 20_000), 2)
+        sample = PairedSample(x=x, y=y)
+        assert_curve_is_local_fit(sample, loss, BandwidthEstimate(value=0.02, method="fixed"))
 
     @pytest.mark.parametrize("loss", LOSSES)
     def test_row_just_inside_the_weight_floor_is_in_the_window(self, loss):
