@@ -54,13 +54,11 @@ from .dataset import (
     summarize,
 )
 from .rearrangement import (
-    LocRefinement,
     LocValue,
     StepFunction,
     distribution,
     increasing_rearrangement,
     loc_index,
-    loc_refined,
     step_from_curve,
 )
 from .smoothing import (
@@ -86,7 +84,6 @@ __all__ = [
     "KERNEL_ROUGHNESS",
     "KERNEL_SECOND_MOMENT",
     "LocMatrix",
-    "LocRefinement",
     "LocValue",
     "LossKind",
     "NormalizedSample",
@@ -115,7 +112,6 @@ __all__ = [
     "local_linear_fit",
     "loc_index",
     "loc_matrix",
-    "loc_refined",
     "median_adjust",
     "normalize",
     "oversmoothed_bandwidth",

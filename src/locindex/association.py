@@ -210,7 +210,6 @@ class LocMatrix:
 
     labels: tuple[str, ...]
     entries: np.ndarray
-    loss_kind: str
     failures: dict[tuple[str, str], str]
 
 
@@ -308,5 +307,4 @@ def loc_matrix(
             else:
                 entries[i, j] = np.nan
                 failures[(x_name, y_name)] = fit.error
-    return LocMatrix(labels=labels, entries=entries, loss_kind=spec.loss.kind,
-                     failures=failures)
+    return LocMatrix(labels=labels, entries=entries, failures=failures)

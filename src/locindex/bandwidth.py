@@ -105,12 +105,9 @@ def _blocked_quartic(xs: np.ndarray, ys: np.ndarray, n_blocks: int) -> tuple[flo
     Expects xs sorted.  Returns (rss, theta22) with
     theta22 = (1/n) * sum_i m''(x_i)^2 evaluated from the block fits.
     """
-    n = len(xs)
     rss = 0.0
     curv_sq = 0.0
-    for block in np.array_split(np.arange(n), n_blocks):
-        xb = xs[block]
-        yb = ys[block]
+    for xb, yb in zip(np.array_split(xs, n_blocks), np.array_split(ys, n_blocks)):
         xc = xb - xb.mean()  # centering keeps the Vandermonde well conditioned
         design = np.vander(xc, 5, increasing=True)
         beta, *_ = np.linalg.lstsq(design, yb, rcond=None)
@@ -118,7 +115,7 @@ def _blocked_quartic(xs: np.ndarray, ys: np.ndarray, n_blocks: int) -> tuple[flo
         rss += float(resid @ resid)
         second = 2.0 * beta[2] + 6.0 * beta[3] * xc + 12.0 * beta[4] * xc**2
         curv_sq += float(second @ second)
-    return rss, curv_sq / n
+    return rss, curv_sq / len(xs)
 
 
 def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:

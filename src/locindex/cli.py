@@ -21,7 +21,8 @@ stderr per fit, with the reason.
 
 Exit status: 0 on success, 1 when some ordered pairs or curves failed, or
 compare's coefficients are undefined for a constant column, but others were
-produced, 2 on input errors.
+produced, 2 on input errors, among them a config value not of its flag's type
+and an input, config or ``--out`` path that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from .association import (
 from .bandwidth import BandwidthEstimate
 from .dataset import (
     DEFAULT_SCHEMA,
+    ID_COLUMN,
     ColumnSchema,
     NormalizedSample,
     PairedSample,
@@ -70,20 +72,21 @@ from .smoothing import FitSpec, LossKind
 
 CONFIG_ENV = "LOCINDEX_CONFIG"
 
-_DEFAULTS = {
-    "loss": None,  # per-command default
-    "grid": 1000,
-    "m": 1000,
-    "jitter_sd": 1e-5,
-    "seed": 0,
-    "format": "table",
-    "bins": 10,
-    "bandwidth": None,
-    "max_items": None,  # DEFAULT_SCHEMA's counts for its columns; else required
-    "out": ".",
+#: Each setting's built-in default, and the type of its flag, which its value in
+#: a config file must have too
+_SETTINGS = {
+    "input": (None, str),
+    "loss": (None, str),  # per-command default
+    "grid": (1000, int),
+    "m": (1000, int),
+    "jitter_sd": (1e-5, float),
+    "seed": (0, int),
+    "format": ("table", str),
+    "bins": (10, int),
+    "bandwidth": (None, float),
+    "max_items": (None, str),  # DEFAULT_SCHEMA's counts for its columns; else required
+    "out": (".", str),
 }
-
-_CONFIG_KEYS = set(_DEFAULTS) | {"input"}
 
 _LOSSES = {"mean": LossKind.quadratic(), "median": LossKind.median()}
 
@@ -118,43 +121,56 @@ def _load_config_file(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except FileNotFoundError:
-        raise CliError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read config file {path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"config file {path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise CliError(f"config file {path}: expected a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_SETTINGS)
     if unknown:
         raise CliError(f"config file {path}: unknown key(s) {', '.join(sorted(unknown))}")
     return data
 
 
-def _parse_max_items(raw) -> tuple[int, ...] | None:
+def _config_value(key: str, value):
+    """A config file's ``value`` for ``key``, of the type of the key's flag.
+
+    A float key also takes an integer, ``max_items`` also a list of integers,
+    and a key whose default is null also null; a bool is never a number.
+    """
+    default, kind = _SETTINGS[key]
+    if key == "max_items" and type(value) is list and all(type(v) is int for v in value):
+        return ",".join(map(str, value))
+    if type(value) is kind or value is None and default is None:
+        return value
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    also = " or a list of int" if key == "max_items" else ""
+    raise CliError(f"config key {key!r}: expected {kind.__name__}{also}, got {value!r}")
+
+
+def _parse_max_items(raw: str | None) -> tuple[int, ...] | None:
     if raw is None:
         return None
-    if isinstance(raw, (list, tuple)):
-        values = [int(v) for v in raw]
-    else:
-        try:
-            values = [int(part) for part in str(raw).split(",")]
-        except ValueError:
-            raise CliError(f"--max-items expects comma-separated integers, got {raw!r}") from None
+    try:
+        values = [int(part) for part in raw.split(",")]
+    except ValueError:
+        raise CliError(f"--max-items expects comma-separated integers, got {raw!r}") from None
     if any(v <= 0 for v in values):
         raise CliError("--max-items values must be positive")
     return tuple(values)
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    settings = dict(_DEFAULTS)
-    settings.update(_load_config_file(getattr(args, "config", None)))
-    for key in _DEFAULTS:
+    settings = {key: default for key, (default, _) in _SETTINGS.items()}
+    for key, value in _load_config_file(getattr(args, "config", None)).items():
+        settings[key] = _config_value(key, value)
+    for key in _SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
-    if getattr(args, "input", None) is not None:
-        settings["input"] = args.input
-    if settings.get("input") is None:
+    if settings["input"] is None:
         raise CliError("no input file given (use --input or a config file)")
 
     loss = settings["loss"] or ("mean" if args.command == "loc-matrix" else "both")
@@ -165,10 +181,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     fmt = settings["format"]
     if fmt not in ("table", "csv", "json"):
         raise CliError(f"unknown format {fmt!r}; expected table, csv or json")
-    seed = int(settings["seed"])
+    seed = settings["seed"]
     if seed < 0:
         raise CliError("--seed must be non-negative")
-    grid, m = int(settings["grid"]), int(settings["m"])
+    grid, m = settings["grid"], settings["m"]
     if grid < 2:
         raise CliError("--grid must be at least 2")
     if args.command in ("loc-matrix", "compare") and m != grid:
@@ -176,17 +192,15 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             f"m ({m}) must equal grid size ({grid}); the step "
             "function is a direct transfer of the fitted grid"
         )
-    jitter_sd = float(settings["jitter_sd"])
-    if jitter_sd < 0:
-        raise CliError("--jitter-sd must be non-negative")
-    bins = int(settings["bins"])
+    jitter_sd = settings["jitter_sd"]
+    if not 0 <= jitter_sd < math.inf:
+        raise CliError("--jitter-sd must be finite and non-negative")
+    bins = settings["bins"]
     if bins < 1:
         raise CliError("--bins must be at least 1")
     bandwidth = settings["bandwidth"]
-    if bandwidth is not None:
-        bandwidth = float(bandwidth)
-        if bandwidth <= 0:
-            raise CliError("--bandwidth must be positive")
+    if bandwidth is not None and not 0 < bandwidth < math.inf:
+        raise CliError("--bandwidth must be finite and positive")
 
     return RunConfig(
         input=Path(settings["input"]),
@@ -205,7 +219,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 def _schema(path: Path, max_items: tuple[int, ...] | None) -> ColumnSchema:
     """Every header column but the id column, with its number of items."""
     with path.open(newline="", encoding="utf-8") as fh:
-        names = tuple(c for c in next(csv.reader(fh), []) if c != DEFAULT_SCHEMA.id_column)
+        names = tuple(c for c in next(csv.reader(fh), []) if c != ID_COLUMN)
     if not names:
         raise CliError(f"{path}: no score columns in the header")
     if max_items is None:
@@ -222,8 +236,8 @@ def _schema(path: Path, max_items: tuple[int, ...] | None) -> ColumnSchema:
 def _load_normalized(config: RunConfig) -> NormalizedSample:
     try:
         return normalize(load_csv(config.input, _schema(config.input, config.max_items)))
-    except FileNotFoundError:
-        raise CliError(f"input file not found: {config.input}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read input file {config.input}: {exc.strerror or exc}") from None
     except (ParseError, ValueError) as exc:
         raise CliError(str(exc)) from None
 
@@ -360,21 +374,25 @@ def cmd_plot_data(config: RunConfig, x_name: str, y_name: str,
     ``fit`` is this command with both curves and ``report_bandwidth``.
     """
     pr, fits = _fit_named_pair(config, x_name, y_name)
-    config.out.mkdir(parents=True, exist_ok=True)
-    written = [config.out / f"{x_name}_{y_name}_scatter.dat"]
-    _write_points(written[0], pr.x, pr.y)
+    points = {f"{x_name}_{y_name}_scatter.dat": (pr.x, pr.y)}
     bandwidths = []
     for label, fit in fits.items():
         if fit.error is not None:
             continue
-        written.append(config.out / f"{x_name}_{y_name}_{label}.dat")
         # presentation-layer clamp
-        _write_points(written[-1], fit.curve.grid, np.clip(fit.curve.values, 0.0, 1.0))
+        points[f"{x_name}_{y_name}_{label}.dat"] = (fit.curve.grid,
+                                                    np.clip(fit.curve.values, 0.0, 1.0))
         bw = fit.bandwidth
         blocks = f" blocks={bw.diagnostics.block_count}" if bw.diagnostics else ""
         bandwidths.append(f"bandwidth {label}: {_fmt(bw.value)} method={bw.method}{blocks}")
-    for path in written:
-        print(f"wrote {path}")
+    try:
+        config.out.mkdir(parents=True, exist_ok=True)
+        for name, (xs, ys) in points.items():
+            _write_points(config.out / name, xs, ys)
+    except OSError as exc:
+        raise CliError(f"cannot write to --out {config.out}: {exc.strerror or exc}") from None
+    for name in points:
+        print(f"wrote {config.out / name}")
     for line in bandwidths if report_bandwidth else ():
         print(line)
     return _report_errors([f"{label} curve failed: {fit.error}"

@@ -42,13 +42,12 @@ class ColumnSchema:
     """Score columns of an input file.
 
     ``names`` lists the score columns; ``max_items[j]`` is the number of items
-    on test ``names[j]``, i.e. the largest admissible raw count.  A column
-    named ``id_column``, if present in the file, is ignored by the loader.
+    on test ``names[j]``, i.e. the largest admissible raw count.  The loader
+    reads only these columns: ``ID_COLUMN`` and any other column is ignored.
     """
 
     names: tuple[str, ...]
     max_items: tuple[int, ...]
-    id_column: str | None = "student_id"
 
     def __post_init__(self) -> None:
         if len(self.names) != len(self.max_items):
@@ -58,6 +57,9 @@ class ColumnSchema:
         if any(m <= 0 for m in self.max_items):
             raise ValueError("max_items must be positive")
 
+
+#: The student identifier column, never a score column.
+ID_COLUMN = "student_id"
 
 #: Default column layout: three study subjects with 65/45/80 test items.
 DEFAULT_SCHEMA = ColumnSchema(
@@ -86,10 +88,6 @@ class RawScores:
             if rows.size and rows[:, j].max() > self.max_items[j]:
                 raise ValueError(f"column '{name}' has a count above {self.max_items[j]}")
         object.__setattr__(self, "rows", rows)
-
-    @property
-    def n(self) -> int:
-        return int(self.rows.shape[0])
 
 
 @dataclass(frozen=True)

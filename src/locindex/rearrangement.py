@@ -16,15 +16,16 @@ subintervals ((i-1)/m, i/m] the integral collapses to an exact finite sum
 
     L = (1/m^2) * sum_i i * (tau_{(i)} - tau_i),
 
-with tau_{(1)} <= ... <= tau_{(m)} the sorted values.  ``loc_index`` evaluates
-that sum; ``loc_refined`` drives it over a schedule of increasing m to
-approximate L of a smooth curve.
+with tau_{(1)} <= ... <= tau_{(m)} the sorted values, i.e. the values of the
+increasing rearrangement.  ``loc_index`` evaluates that sum.  The pipeline
+applies it to a fitted curve with m equal to the curve's grid size, through
+``step_from_curve``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -34,12 +35,10 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "StepFunction",
     "LocValue",
-    "LocRefinement",
     "step_from_curve",
     "distribution",
     "increasing_rearrangement",
     "loc_index",
-    "loc_refined",
 ]
 
 
@@ -65,38 +64,12 @@ class StepFunction:
     def m(self) -> int:
         return int(self.taus.size)
 
-    def __call__(self, t):
-        """Evaluate the step function at t (scalar or array) in [0, 1]."""
-        t = np.asarray(t, dtype=float)
-        idx = np.ceil(t * self.m).astype(int) - 1
-        idx = np.clip(idx, 0, self.m - 1)
-        out = self.taus[idx]
-        return float(out) if out.ndim == 0 else out
-
 
 @dataclass(frozen=True)
 class LocValue:
-    """A LOC index value together with the piece count it was computed at."""
+    """A LOC index value."""
 
     value: float
-    m: int
-
-
-@dataclass(frozen=True)
-class LocRefinement:
-    """Result of refining the LOC index over a schedule of piece counts.
-
-    ``value`` is the index at the final (largest) m.  ``converged`` records
-    whether the last two refinement levels agreed to within the requested
-    tolerance; it is a report, not a guarantee.  ``error_bound`` is the
-    numerically evaluated bound 2 * integral |D_m - h| on the final level.
-    """
-
-    value: float
-    m: int
-    converged: bool
-    history: tuple[LocValue, ...]
-    error_bound: float | None = None
 
 
 def step_from_curve(curve: "FittedCurve") -> StepFunction:
@@ -138,63 +111,8 @@ def loc_index(step: StepFunction) -> LocValue:
     exactly when the values are already non-decreasing, and positive
     otherwise (up to float rounding of the sum).
     """
-    taus = step.taus
     m = step.m
     weights = np.arange(1, m + 1, dtype=float)
-    value = float(np.dot(weights, np.sort(taus) - taus)) / (m * m)
-    return LocValue(value=value, m=m)
+    gaps = increasing_rearrangement(step).taus - step.taus
+    return LocValue(value=float(np.dot(weights, gaps)) / (m * m))
 
-
-def _eval_curve(curve_eval: Callable[[float], float], points: np.ndarray) -> np.ndarray:
-    return np.array([float(curve_eval(float(t))) for t in points])
-
-
-def loc_refined(
-    curve_eval: Callable[[float], float],
-    m_schedule: Sequence[int],
-    tol: float,
-) -> LocRefinement:
-    """Approximate the LOC index of a curve by refining the piece count.
-
-    For each m in the (increasing) schedule the curve is sampled at the piece
-    midpoints, the exact step-function index is computed, and the last value
-    is returned.  Convergence is flagged when the final two levels differ by
-    less than ``tol``; exhausting the schedule without that is reported, not
-    raised, because the limit theorem guarantees convergence but not a rate.
-    The reported error bound is 2 * integral |D_m - h|, evaluated numerically
-    on the final level.
-    """
-    schedule = [int(m) for m in m_schedule]
-    if not schedule:
-        raise ValueError("m_schedule must be non-empty")
-    if any(m < 1 for m in schedule):
-        raise ValueError("piece counts must be >= 1")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("m_schedule must be strictly increasing")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-
-    history = []
-    last_step = None
-    for m in schedule:
-        midpoints = (np.arange(1, m + 1) - 0.5) / m
-        last_step = StepFunction(taus=_eval_curve(curve_eval, midpoints))
-        history.append(loc_index(last_step))
-
-    converged = len(history) >= 2 and abs(history[-1].value - history[-2].value) < tol
-
-    # 2 * integral |D_m - h|, sampled at 8 interior points per piece
-    m = schedule[-1]
-    sub = (np.arange(1, 9) - 0.5) / 8.0
-    offsets = (np.arange(m)[:, None] + sub[None, :]) / m
-    curve_vals = _eval_curve(curve_eval, offsets.ravel()).reshape(m, 8)
-    gaps = np.abs(last_step.taus[:, None] - curve_vals)
-    error_bound = float(2.0 * gaps.mean())
-
-    return LocRefinement(
-        value=history[-1].value,
-        m=m,
-        converged=converged,
-        history=tuple(history),
-        error_bound=error_bound,
-    )

@@ -152,10 +152,6 @@ class LossKind:
         return cls(kind="quadratic")
 
     @classmethod
-    def quantile(cls, tau: float) -> "LossKind":
-        return cls(kind="quantile", tau=tau)
-
-    @classmethod
     def median(cls) -> "LossKind":
         return cls(kind="quantile", tau=0.5)
 

@@ -125,6 +125,54 @@ def test_invalid_settings_exit_with_status_2(marks_csv, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"seed": "abc"}, "config key 'seed': expected int"),
+    ({"grid": "x"}, "config key 'grid': expected int"),
+    ({"bins": 2.7}, "config key 'bins': expected int"),
+    ({"seed": True}, "config key 'seed': expected int"),
+    ({"jitter_sd": None}, "config key 'jitter_sd': expected float"),
+    ({"jitter_sd": "1e-5"}, "config key 'jitter_sd': expected float"),
+    ({"bandwidth": 10 ** 400}, "config key 'bandwidth': expected float"),
+    ({"max_items": ["a", 2, 3]}, "config key 'max_items': expected str or a list of int"),
+    ({"max_items": [65.5, 45, 80]}, "config key 'max_items': expected str or a list of int"),
+    ({"format": 3}, "config key 'format': expected str"),
+    ({"jitter_sd": float("nan")}, "--jitter-sd must be finite"),
+    ({"bandwidth": float("inf")}, "--bandwidth must be finite"),
+])
+def test_config_values_of_the_wrong_type_exit_with_status_2(tmp_path, capsys, setting,
+                                                            message):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"input": str(FIXTURE), **setting}), encoding="utf-8")
+    assert main(["summarize", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_values_of_the_flags_types_are_accepted(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"input": str(FIXTURE), "max_items": [65, 45, 80],
+                                  "jitter_sd": 0, "bandwidth": None, "loss": None,
+                                  "format": "json", "bins": 4}), encoding="utf-8")
+    assert main(["summarize", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["bins"] == 4
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["summarize", "--input", "{dir}"], "cannot read input file {dir}"),
+    (["summarize", "--input", "{dir}/missing.csv"], "cannot read input file {dir}/missing.csv"),
+    (["summarize", "--input", str(FIXTURE), "--config", "{dir}"],
+     "cannot read config file {dir}"),
+    (["plot-data", "mathematics", "reading", "--input", str(FIXTURE), "--grid", "50",
+      "--out", "{dir}/taken"], "cannot write to --out {dir}/taken"),
+])
+def test_unusable_paths_exit_with_status_2(tmp_path, capsys, argv, message):
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message.format(dir=tmp_path) in err
+    assert "Traceback" not in err
+
+
 def _flat_reading_csv(tmp_path: Path) -> Path:
     """30 rows whose reading column is always 20."""
     rows = [f"S{i},{10 + (7 * i) % 41},20,{25 + (11 * i) % 37}" for i in range(30)]

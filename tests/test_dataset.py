@@ -25,7 +25,7 @@ from conftest import write_csv
 class TestLoadCsv:
     def test_fixture_has_52_rows(self, marks_csv):
         raw = load_csv(marks_csv)
-        assert raw.n == 52
+        assert raw.rows.shape == (52, 3)
         assert raw.column_names == ("mathematics", "reading", "spelling")
 
     def test_empty_data_section(self, tmp_path):

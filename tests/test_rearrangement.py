@@ -9,7 +9,6 @@ from locindex import (
     distribution,
     increasing_rearrangement,
     loc_index,
-    loc_refined,
     step_from_curve,
 )
 
@@ -23,13 +22,6 @@ finite_taus = hnp.arrays(
 
 
 class TestStepFunction:
-    def test_evaluation_convention(self):
-        step = StepFunction(taus=[0.1, 0.2, 0.3])
-        assert step(0.0) == 0.1  # value at zero is the first piece's
-        assert step(1.0 / 3.0) == 0.1
-        assert step(0.34) == 0.2
-        assert step(1.0) == 0.3
-
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
             StepFunction(taus=[])
@@ -105,9 +97,6 @@ class TestLocIndex:
 
     def test_nondecreasing_gives_exact_zero(self):
         assert loc_index(StepFunction(taus=[0.1, 0.1, 0.4, 0.9])).value == 0.0
-
-    def test_reports_piece_count(self):
-        assert loc_index(StepFunction(taus=[0.3, 0.1])).m == 2
 
     @given(finite_taus)
     @settings(max_examples=150, deadline=None)
@@ -194,36 +183,3 @@ class TestStepFromCurve:
         curve = FittedCurve(grid=np.linspace(0, 1, 5), values=values, spec=spec)
         assert sorted(step_from_curve(curve).taus) == sorted(values)
 
-
-class TestLocRefined:
-    def test_identity_curve_is_zero_everywhere(self):
-        result = loc_refined(lambda t: t, (10, 100, 1000), tol=1e-6)
-        assert all(h.value == 0.0 for h in result.history)
-        assert result.converged
-
-    def test_decreasing_curve_converges_to_one_sixth(self):
-        result = loc_refined(lambda t: 1.0 - t, (10, 100, 1000), tol=1e-3)
-        assert abs(result.value - 1.0 / 6.0) < 1e-3
-        assert result.converged
-        assert result.m == 1000
-        # reported bound dominates the actual error
-        assert result.error_bound is not None
-        assert abs(result.value - 1.0 / 6.0) <= result.error_bound
-
-    def test_refinement_gaps_shrink(self):
-        result = loc_refined(lambda t: np.sin(6.0 * t), (10, 100, 1000), tol=1e-3)
-        gap_coarse = abs(result.history[1].value - result.history[0].value)
-        gap_fine = abs(result.history[2].value - result.history[1].value)
-        assert gap_fine <= gap_coarse + 1e-6
-
-    def test_non_converged_flag(self):
-        result = loc_refined(lambda t: np.sin(6.0 * t), (10, 20), tol=1e-30)
-        assert not result.converged  # reported, not raised
-
-    def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            loc_refined(lambda t: t, (), tol=1e-3)
-        with pytest.raises(ValueError):
-            loc_refined(lambda t: t, (10, 10), tol=1e-3)
-        with pytest.raises(ValueError):
-            loc_refined(lambda t: t, (10, 100), tol=0.0)

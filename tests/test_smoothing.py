@@ -36,7 +36,7 @@ LOSSES = (LossKind.quadratic(), LossKind.median())
 
 def assert_reaches_minimum(sample: PairedSample, x0: float, h: float, tau: float,
                            minimum=check_loss_minimum) -> None:
-    b0, b1 = local_linear_fit(sample, x0, h, LossKind.quantile(tau))
+    b0, b1 = local_linear_fit(sample, x0, h, LossKind(kind="quantile", tau=tau))
     fitted = check_loss_value(sample.x, sample.y, x0, h, tau, b0, b1)
     optimum = minimum(sample.x, sample.y, x0, h, tau)
     # (b0, b1) is the optimal line rounded to floating point, which moves each
@@ -242,7 +242,7 @@ class TestFitCurve:
         h = median_adjust(dpi_bandwidth(jittered))
         for pr in (jittered, raw):
             for tau in TAUS:
-                assert_curve_is_local_fit(pr, LossKind.quantile(tau), h)
+                assert_curve_is_local_fit(pr, LossKind(kind="quantile", tau=tau), h)
 
     @pytest.mark.parametrize("x_name,y_name", ORDERED_PAIRS)
     def test_jittered_median_curve_equals_local_fit_on_the_unsorted_sample(
