@@ -56,7 +56,6 @@ from .dataset import (
 from .rearrangement import (
     LocValue,
     StepFunction,
-    distribution,
     increasing_rearrangement,
     loc_index,
     step_from_curve,
@@ -98,7 +97,6 @@ __all__ = [
     "SummaryStats",
     "TiesError",
     "check_loss_objective",
-    "distribution",
     "dpi_bandwidth",
     "empirical_ranks",
     "finite_population_I",

@@ -4,6 +4,7 @@ Everything here that touches ranks assumes a tie-free sample: ranks of n
 distinct values are a permutation of 1..n, which the identities below rely
 on.  Tied data should be passed through ``dataset.jitter`` first; the rank
 operations raise ``TiesError`` otherwise rather than silently mid-ranking.
+The LOC pipeline fits tied data exactly and needs no tie-free sample.
 
 The bridge: sorting the pairs by x and reading off the y ranks r_1..r_n
 yields the rank step function t -> r_i / n on ((i-1)/n, i/n].  Its LOC index
@@ -33,10 +34,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bandwidth import BandwidthError, BandwidthEstimate, dpi_bandwidth, median_adjust
+from .bandwidth import BandwidthEstimate, dpi_bandwidth, median_adjust
 from .dataset import NormalizedSample, PairedSample, jitter, pair
 from .rearrangement import StepFunction, loc_index, step_from_curve
-from .smoothing import FitSpec, FittedCurve, SmoothingError, fit_curve
+from .smoothing import FitSpec, FittedCurve, fit_curve
 
 __all__ = [
     "TiesError",
@@ -219,8 +220,8 @@ class PairFit:
 
     ``sample`` is the jittered pair the curve is fitted to, ``bandwidth`` the
     estimate used, ``curve`` the fitted curve and ``loc`` the exact LOC index
-    of its step function.  When bandwidth selection or fitting fails,
-    ``error`` holds the message, ``curve`` and ``loc`` are None, and
+    of its step function.  When bandwidth selection, fitting or the LOC
+    fails, ``error`` holds the message, ``curve`` and ``loc`` are None, and
     ``bandwidth`` is None if its selection was the stage that failed.
     """
 
@@ -244,12 +245,12 @@ def fit_pair(pr: PairedSample, spec: FitSpec, jitter_sd: float = 1e-5,
              seed: int = 0) -> PairFit:
     """Jitter, bandwidth, curve and LOC index of one ordered pair.
 
-    The bandwidth is the fixed estimate carried by ``spec`` if there is one;
-    otherwise the plug-in estimate of the jittered pair, Yu-Jones adjusted
-    for quantile loss.  A ``BandwidthError``, ``SmoothingError`` or other
-    ``ValueError`` from bandwidth selection or fitting is returned in
-    ``PairFit.error``, and so is a constant x before jitter, which has no
-    curve to fit; a negative ``jitter_sd`` raises.
+    The bandwidth is ``spec.bandwidth`` whenever it is set, and otherwise the
+    plug-in estimate of the jittered pair, Yu-Jones adjusted for quantile
+    loss.  A ``ValueError`` from the bandwidth, the curve or its LOC (a curve
+    that is not finite) is returned in ``PairFit.error``, and so is a constant
+    x before jitter, which has no curve to fit.  Only the jitter raises, on a
+    negative ``jitter_sd`` or one so large that the noise is not finite.
 
     A constant y before jitter is fitted as it is, against the jittered x:
     its curve is constant, and a constant curve is non-decreasing, so its LOC
@@ -263,19 +264,17 @@ def fit_pair(pr: PairedSample, spec: FitSpec, jitter_sd: float = 1e-5,
         return PairFit(sample=jittered, error="x is degenerate (all values equal)")
     if np.ptp(pr.y) == 0.0:
         jittered = PairedSample(x=jittered.x, y=pr.y)
-    bw = None
+    bw = spec.bandwidth
     try:
-        if spec.bandwidth is not None and spec.bandwidth.method == "fixed":
-            bw = spec.bandwidth
-        else:
+        if bw is None:
             bw = dpi_bandwidth(jittered)
             if spec.loss.kind == "quantile":
                 bw = median_adjust(bw, spec.loss.tau)
         curve = fit_curve(jittered, replace(spec, bandwidth=bw))
-    except (BandwidthError, SmoothingError, ValueError) as exc:
+        loc = loc_index(step_from_curve(curve)).value
+    except ValueError as exc:  # BandwidthError and SmoothingError among them
         return PairFit(sample=jittered, bandwidth=bw, error=str(exc))
-    return PairFit(sample=jittered, bandwidth=bw, curve=curve,
-                   loc=loc_index(step_from_curve(curve)).value)
+    return PairFit(sample=jittered, bandwidth=bw, curve=curve, loc=loc)
 
 
 def loc_matrix(

@@ -143,7 +143,8 @@ def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:
 
     Constant y (ptp(y) = 0) makes both floors zero while rounding leaves
     both quantities slightly above it; it takes the same fallback, with one
-    block, and says "y is constant".
+    block, and says "y is constant".  Floors out of float range (y * 1e200,
+    or x * 1e-80 with y on [0, 1]) raise ``BandwidthError``.
     """
     x = sample.x
     y = sample.y
@@ -165,7 +166,12 @@ def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:
     ys = y[order]
 
     amplitude = float(np.ptp(y))
-    variance_floor = 1e-12 * amplitude**2
+    try:
+        variance_floor = 1e-12 * amplitude**2
+        curvature_floor = 1e-12 * (amplitude / support**2) ** 2
+    except (OverflowError, ZeroDivisionError):
+        raise BandwidthError(f"sample out of the plug-in's float range (ptp(x) = "
+                             f"{support:.3g}, ptp(y) = {amplitude:.3g})") from None
     n_max = max(min(n // 20, 5), 1)
     fits = {N: _blocked_quartic(xs, ys, N) for N in range(1, n_max + 1)}
     denom = fits[n_max][0] / (n - 5 * n_max)
@@ -177,7 +183,6 @@ def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:
     rss, theta22 = fits[n_hat]
     sigma2 = rss / (n - 5 * n_hat)
 
-    curvature_floor = 1e-12 * (amplitude / support**2) ** 2
     if amplitude == 0.0 or theta22 <= curvature_floor or sigma2 <= variance_floor:
         reason = ("y is constant" if amplitude == 0.0
                   else "curvature ~ 0" if theta22 <= curvature_floor

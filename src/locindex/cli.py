@@ -21,8 +21,10 @@ stderr per fit, with the reason.
 
 Exit status: 0 on success, 1 when some ordered pairs or curves failed, or
 compare's coefficients are undefined for a constant column, but others were
-produced, 2 on input errors, among them a config value not of its flag's type
-and an input, config or ``--out`` path that cannot be read or written.
+produced, 2 on input errors, among them a config value not of its flag's type,
+a ``--jitter-sd`` outside [0, 1), a ``--bins`` too large for an array, an
+input, config or ``--out`` path that cannot be read or written, and compare's
+ranks on data that the jitter left tied (curves fit tied data exactly).
 """
 
 from __future__ import annotations
@@ -193,8 +195,8 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             "function is a direct transfer of the fitted grid"
         )
     jitter_sd = settings["jitter_sd"]
-    if not 0 <= jitter_sd < math.inf:
-        raise CliError("--jitter-sd must be finite and non-negative")
+    if not 0 <= jitter_sd < 1:  # noise of sd 1 would swamp marks on [0, 1]
+        raise CliError(f"--jitter-sd must be finite and in [0, 1), got {jitter_sd!r}")
     bins = settings["bins"]
     if bins < 1:
         raise CliError("--bins must be at least 1")
@@ -336,7 +338,10 @@ def cmd_summarize(config: RunConfig) -> int:
     sample = _load_normalized(config)
     names = sample.column_names
     stats = {name: summarize(sample.columns[name]) for name in names}
-    hists = {name: histogram(sample.columns[name], config.bins).tolist() for name in names}
+    try:
+        hists = {name: histogram(sample.columns[name], config.bins).tolist() for name in names}
+    except (ValueError, IndexError) as exc:  # numpy's size checks; IndexError at 2**63 - 1
+        raise CliError(f"--bins {config.bins} is too large for an array ({exc})") from None
     payload = {
         "columns": {name: asdict(stats[name]) for name in names},
         "bins": config.bins,
@@ -491,7 +496,9 @@ def cmd_compare(config: RunConfig, x_name: str, y_name: str) -> int:
                 "rank_loc": loc_index(rank_step_function(jittered)).value,
             })
         except TiesError as exc:
-            raise CliError(f"{exc} (jitter_sd is 0; set --jitter-sd > 0)") from None
+            hint = (f"jitter_sd {config.jitter_sd!r} left ties; set a larger --jitter-sd"
+                    if config.jitter_sd > 0 else "jitter_sd is 0; set --jitter-sd > 0")
+            raise CliError(f"{exc} ({hint})") from None
         payload["identity_rank_loc_equals_I"] = bool(math.isclose(
             payload["rank_loc"], payload["finite_population_I"], rel_tol=1e-12,
             abs_tol=1e-15))
@@ -525,7 +532,7 @@ def _add_common(parser: argparse.ArgumentParser, with_loss: bool = True) -> None
     parser.add_argument("--grid", type=int, help="curve evaluation grid size (default 1000)")
     parser.add_argument("--m", type=int, help="step-function piece count (default 1000)")
     parser.add_argument("--jitter-sd", dest="jitter_sd", type=float,
-                        help="tie-breaking noise sd (default 1e-5)")
+                        help="tie-breaking noise sd, in [0, 1) (default 1e-5)")
     parser.add_argument("--seed", type=int, help="random seed (default 0)")
     parser.add_argument("--bandwidth", type=float,
                         help="fixed bandwidth overriding the plug-in selection")

@@ -17,7 +17,9 @@ subintervals ((i-1)/m, i/m] the integral collapses to an exact finite sum
     L = (1/m^2) * sum_i i * (tau_{(i)} - tau_i),
 
 with tau_{(1)} <= ... <= tau_{(m)} the sorted values, i.e. the values of the
-increasing rearrangement.  ``loc_index`` evaluates that sum.  The pipeline
+increasing rearrangement: the quantile function of the values' distribution
+function G(x) = #{i : tau_i <= x} / m, which a sort gives without forming G.
+``loc_index`` evaluates that sum.  The pipeline
 applies it to a fitted curve with m equal to the curve's grid size, through
 ``step_from_curve``.
 """
@@ -36,7 +38,6 @@ __all__ = [
     "StepFunction",
     "LocValue",
     "step_from_curve",
-    "distribution",
     "increasing_rearrangement",
     "loc_index",
 ]
@@ -82,24 +83,12 @@ def step_from_curve(curve: "FittedCurve") -> StepFunction:
     return StepFunction(taus=np.array(curve.values, dtype=float))
 
 
-def distribution(step: StepFunction, x) -> float:
-    """Distribution function of the step values under Lebesgue measure.
-
-    G(x) = (1/m) * #{i : tau_i <= x}.  Right-continuous and non-decreasing,
-    with G(max tau) = 1 and G(x) = 0 below the smallest value.
-    """
-    sorted_taus = np.sort(step.taus)
-    x = np.asarray(x, dtype=float)
-    counts = np.searchsorted(sorted_taus, x, side="right")
-    out = counts / step.m
-    return float(out) if out.ndim == 0 else out
-
-
 def increasing_rearrangement(step: StepFunction) -> StepFunction:
     """The non-decreasing step function with the same values.
 
-    Viewed as a function, the result is the quantile function of the input's
-    ``distribution``: on piece i it takes the i-th smallest value.
+    Viewed as a function, the result is the quantile function of the values'
+    distribution function G(x) = #{i : tau_i <= x} / m: on piece i it takes
+    the i-th smallest value.
     """
     return StepFunction(taus=np.sort(step.taus))
 

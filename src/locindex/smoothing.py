@@ -215,7 +215,7 @@ def _solve_wls(d: np.ndarray, y: np.ndarray, w: np.ndarray, x0: float) -> tuple[
     t0 = float(w @ y)
     t1 = float(w @ (d * y))
     det = s0 * s2 - s1 * s1
-    if det <= 0.0 or det <= 1e-13 * s0 * s2:
+    if not det > 1e-13 * s0 * s2:  # s0 * s2 >= 0; a nan from overflowing sums fails too
         raise SmoothingError(f"singular weighted design at x0 = {x0}")
     beta1 = (s0 * t1 - s1 * t0) / det
     beta0 = (t0 - s1 * beta1) / s0
@@ -330,8 +330,7 @@ def _rotate(
         c = w * np.abs(a)  # 0 where a = 0, whose slope is inf or nan
         total = float(c.sum())
         cut = tau * total + (1.0 - 2.0 * tau) * float(np.dot(c, a < 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slopes = dy / a
+        slopes = dy / a
         j = _select(slopes, c, cut, guess, spread / total)
         b1 = float(slopes[j])
     r = dy - b1 * a
@@ -375,17 +374,18 @@ def _descending_pivot(
     return None
 
 
+# a slope too steep for a float is +-inf, which sorts where the true one
+# belongs; a line whose objective overflows is never a descent
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _check_loss_line(
-    x: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float,
-    start: tuple[int, float, float],
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float, x0: float,
 ) -> tuple[int, int, float]:
-    """Pivoting descent from a start to an optimal line: (p, q, slope).
+    """Pivoting descent from ``_start``'s pivot to an optimal line: (p, q, slope).
 
     ``x``, ``y`` and ``w`` hold the weighted rows only, and at least two
-    distinct values of ``x``.  ``start`` is ``_start``'s pivot, slope and
-    spread.
+    distinct values of ``x``.
     """
-    k, guess, spread = start
+    k, guess, spread = _start(x - x0, y, w, tau, x0)
     y_scale = 2.0 * float(np.abs(y).max())
     x_span = float(x.max() - x.min())
     best_f = math.inf
@@ -401,6 +401,8 @@ def _check_loss_line(
             # rotation's, and 2f (exact at tau = 1/2) sizes the bracket
             k, guess, spread = j, b1, 2.0 * f
             continue
+        if best_f == math.inf:  # the first line's objective is inf or nan
+            raise SmoothingError("check-loss objective overflows")
         tried.append(line[0][k])
         k = _descending_pivot(w, tau, *line, tried)
         if k is None:
@@ -455,8 +457,8 @@ def local_linear_fit(
     weight can be left out of ``sample`` without changing a bit.
 
     Raises SmoothingError when fewer than two distinct x values carry kernel
-    weight at x0, or, for quadratic loss, when the weighted design is
-    singular.
+    weight at x0, when quadratic loss has a singular (or overflowing) design,
+    and when the check-loss objective overflows.
     """
     if bandwidth <= 0:
         raise ValueError("bandwidth must be > 0")
@@ -470,7 +472,7 @@ def local_linear_fit(
     if loss.kind == "quadratic":
         return _solve_wls(x - x0, y, w, x0)
 
-    p, q, b1 = _check_loss_line(x, y, w, loss.tau, _start(x - x0, y, w, loss.tau, x0))
+    p, q, b1 = _check_loss_line(x, y, w, loss.tau, x0)
     # anchor on the point nearer x0: the value then depends on the line only
     if (abs(x[p] - x0), x[p]) > (abs(x[q] - x0), x[q]):
         p = q

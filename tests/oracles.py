@@ -1,8 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Everything here deliberately avoids the code paths it checks: the LOC
-integral is assembled from the distribution function and the infimum
-definition of the quantile instead of the sorting formula, ranks and rank
+integral is assembled from the distribution function, counted here, and
+the infimum definition of the quantile instead of the sorting formula, ranks and rank
 coefficients come from scipy / the classical rank-difference identity, the
 Yu-Jones factor from scipy's normal distribution, kernel weights from the
 kernel's formula in one expression, least squares comes from numpy's
@@ -17,7 +17,12 @@ import scipy.sparse
 from scipy import stats
 from scipy.optimize import linprog
 
-from locindex import StepFunction, distribution
+from locindex import StepFunction
+
+
+def distribution(step: StepFunction, x: float) -> float:
+    """G(x) = #{i : tau_i <= x} / m, counted over the values themselves."""
+    return int(np.count_nonzero(step.taus <= x)) / step.m
 
 
 def loc_by_integration(step: StepFunction) -> float:

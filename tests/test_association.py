@@ -16,9 +16,11 @@ from locindex import (
     empirical_ranks,
     finite_population_I,
     fit_pair,
+    jitter,
     liebscher_zeta,
     loc_index,
     loc_matrix,
+    pair,
     pearson,
     psi_norm_constant,
     rank_step_function,
@@ -341,6 +343,51 @@ class TestLocMatrix:
 
 
 class TestFitPair:
+    @pytest.mark.parametrize("loss", [LossKind.quadratic(), LossKind.median()])
+    def test_a_jitter_that_leaves_ties_still_gives_a_loc(self, marks_sample, loss):
+        # the curve fit orders tied x exactly, so the LOC is the unjittered one
+        pr = pair(marks_sample, "mathematics", "reading")
+        assert len(np.unique(pr.x)) < pr.n
+        spec = FitSpec(loss=loss, grid_size=100)
+        fit = fit_pair(pr, spec, jitter_sd=1e-320, seed=0)
+        assert fit.error is None
+        assert fit.loc == fit_pair(pr, spec, jitter_sd=0.0).loc
+
+    def test_a_set_bandwidth_is_used_whatever_its_method(self, marks_sample):
+        pr = pair(marks_sample, "mathematics", "reading")
+        plug_in = fit_pair(pr, FitSpec(loss=LossKind.median(), grid_size=50)).bandwidth
+        given_bw = BandwidthEstimate(value=0.5 * plug_in.value, method="median_adjusted",
+                                     diagnostics=plug_in.diagnostics)
+        fit = fit_pair(pr, FitSpec(loss=LossKind.median(), bandwidth=given_bw, grid_size=50))
+        assert fit.bandwidth is given_bw
+        assert fit.curve.spec.bandwidth is given_bw
+
+    @pytest.mark.parametrize("loss, message", [
+        (LossKind.quadratic(), "taus must be finite"),
+        (LossKind.median(), "check-loss objective overflows"),
+    ])
+    def test_a_curve_that_overflows_is_a_pair_error(self, marks_sample, loss, message):
+        # y spans [-1e308, 1e308]: the weighted sums of the mean overflow, with
+        # numpy's warning, to a curve that is not finite, and the median's
+        # first objective to inf
+        pr = jitter(pair(marks_sample, "mathematics", "reading"), 1e-5, 0)
+        wide = PairedSample(x=pr.x, y=(2.0 * pr.y - 1.0) * 1e308)
+        spec = FitSpec(loss=loss, bandwidth=BandwidthEstimate(value=0.1, method="fixed"),
+                       grid_size=50)
+        with np.errstate(over="ignore"):
+            fit = fit_pair(wide, spec, jitter_sd=0.0)
+        assert message in fit.error
+        assert fit.curve is None and fit.loc is None
+
+    @pytest.mark.parametrize("scale_x, scale_y", [(1.0, 1e200), (1e-80, 1.0)])
+    def test_a_plug_in_out_of_float_range_is_a_pair_error(self, marks_sample, scale_x,
+                                                         scale_y):
+        pr = jitter(pair(marks_sample, "mathematics", "reading"), 1e-5, 0)
+        fit = fit_pair(PairedSample(x=pr.x * scale_x, y=pr.y * scale_y),
+                       FitSpec(loss=LossKind.quadratic(), grid_size=50), jitter_sd=0.0)
+        assert "out of the plug-in's float range" in fit.error
+        assert fit.bandwidth is None and fit.loc is None
+
     @pytest.mark.parametrize("jitter_sd", [1e-5, 0.0])
     @pytest.mark.parametrize("loss", [LossKind.quadratic(), LossKind.median()])
     def test_constant_y_is_fitted_raw_and_has_loc_zero(self, jitter_sd, loss,

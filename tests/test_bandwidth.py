@@ -211,6 +211,15 @@ class TestDpiBandwidth:
         with pytest.raises(BandwidthError, match="degenerate"):
             dpi_bandwidth(PairedSample(x=np.full(30, 0.4), y=np.linspace(0, 1, 30)))
 
+    @pytest.mark.parametrize("scale_x, scale_y", [(1.0, 1e200), (1e-80, 1.0), (1e-200, 1.0)])
+    def test_floors_out_of_float_range_raise_bandwidth_error(self, scale_x, scale_y):
+        # the variance floor squares ptp(y), the curvature floor divides by
+        # ptp(x)^2: the first overflows, the second overflows or divides by 0
+        base = noisy_quadratic(60, 0.1, seed=2)
+        pr = PairedSample(x=base.x * scale_x, y=base.y * scale_y)
+        with pytest.raises(BandwidthError, match="out of the plug-in's float range"):
+            dpi_bandwidth(pr)
+
     def test_small_sample_rejected(self):
         pr = PairedSample(x=np.linspace(0, 1, 10), y=np.linspace(0, 1, 10) ** 2)
         with pytest.raises(BandwidthError, match="n >= 20"):

@@ -8,6 +8,7 @@ Regenerate golden files with ``PYTHONPATH=src python tests/test_cli.py
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,6 +17,8 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from locindex.cli import main
 
@@ -116,13 +119,56 @@ def test_unknown_subcommand_exits_with_status_2(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["compare", "mathematics", "reading", "--jitter-sd", "-1"], "--jitter-sd"),
     (["loc-matrix", "--jitter-sd", "-1"], "--jitter-sd"),
+    (["compare", "mathematics", "reading", "--jitter-sd", "1e308"], "--jitter-sd"),
+    (["compare", "mathematics", "reading", "--jitter-sd", "1e300"], "--jitter-sd"),
+    (["fit", "mathematics", "reading", "--jitter-sd", "1e300"], "--jitter-sd"),
+    (["loc-matrix", "--jitter-sd", "1e300"], "--jitter-sd"),
+    (["loc-matrix", "--jitter-sd", "1"], "--jitter-sd must be finite and in [0, 1)"),
+    (["summarize", "--bins", str(10 ** 20)], f"--bins {10 ** 20} is too large"),
+    (["summarize", "--bins", str(2 ** 63 - 1)], f"--bins {2 ** 63 - 1} is too large"),
     (["fit", "mathematics", "reading", "--grid", "1"], "--grid"),
     (["loc-matrix", "--grid", "50"], "must equal grid size"),
     (["summarize", "--bins", "0"], "--bins"),
 ])
 def test_invalid_settings_exit_with_status_2(marks_csv, capsys, argv, message):
     assert main([*argv, "--input", str(marks_csv)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_compare_names_a_jitter_that_left_ties(marks_csv, capsys):
+    # the curves fit tied data, the rank coefficients cannot
+    code = main(["compare", "mathematics", "reading", "--input", str(marks_csv),
+                 "--grid", "20", "--m", "20", "--jitter-sd", "1e-320"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "(jitter_sd 1e-320 left ties; set a larger --jitter-sd)" in err
+    assert "jitter_sd is 0" not in err
+
+
+# the command of a jitter too small to break the fixture's ties
+TIED_JITTER = ["loc-matrix", "--grid", "20", "--m", "20", "--jitter-sd", "1e-320"]
+
+
+def test_a_jitter_that_leaves_ties_gives_the_unjittered_matrix(marks_csv, capsys):
+    assert main([*TIED_JITTER, "--input", str(marks_csv), "--format", "json"]) == 0
+    tied = json.loads(capsys.readouterr().out)
+    assert main([*TIED_JITTER[:-1], "0", "--input", str(marks_csv), "--format", "json"]) == 0
+    assert tied == json.loads(capsys.readouterr().out)
+
+
+def test_the_module_entry_point_runs_a_jitter_that_leaves_ties():
+    # the way a user runs it: a fresh interpreter, with Python's default
+    # warning filters
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run([sys.executable, "-m", "locindex.cli", *TIED_JITTER,
+                             "--input", str(FIXTURE)],
+                            env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout.startswith("LOC matrix, conditional-mean fit")
 
 
 @pytest.mark.parametrize("setting, message", [
@@ -303,6 +349,119 @@ def test_flags_override_config_file_which_overrides_defaults(tmp_path, monkeypat
     assert main(["summarize", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["bins"] == 5 and payload["n"] == 52
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: whatever the CSV and flags, the CLI answers with a status
+
+# what a status-1 error line may say: a failed pair, a failed curve or a
+# constant column
+_PAIR_ERROR = re.compile(r"error: (pair \(\S+ -> \S+\), (mean|median) fit: "
+                         r"|(mean|median) (curve|fit) failed: "
+                         r"|coefficients unavailable: \S+ is constant$)")
+
+
+@st.composite
+def _marks(draw, n: int, cap: int) -> list[int]:
+    """One column of n raw counts on [0, cap]: spread, constant, two-valued
+    (tied), or two clusters at the ends, with a gap wider than the kernel
+    reaches."""
+    kind = draw(st.sampled_from(["spread", "constant", "two-valued", "gap"]))
+    if kind == "constant":
+        return [draw(st.integers(0, cap))] * n
+    if kind == "two-valued":
+        values = st.sampled_from(draw(st.lists(st.integers(0, cap), min_size=2, max_size=2)))
+    elif kind == "gap":
+        values = st.one_of(st.integers(0, cap // 10), st.integers(cap - cap // 10, cap))
+    else:
+        values = st.integers(0, cap)
+    return draw(st.lists(values, min_size=n, max_size=n))
+
+
+@st.composite
+def _cli_cases(draw) -> tuple[str, list[str]]:
+    """A CSV's text and the argv of one command on it, without --input."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(2, 60))
+    names = [f"s{j}" for j in range(k)]
+    caps = draw(st.lists(st.integers(1, 100), min_size=k, max_size=k))
+    columns = [draw(_marks(n, cap)) for cap in caps]
+    rows = [",".join([f"S{i}", *(str(col[i]) for col in columns)]) for i in range(n)]
+    text = "\n".join([",".join(["student_id", *names]), *rows]) + "\n"
+
+    command = draw(st.sampled_from(["summarize", "fit", "plot-data", "loc-matrix",
+                                    "compare"]))
+    argv = [command]
+    if command in ("fit", "plot-data", "compare"):
+        argv += [draw(st.sampled_from(names)), draw(st.sampled_from(names))]
+    argv += ["--max-items", ",".join(map(str, caps)),
+             "--format", draw(st.sampled_from(["table", "csv", "json"])),
+             "--seed", str(draw(st.integers(0, 2**32)))]
+    if command == "summarize":
+        return text, [*argv, "--bins", str(draw(st.integers(1, 1000)))]
+    grid = str(draw(st.integers(2, 60)))
+    argv += ["--grid", grid, "--m", grid, "--jitter-sd",
+             draw(st.sampled_from(["0", "1e-320", "1e-5", "0.5", "0.999", "1", "1e300"]))]
+    bandwidth = draw(st.sampled_from([None, "1e-300", "1e-3", "0.1", "10", "1e300"]))
+    if bandwidth is not None:
+        argv += ["--bandwidth", bandwidth]
+    if command in ("plot-data", "loc-matrix"):
+        argv += ["--loss", draw(st.sampled_from(["mean", "median", "both"]))]
+    return text, argv
+
+
+_ON_THE_FIXTURE = [
+    TIED_JITTER,
+    ["compare", "mathematics", "reading", "--grid", "20", "--m", "20", "--jitter-sd", "1e-320"],
+    ["compare", "mathematics", "reading", "--grid", "20", "--m", "20", "--jitter-sd", "1e308"],
+    ["compare", "mathematics", "reading", "--grid", "20", "--m", "20", "--jitter-sd", "1e300"],
+    ["fit", "mathematics", "reading", "--grid", "20", "--jitter-sd", "1e300"],
+    ["loc-matrix", "--grid", "20", "--m", "20", "--jitter-sd", "1e300"],
+    ["summarize", "--bins", str(10 ** 20)],
+]
+
+
+# a jitter of 1e-320 spreads the zeros of s0 over subnormals, so the y step
+# between two of them is a slope beyond the float range
+_SUBNORMAL_STEP = ("\n".join(["student_id,s0,s1", *(f"S{i},0,0" for i in range(48)),
+                              "S48,0,1", "S49,1,0"]) + "\n",
+                   ["fit", "s0", "s1", "--max-items", "1,1", "--grid", "2",
+                    "--jitter-sd", "1e-320"])
+
+
+def _pin_examples(test):
+    for argv in _ON_THE_FIXTURE:  # None: the CSV is the fixture
+        test = example(case=(None, argv))(test)
+    return example(case=_SUBNORMAL_STEP)(test)
+
+
+@_pin_examples
+@given(case=_cli_cases())
+@settings(max_examples=100, deadline=None)
+def test_every_input_ends_in_an_exit_status_without_a_traceback(case):
+    text, argv = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = FIXTURE
+        if text is not None:
+            path = Path(tmp) / "marks.csv"
+            path.write_text(text, encoding="utf-8")
+        argv = [*argv, "--input", str(path)]
+        if argv[0] in ("fit", "plot-data"):
+            argv += ["--out", tmp]
+        err = StringIO()
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error, and nothing else
+                assert exc.code == 2
+                code = 2
+    assert code in (0, 1, 2)
+    err = err.getvalue()
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    if code == 1:
+        assert errors
+        for line in errors:
+            assert _PAIR_ERROR.match(line), line
 
 
 if __name__ == "__main__":

@@ -112,6 +112,20 @@ class TestJitter:
         with pytest.raises(ValueError):
             jitter(self._tied_sample(), -1.0, seed=0)
 
+    def test_one_draw_for_x_then_one_for_y(self):
+        sample = self._tied_sample()
+        out = jitter(sample, 1e-5, seed=9)
+        rng = np.random.default_rng(9)
+        assert (out.x == sample.x + rng.normal(0.0, 1e-5, size=5)).all()
+        assert (out.y == sample.y + rng.normal(0.0, 1e-5, size=5)).all()
+
+    def test_an_sd_too_small_to_move_a_value_keeps_the_tie(self):
+        # 1e-320 is far below the spacing of floats near 0.2, so the draw
+        # leaves x as it is; one draw is taken, never a retry
+        sample = self._tied_sample()
+        out = jitter(sample, 1e-320, seed=0)
+        assert (out.x == sample.x).all() and (out.y == sample.y).all()
+
 
 class TestSummarize:
     def test_hand_computed_column(self):

@@ -6,13 +6,12 @@ from hypothesis.extra import numpy as hnp
 
 from locindex import (
     StepFunction,
-    distribution,
     increasing_rearrangement,
     loc_index,
     step_from_curve,
 )
 
-from oracles import loc_by_integration
+from oracles import distribution, loc_by_integration
 
 finite_taus = hnp.arrays(
     dtype=np.float64,
@@ -27,28 +26,6 @@ class TestStepFunction:
             StepFunction(taus=[])
         with pytest.raises(ValueError):
             StepFunction(taus=[0.1, np.nan])
-
-
-class TestDistribution:
-    def test_half_below(self):
-        step = StepFunction(taus=[0.3, 0.7])
-        assert distribution(step, 0.5) == 0.5
-
-    def test_below_all(self):
-        assert distribution(StepFunction(taus=[0.3, 0.7]), 0.1) == 0.0
-
-    def test_at_and_above_max(self):
-        step = StepFunction(taus=[0.3, 0.7])
-        assert distribution(step, 0.7) == 1.0
-        assert distribution(step, 2.0) == 1.0
-
-    def test_right_continuous_and_monotone(self):
-        step = StepFunction(taus=[0.2, 0.8, 0.5, 0.2])
-        xs = np.linspace(-0.5, 1.5, 101)
-        gs = distribution(step, xs)
-        assert (np.diff(gs) >= 0).all()
-        # jumps include their own level: G(tau) counts tau itself
-        assert distribution(step, 0.2) == 0.5
 
 
 class TestIncreasingRearrangement:

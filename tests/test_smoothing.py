@@ -89,6 +89,31 @@ class TestCheckLossOptimality:
         assert_reaches_minimum(sample, x0, h, tau)
 
 
+    @pytest.mark.parametrize("n", [30, 100])  # below and above _SMALL_WINDOW
+    @pytest.mark.parametrize("tau", TAUS)
+    def test_slopes_beyond_the_float_range(self, n, tau):
+        # x spread over subnormals, as a jitter of 1e-320 leaves zeros: a y
+        # step between two of them is a slope beyond the float range, which
+        # overflows to inf without a warning; no line of finite slope beats
+        # the fit
+        rng = np.random.default_rng(13)
+        x = np.append(rng.normal(0.0, 1e-320, n - 1), 1.0)
+        y = np.append((rng.uniform(size=n - 1) < 0.2) + rng.normal(0.0, 1e-320, n - 1), 0.0)
+        for x0 in (0.0, 0.5):
+            b0, b1 = local_linear_fit(PairedSample(x=x, y=y), x0, 0.5,
+                                      LossKind(kind="quantile", tau=tau))
+            fitted = check_loss_value(x, y, x0, 0.5, tau, b0, b1)
+            p, q = np.triu_indices(n, 1)
+            distinct = x[p] != x[q]
+            p, q = p[distinct], q[distinct]
+            with np.errstate(all="ignore"):  # the steepest lines are inf or nan
+                slope = (y[q] - y[p]) / (x[q] - x[p])
+                intercept = y[p] + slope * (x0 - x[p])
+                values = check_loss_value(x, y, x0, 0.5, tau, intercept[:, None],
+                                          slope[:, None])
+            assert fitted <= np.nanmin(values) * (1.0 + 1e-12)
+
+
 class TestCheckLossOptimalityInLargeWindows:
     # windows above smoothing._SMALL_WINDOW rows, where each rotation finds
     # its slope by selection instead of sorting every row
@@ -316,6 +341,27 @@ class TestFitCurve:
             local_linear_fit(sample, x0, h.value, loss)
         assert "singular weighted design" in str(expected.value)
         assert str(info.value) == f"grid point 2: {expected.value}"
+
+    def test_mean_sums_that_overflow_raise_instead_of_a_nan_curve(self):
+        # at x * 1e200 the weighted sum of d^2 overflows, and numpy warns of
+        # it; the determinant is nan, which the singularity test rejects
+        rng = np.random.default_rng(6)
+        sample = PairedSample(x=rng.uniform(0.0, 1.0, 40) * 1e200,
+                              y=rng.uniform(0.0, 1.0, 40))
+        spec = FitSpec(loss=LossKind.quadratic(),
+                       bandwidth=BandwidthEstimate(value=1e199, method="fixed"), grid_size=20)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SmoothingError, match="singular weighted design"):
+            fit_curve(sample, spec)
+
+    def test_median_objective_that_overflows_raises(self):
+        rng = np.random.default_rng(6)
+        sample = PairedSample(x=rng.uniform(0.0, 1.0, 40),
+                              y=rng.uniform(-1.0, 1.0, 40) * 1e308)
+        spec = FitSpec(loss=LossKind.median(),
+                       bandwidth=BandwidthEstimate(value=0.3, method="fixed"), grid_size=20)
+        with pytest.raises(SmoothingError, match="check-loss objective overflows"):
+            fit_curve(sample, spec)
 
     def test_mean_gathers_weighted_rows_around_a_zero_weight_row(self, monkeypatch):
         # the kernel falls away from x0, so the weighted rows of a window are
