@@ -496,9 +496,8 @@ def cmd_compare(config: RunConfig, x_name: str, y_name: str) -> int:
                 "rank_loc": loc_index(rank_step_function(jittered)).value,
             })
         except TiesError as exc:
-            hint = (f"jitter_sd {config.jitter_sd!r} left ties; set a larger --jitter-sd"
-                    if config.jitter_sd > 0 else "jitter_sd is 0; set --jitter-sd > 0")
-            raise CliError(f"{exc} ({hint})") from None
+            raise CliError(f"{exc} (--jitter-sd {config.jitter_sd!r} left ties; "
+                           "set a larger --jitter-sd)") from None
         payload["identity_rank_loc_equals_I"] = bool(math.isclose(
             payload["rank_loc"], payload["finite_population_I"], rel_tol=1e-12,
             abs_tol=1e-15))

@@ -236,8 +236,9 @@ def jitter(sample: PairedSample, sd: float, seed: int) -> PairedSample:
     [0, 1].  With ``sd == 0`` the sample is returned unchanged.  Otherwise it
     takes one draw from ``default_rng(seed)``, for x and then for y, so the
     result is a pure function of ``(sample, sd, seed)``.  An sd too small to
-    move a value (1e-320, say) leaves its tie: the LOC pipeline fits tied data
-    exactly, and the rank functions raise ``TiesError`` on it.
+    move a value (1e-320 against marks away from 0) leaves its tie: the LOC
+    pipeline fits tied data exactly, and the rank functions raise
+    ``TiesError`` on it.
     """
     if sd < 0:
         raise ValueError("sd must be >= 0")

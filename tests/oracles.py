@@ -1,9 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here deliberately avoids the code paths it checks: the LOC
-integral is assembled from the distribution function, counted here, and
-the infimum definition of the quantile instead of the sorting formula, ranks and rank
-coefficients come from scipy / the classical rank-difference identity, the
+integral is assembled from the distribution function, counted here, and the
+infimum definition of the quantile instead of the sorting formula, ranks and
+rank coefficients come from scipy / the classical rank-difference identity, the
 Yu-Jones factor from scipy's normal distribution, kernel weights from the
 kernel's formula in one expression, least squares comes from numpy's
 polynomial fit, the check-loss optimum from scipy's linear programming

@@ -345,7 +345,8 @@ class TestLocMatrix:
 class TestFitPair:
     @pytest.mark.parametrize("loss", [LossKind.quadratic(), LossKind.median()])
     def test_a_jitter_that_leaves_ties_still_gives_a_loc(self, marks_sample, loss):
-        # the curve fit orders tied x exactly, so the LOC is the unjittered one
+        # no mark of the fixture is 0, so 1e-320 moves none and the ties stay;
+        # the fit of tied data is the unjittered one
         pr = pair(marks_sample, "mathematics", "reading")
         assert len(np.unique(pr.x)) < pr.n
         spec = FitSpec(loss=loss, grid_size=100)
