@@ -39,8 +39,6 @@ from .bandwidth import (
     yu_jones_factor,
 )
 from .dataset import (
-    DEFAULT_SCHEMA,
-    ColumnSchema,
     NormalizedSample,
     PairedSample,
     ParseError,
@@ -76,8 +74,6 @@ __all__ = [
     "BandwidthDiagnostics",
     "BandwidthError",
     "BandwidthEstimate",
-    "ColumnSchema",
-    "DEFAULT_SCHEMA",
     "FitSpec",
     "FittedCurve",
     "KERNEL_ROUGHNESS",

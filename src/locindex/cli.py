@@ -1,8 +1,7 @@
 """Command-line front end: summarize, fit, plot-data, loc-matrix, compare.
 
-The score columns are the CSV header's columns other than ``student_id``;
-``--max-items`` gives their numbers of items, in header order, and defaults
-to 65,45,80 only for the columns mathematics, reading and spelling.  Every
+``dataset.load_csv`` decides the score columns and their numbers of items;
+``--max-items`` gives the numbers in header order.  Every
 command that fits a curve runs each ordered pair through
 ``association.fit_pair``, jittered with the pair's own seed, so a pair gets
 the same curves and LOC in every command.  ``fit`` is ``plot-data`` with
@@ -22,15 +21,15 @@ stderr per fit, with the reason.
 Exit status: 0 on success, 1 when some ordered pairs or curves failed, or
 compare's coefficients are undefined for a constant column, but others were
 produced, 2 on input errors, among them a config value not of its flag's type,
-a ``--jitter-sd`` outside [0, 1), a ``--bins`` too large for an array, an
-input, config or ``--out`` path that cannot be read or written, and compare's
-ranks on data that the jitter left tied (curves fit tied data exactly).
+a ``--jitter-sd`` outside [0, 1), a ``--grid`` or ``--bins`` too large for an
+array, an input, config or ``--out`` path that cannot be read or written, an
+input that ``load_csv`` rejects, and compare's ranks on data that the jitter
+left tied (curves fit tied data exactly).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -57,9 +56,6 @@ from .association import (
 )
 from .bandwidth import BandwidthEstimate
 from .dataset import (
-    DEFAULT_SCHEMA,
-    ID_COLUMN,
-    ColumnSchema,
     NormalizedSample,
     PairedSample,
     ParseError,
@@ -86,7 +82,7 @@ _SETTINGS = {
     "format": ("table", str),
     "bins": (10, int),
     "bandwidth": (None, float),
-    "max_items": (None, str),  # DEFAULT_SCHEMA's counts for its columns; else required
+    "max_items": (None, str),  # None: load_csv's counts for the paper's three columns
     "out": (".", str),
 }
 
@@ -159,9 +155,20 @@ def _parse_max_items(raw: str | None) -> tuple[int, ...] | None:
         values = [int(part) for part in raw.split(",")]
     except ValueError:
         raise CliError(f"--max-items expects comma-separated integers, got {raw!r}") from None
-    if any(v <= 0 for v in values):
-        raise CliError("--max-items values must be positive")
     return tuple(values)
+
+
+def _too_large_for_an_array(count: int) -> bool:
+    """Whether ``count`` float64 values take more bytes than physical memory.
+
+    Where the platform does not report its memory, the bound is the largest
+    array numpy accepts.
+    """
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no os.sysconf on Windows
+        memory = sys.maxsize
+    return count > memory // 8
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
@@ -200,6 +207,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     bins = settings["bins"]
     if bins < 1:
         raise CliError("--bins must be at least 1")
+    for flag, count in (("--grid", grid), ("--bins", bins)):
+        if _too_large_for_an_array(count):
+            raise CliError(f"{flag} {count} is too large for an array")
     bandwidth = settings["bandwidth"]
     if bandwidth is not None and not 0 < bandwidth < math.inf:
         raise CliError("--bandwidth must be finite and positive")
@@ -218,26 +228,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _schema(path: Path, max_items: tuple[int, ...] | None) -> ColumnSchema:
-    """Every header column but the id column, with its number of items."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        names = tuple(c for c in next(csv.reader(fh), []) if c != ID_COLUMN)
-    if not names:
-        raise CliError(f"{path}: no score columns in the header")
-    if max_items is None:
-        if set(names) != set(DEFAULT_SCHEMA.names):
-            raise CliError(f"--max-items is required for the columns {', '.join(names)}")
-        default = dict(zip(DEFAULT_SCHEMA.names, DEFAULT_SCHEMA.max_items))
-        max_items = tuple(default[name] for name in names)
-    if len(max_items) != len(names):
-        raise CliError(f"--max-items needs {len(names)} values, one per column "
-                       f"{', '.join(names)}; got {len(max_items)}")
-    return ColumnSchema(names=names, max_items=max_items)
-
-
 def _load_normalized(config: RunConfig) -> NormalizedSample:
     try:
-        return normalize(load_csv(config.input, _schema(config.input, config.max_items)))
+        return normalize(load_csv(config.input, config.max_items))
     except OSError as exc:
         raise CliError(f"cannot read input file {config.input}: {exc.strerror or exc}") from None
     except (ParseError, ValueError) as exc:
@@ -338,10 +331,7 @@ def cmd_summarize(config: RunConfig) -> int:
     sample = _load_normalized(config)
     names = sample.column_names
     stats = {name: summarize(sample.columns[name]) for name in names}
-    try:
-        hists = {name: histogram(sample.columns[name], config.bins).tolist() for name in names}
-    except (ValueError, IndexError) as exc:  # numpy's size checks; IndexError at 2**63 - 1
-        raise CliError(f"--bins {config.bins} is too large for an array ({exc})") from None
+    hists = {name: histogram(sample.columns[name], config.bins).tolist() for name in names}
     payload = {
         "columns": {name: asdict(stats[name]) for name in names},
         "bins": config.bins,

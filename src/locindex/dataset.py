@@ -13,17 +13,16 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "ParseError",
-    "ColumnSchema",
     "RawScores",
     "NormalizedSample",
     "PairedSample",
     "SummaryStats",
-    "DEFAULT_SCHEMA",
     "load_csv",
     "normalize",
     "pair",
@@ -34,38 +33,14 @@ __all__ = [
 
 
 class ParseError(ValueError):
-    """Raised when an input file does not match the declared schema."""
-
-
-@dataclass(frozen=True)
-class ColumnSchema:
-    """Score columns of an input file.
-
-    ``names`` lists the score columns; ``max_items[j]`` is the number of items
-    on test ``names[j]``, i.e. the largest admissible raw count.  The loader
-    reads only these columns: ``ID_COLUMN`` and any other column is ignored.
-    """
-
-    names: tuple[str, ...]
-    max_items: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.names) != len(self.max_items):
-            raise ValueError("names and max_items must have equal length")
-        if not self.names:
-            raise ValueError("schema needs at least one score column")
-        if any(m <= 0 for m in self.max_items):
-            raise ValueError("max_items must be positive")
+    """Raised when an input file's header or cells are not valid raw marks."""
 
 
 #: The student identifier column, never a score column.
 ID_COLUMN = "student_id"
 
-#: Default column layout: three study subjects with 65/45/80 test items.
-DEFAULT_SCHEMA = ColumnSchema(
-    names=("mathematics", "reading", "spelling"),
-    max_items=(65, 45, 80),
-)
+#: The paper's three tests and their numbers of items.
+DEFAULT_MAX_ITEMS = {"mathematics": 65, "reading": 45, "spelling": 80}
 
 
 @dataclass(frozen=True)
@@ -159,25 +134,25 @@ class SummaryStats:
     sd: float
 
 
-def load_csv(path: str | Path, schema: ColumnSchema = DEFAULT_SCHEMA) -> RawScores:
+def load_csv(path: str | Path, max_items: Sequence[int] | None = None) -> RawScores:
     """Read raw integer marks from a headed CSV file.
 
-    Every schema column must appear in the header; cells must be integers in
-    ``[0, max_items]``.  Errors name the offending row (1-based, counting data
-    rows) and column.
+    The score columns are every header column but ``ID_COLUMN``, in header
+    order.  ``max_items`` gives their numbers of items, one per column, each
+    in [1, 2**63 - 1] because counts are stored as int64; it defaults to
+    ``DEFAULT_MAX_ITEMS`` only when the columns are exactly the paper's three,
+    in any order.  Cells must be integers in ``[0, max_items]``.  Errors name
+    the offending row (1-based, counting data rows) and column.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path}: no header row")
-        missing = [c for c in schema.names if c not in reader.fieldnames]
-        if missing:
-            raise ParseError(f"{path}: missing column(s) {', '.join(missing)}")
+        names = tuple(c for c in reader.fieldnames or () if c != ID_COLUMN)
+        caps = _max_items(path, names, max_items)
         rows = []
         for idx, record in enumerate(reader, start=1):
             row = []
-            for name, cap in zip(schema.names, schema.max_items):
+            for name, cap in zip(names, caps):
                 cell = record.get(name)
                 if cell is None or cell.strip() == "":
                     raise ParseError(f"{path}: row {idx}: column '{name}': empty cell")
@@ -199,10 +174,35 @@ def load_csv(path: str | Path, schema: ColumnSchema = DEFAULT_SCHEMA) -> RawScor
     if not rows:
         raise ParseError(f"{path}: no rows")
     return RawScores(
-        column_names=schema.names,
+        column_names=names,
         rows=np.asarray(rows, dtype=np.int64),
-        max_items=schema.max_items,
+        max_items=caps,
     )
+
+
+def _max_items(path: Path, names: tuple[str, ...],
+               max_items: Sequence[int] | None) -> tuple[int, ...]:
+    """The number of items of each score column in ``names``, checked."""
+    columns = ", ".join(names)
+    if not names:
+        raise ParseError(f"{path}: no score columns in the header")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        # csv.DictReader would give every copy the last copy's cells
+        raise ParseError(f"{path}: column(s) {', '.join(repeated)} appear more than once "
+                         "in the header")
+    if max_items is None:
+        if set(names) != set(DEFAULT_MAX_ITEMS):
+            raise ParseError(f"{path}: max_items is required for the columns {columns}")
+        return tuple(DEFAULT_MAX_ITEMS[name] for name in names)
+    if len(max_items) != len(names):
+        raise ParseError(f"{path}: max_items needs {len(names)} values, one per column "
+                         f"{columns}; got {len(max_items)}")
+    for name, cap in zip(names, max_items):
+        if not 0 < cap < 2 ** 63:
+            raise ParseError(f"{path}: column '{name}': max_items must be in "
+                             f"[1, 2**63 - 1], got {cap}")
+    return tuple(max_items)
 
 
 def normalize(raw: RawScores) -> NormalizedSample:

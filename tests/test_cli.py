@@ -126,6 +126,12 @@ def test_unknown_subcommand_exits_with_status_2(capsys):
     (["loc-matrix", "--jitter-sd", "1"], "--jitter-sd must be finite and in [0, 1)"),
     (["summarize", "--bins", str(10 ** 20)], f"--bins {10 ** 20} is too large"),
     (["summarize", "--bins", str(2 ** 63 - 1)], f"--bins {2 ** 63 - 1} is too large"),
+    (["summarize", "--bins", str(10 ** 17)], f"--bins {10 ** 17} is too large"),
+    *((["loc-matrix", "--grid", str(grid), "--m", str(grid)], f"--grid {grid} is too large")
+      for grid in (10 ** 17, 10 ** 20, 2 ** 63 - 1)),
+    (["fit", "mathematics", "reading", "--grid", str(10 ** 17)], "--grid"),
+    (["summarize", "--max-items", f"{10 ** 400},45,80"], "column 'mathematics': max_items"),
+    (["summarize", "--max-items", "65,0,80"], "column 'reading': max_items"),
     (["fit", "mathematics", "reading", "--grid", "1"], "--grid"),
     (["loc-matrix", "--grid", "50"], "must equal grid size"),
     (["summarize", "--bins", "0"], "--bins"),
@@ -416,6 +422,9 @@ _ON_THE_FIXTURE = [
     ["fit", "mathematics", "reading", "--grid", "20", "--jitter-sd", "1e300"],
     ["loc-matrix", "--grid", "20", "--m", "20", "--jitter-sd", "1e300"],
     ["summarize", "--bins", str(10 ** 20)],
+    *(["loc-matrix", "--grid", str(grid), "--m", str(grid)]
+      for grid in (10 ** 17, 10 ** 20, 2 ** 63 - 1)),
+    ["summarize", "--max-items", f"{10 ** 400},45,80"],
 ]
 
 

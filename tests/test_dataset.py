@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locindex import (
-    ColumnSchema,
     NormalizedSample,
     PairedSample,
     ParseError,
@@ -46,13 +45,58 @@ class TestLoadCsv:
     def test_missing_column(self, tmp_path):
         path = tmp_path / "cols.csv"
         path.write_text("student_id,mathematics,reading\nS1,20,30\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="spelling"):
+        with pytest.raises(ParseError, match="required for the columns mathematics, reading$"):
             load_csv(path)
 
     def test_negative_count(self, tmp_path):
         path = write_csv(tmp_path / "neg.csv", ["S1,-3,30,40"])
         with pytest.raises(ParseError, match=r"row 1.*negative"):
             load_csv(path)
+
+    def test_other_columns_take_their_max_items_in_header_order(self, tmp_path):
+        path = tmp_path / "other.csv"
+        path.write_text("student_id,algebra,geometry\nS1,50,3\nS2,0,40\n", encoding="utf-8")
+        raw = load_csv(path, (50, 40))
+        assert raw.column_names == ("algebra", "geometry")
+        assert raw.max_items == (50, 40)
+        assert raw.rows.tolist() == [[50, 3], [0, 40]]
+
+    @pytest.mark.parametrize("header, max_items, message", [
+        ("student_id,algebra,geometry", None,
+         "max_items is required for the columns algebra, geometry$"),
+        ("student_id,algebra,geometry", (50,),
+         "max_items needs 2 values, one per column algebra, geometry; got 1$"),
+        ("student_id,mathematics,reading,spelling", (65, 45, 80, 10), "needs 3 values"),
+        ("student_id,algebra,geometry", (50, 0), r"column 'geometry': max_items must be in "
+                                                 r"\[1, 2\*\*63 - 1\], got 0$"),
+        ("student_id,algebra,geometry", (-5, 40), "column 'algebra'.*got -5$"),
+        ("student_id,algebra,geometry", (10 ** 400, 40), "column 'algebra'"),
+        ("student_id,algebra,geometry", (50, 2 ** 63), "column 'geometry'"),
+        ("student_id,reading,reading,spelling", None,
+         "column[(]s[)] reading appear more than once"),
+        ("student_id", None, "no score columns in the header$"),
+        ("", None, "no score columns in the header$"),
+    ])
+    def test_header_and_max_items_are_checked(self, tmp_path, header, max_items, message):
+        path = tmp_path / "marks.csv"
+        path.write_text(f"{header}\nS1,1,2,3\n" if header else "", encoding="utf-8")
+        with pytest.raises(ParseError, match=message):
+            load_csv(path, max_items)
+
+    def test_counts_beyond_int64_are_rejected_by_column(self, tmp_path):
+        path = write_csv(tmp_path / "big.csv", [f"S1,{10 ** 30},5,5"])
+        with pytest.raises(ParseError, match="column 'mathematics': max_items"):
+            load_csv(path, (10 ** 31, 45, 80))
+        with pytest.raises(ParseError, match=r"row 1: column 'mathematics': count 10{30} "
+                                             r"exceeds max_items 9223372036854775807$"):
+            load_csv(path, (2 ** 63 - 1, 45, 80))
+
+    def test_a_count_at_the_top_of_the_int64_range_loads(self, tmp_path):
+        top = 2 ** 63 - 1
+        path = write_csv(tmp_path / "top.csv", [f"S1,{top},5,5", "S2,0,5,5"])
+        raw = load_csv(path, (top, 45, 80))
+        assert raw.rows[:, 0].tolist() == [top, 0]
+        assert normalize(raw).columns["mathematics"].tolist() == [1.0, 0.0]
 
 
 class TestNormalize:
@@ -240,13 +284,7 @@ class TestPairedSample:
         assert sample.n == 2
 
 
-class TestSchema:
-    def test_schema_validation(self):
-        with pytest.raises(ValueError):
-            ColumnSchema(names=("a",), max_items=(0,))
-        with pytest.raises(ValueError):
-            ColumnSchema(names=("a", "b"), max_items=(5,))
-
+class TestRawScores:
     def test_raw_scores_invariants(self):
         with pytest.raises(ValueError):
             RawScores(column_names=("a",), rows=np.array([[11]]), max_items=(10,))
