@@ -1,13 +1,13 @@
 """Command-line front end: summarize, fit, plot-data, loc-matrix, compare.
 
 ``dataset.load_csv`` decides the score columns and their numbers of items;
-``--max-items`` gives the numbers in header order.  Every
-command that fits a curve runs each ordered pair through
-``association.fit_pair``, jittered with the pair's own seed, so a pair gets
-the same curves and LOC in every command.  ``fit`` is ``plot-data`` with
-both curves and the bandwidths reported.  summarize, compare and loc-matrix
-build their result once and print it as a table, csv or json.  ``--m`` must
-equal ``--grid`` for loc-matrix and compare and has no other effect.
+``--max-items`` gives the numbers in header order.  Every command that fits
+a curve runs each ordered pair through ``association.fit_pair``, jittered
+with the pair's own seed, so a pair gets the same curves and LOC in every
+command.  ``fit`` is ``plot-data`` with both curves and the bandwidths
+reported.  summarize, compare and loc-matrix build their result once and
+print it as a table, csv or json.  ``--m`` must equal ``--grid`` for
+loc-matrix and compare and has no other effect.
 
 Configuration precedence is flags > config file > built-in defaults; the
 config file is JSON, found via --config or the LOCINDEX_CONFIG environment
