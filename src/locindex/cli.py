@@ -121,7 +121,7 @@ def _load_config_file(path: str | None) -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, an integer too long to read
         raise CliError(f"config file {path}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
         raise CliError(f"config file {path}: expected a JSON object")

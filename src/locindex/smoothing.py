@@ -67,17 +67,43 @@ window: the slice of the sorted rows within ``_REACH`` (that distance plus
 which numpy's default sort gives; only tied x needs a stable sort.  The
 kernel falls away from x0 on both sides, so the weighted rows of a window
 are one contiguous run, and the mean is solved on views of it; the
-check-loss fit calls ``local_linear_fit`` on the window.  Either way the
-weighted rows reach the solvers in the order of the sorted sample, and
-``fit_curve`` is ``local_linear_fit`` on the sample stably sorted by x at
-each grid point, bit for bit.  On tie-free x that sorted sample, and so the
-curve, does not depend on the order of the input rows.  Against
-``local_linear_fit`` on the unsorted sample, the mean can differ in the last
-bits, because its sums add the rows in another order, and on tied data the
-check-loss descent can reach another of several optimal lines.  On tie-free
-data the check-loss optimum is unique and the value depends on the line
-only, so there the median curve equals ``local_linear_fit`` on the unsorted
-sample too.
+check-loss fit of a window of ``_SMALL_WINDOW`` rows or more calls
+``local_linear_fit`` on the window, and smaller windows are solved in lock
+step (below).  Either way the weighted rows reach the solvers in the order
+of the sorted sample, and ``fit_curve`` is ``local_linear_fit`` on the
+sample stably sorted by x at each grid point, bit for bit.  On tie-free x
+that sorted sample, and so the curve, does not depend on the order of the
+input rows.  Against ``local_linear_fit`` on the unsorted sample, the mean
+can differ in the last bits, because its sums add the rows in another order,
+and on tied data the check-loss descent can reach another of several optimal
+lines.  On tie-free data the check-loss optimum is unique and the value
+depends on the line only, so there the median curve equals
+``local_linear_fit`` on the unsorted sample too.
+
+Lock step.  When x has no ties, ``fit_curve`` solves the check loss at all
+grid points whose windows hold fewer than ``_SMALL_WINDOW`` rows together,
+in blocks of ``_BLOCK`` points, instead of calling ``local_linear_fit`` at
+each; the time of such a point goes to numpy call overhead, not arithmetic.
+The windows are the rows of (points x window) arrays, padded to the widest.
+Padding and rows below ``WEIGHT_FLOOR`` get weight 0 and the slope +inf, so
+they sort last and are never a partner.  Each step rotates every unfinished
+point about its pivot, by the row-wise sort and running weight of the small
+window in step 1, and takes a line that lowers the objective strictly.  The
+kernel weights, slopes, residuals and on-line test are the doubles of the
+scalar descent.  Equal slopes may sort in another order, and the cut and
+the objective are sums taken in another order, so a step could differ only
+between lines of equal objective to within rounding.  A point stops when a
+rotation brings no strict decrease and its best line holds no weighted row
+besides the two that define it: there step 3 has tried every point of the
+line, so the scalar descent stops on it too.  That line is optimal; where
+the optimum is unique, as on tie-free data, it is the line the scalar
+descent reaches from any start, so the start (a row-wise least-squares
+slope and weighted quantile, ``_start`` up to rounding) only steers the
+path, and the value, anchored as in ``local_linear_fit``, is the same
+double.  A point whose best line holds more rows (tied y), whose first
+objective is not finite, whose window holds fewer than two weighted rows or
+whose slopes could overflow is finished by ``local_linear_fit`` on its
+window, as is every grid point of a curve whose x has a tie.
 
 References
 ----------
@@ -243,9 +269,16 @@ def check_loss_objective(
 _ON_LINE = 2.0**-40
 
 
-# Windows of fewer rows than this find a weighted quantile by sorting every
-# row; the selection below costs more numpy calls than a sort that small.
+# The one threshold between the two median paths.  A window of fewer rows
+# than this finds a weighted quantile by sorting every row, and ``fit_curve``
+# solves all such grid points of a curve in lock step (``_lock_step``); the
+# selection below costs more numpy calls than a sort that small.  Larger
+# windows take ``local_linear_fit`` and its selection, one grid point at a time.
 _SMALL_WINDOW = 64
+
+# The lock-step descent takes this many grid points at a time, which bounds
+# its (points x window) arrays however large the grid.
+_BLOCK = 128
 
 # A bracket of the selection starts this many typical slope spacings wide
 # (the spread of the values over their count) and widens by _WIDEN at each
@@ -507,6 +540,119 @@ def _local_mean(x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float) -> fl
     return _solve_wls(x - x0, y, w, x0)[0]
 
 
+# the pivot's own slope is 0 / 0, and the start's sums may overflow: neither
+# decides a value
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _lock_step(
+    xs: np.ndarray, ys: np.ndarray, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+    h: float, tau: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check-loss values at the grid points x0 whose windows xs[lo:hi] of a
+    tie-free, x-sorted sample hold 2 to ``_SMALL_WINDOW`` - 1 rows.
+
+    Every point runs the small-window descent of ``_check_loss_line`` at
+    once, on (points x window) arrays in which the rows outside a window and
+    those below ``WEIGHT_FLOOR`` carry weight 0.  Returns (solved, values):
+    a point is solved when its descent ends on a line that holds no weighted
+    row besides its two defining ones, which is where ``_check_loss_line``
+    stops too, so its value is ``local_linear_fit``'s.  The other points,
+    whose window holds fewer than two weighted rows, whose slopes could
+    overflow, whose first objective is not finite or whose line holds more
+    rows, are left to ``local_linear_fit``.
+    """
+    size = hi - lo
+    col = np.arange(int(size.max()))
+    rows = np.minimum(lo[:, None] + col, len(xs) - 1)
+    x, y = xs[rows], ys[rows]
+    w = _kernel_weights(x, x0[:, None], h)
+    w[col >= size[:, None]] = 0.0
+    weighted = w > 0.0
+    m = weighted.sum(1)
+    y_scale = 2.0 * np.where(weighted, np.abs(y), 0.0).max(1)
+    x_span = np.where(weighted, x, -np.inf).max(1) - np.where(weighted, x, np.inf).min(1)
+    # the closest two rows bound every |a| from below, so each slope and each
+    # c = w |a| is a positive float where these hold
+    gap = np.where(col[1:] < size[:, None], np.diff(x, axis=1), np.inf).min(1)
+    ids = np.flatnonzero((m >= 2) & (x_span < 1e300) & (gap > 1e-300)
+                         & (y_scale < 1e300 * gap))
+    solved = np.zeros(len(x0), dtype=bool)
+    values = np.empty(len(x0))
+    # per point: its window and x0, the sorted position of the last row with
+    # a != 0, the on-line scales, and the best line so far, its objective and
+    # whether it holds a weighted row besides its pivot and partner
+    x, y, w, weighted, x0, last = x[ids], y[ids], w[ids], weighted[ids], x0[ids], m[ids] - 2
+    y_scale, x_span = y_scale[ids], x_span[ids]
+    k = _lock_step_start(x - x0[:, None], y, w, tau, last + 1)
+    best_k, best_j, best_b1 = k, k, np.zeros(len(ids))
+    best_f = np.full(len(ids), np.inf)
+    more = np.zeros(len(ids), dtype=bool)
+    while len(ids):
+        at = np.arange(len(ids))
+        a = x - x[at, k][:, None]
+        dy = y - y[at, k][:, None]
+        rows = weighted.copy()
+        rows[at, k] = False
+        j = _lock_step_partner(a, dy, w, rows, tau, last)
+        b1 = dy[at, j] / a[at, j]
+        r = dy - b1[:, None] * a
+        f = np.where(weighted, w * np.maximum(tau * r, (tau - 1.0) * r), 0.0).sum(1)
+        on = rows & (np.abs(r) <= (_ON_LINE * (y_scale + np.abs(b1) * x_span))[:, None])
+        on[at, j] = False
+        better = f < best_f
+        best_k, best_j = np.where(better, k, best_k), np.where(better, j, best_j)
+        best_b1, best_f = np.where(better, b1, best_b1), np.where(better, f, best_f)
+        more = np.where(better, on.any(1), more)
+        stop = ~better | (f == 0.0)
+        # a first objective that is not finite leaves best_f at inf
+        done = np.flatnonzero(stop & ~more & (best_f < np.inf))
+        p, q, x0d = best_k[done], best_j[done], x0[done]
+        xp, xq = x[done, p], x[done, q]
+        dp, dq = np.abs(xp - x0d), np.abs(xq - x0d)
+        # anchor on the point nearer x0, as local_linear_fit does
+        p = np.where((dp > dq) | ((dp == dq) & (xp > xq)), q, p)
+        values[ids[done]] = y[done, p] - best_b1[done] * (x[done, p] - x0d)
+        solved[ids[done]] = True
+        go = ~stop
+        (ids, x, y, w, weighted, x0, last, y_scale, x_span, k, best_k, best_j, best_b1, best_f,
+         more) = (v[go] for v in (ids, x, y, w, weighted, x0, last, y_scale, x_span, j, best_k,
+                                  best_j, best_b1, best_f, more))
+    return solved, values
+
+
+def _lock_step_partner(a: np.ndarray, dy: np.ndarray, w: np.ndarray, rows: np.ndarray,
+                       tau: float, last: np.ndarray) -> np.ndarray:
+    """``_rotate``'s partner for each row of (points x window) arrays: one of
+    ``rows``, the ``last`` + 1 weighted rows other than the pivot."""
+    c = w * np.abs(a)  # 0 at the pivot and at rows of weight 0
+    cut = tau * c.sum(1) + (1.0 - 2.0 * tau) * np.where(a < 0.0, c, 0.0).sum(1)
+    return _row_quantiles(np.where(rows, dy / a, np.inf), c, cut, last)
+
+
+def _lock_step_start(d: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float,
+                     last: np.ndarray) -> np.ndarray:
+    """``_start``'s pivot for each row of (points x window) arrays, up to
+    rounding: the weighted row on the best line of least-squares slope."""
+    s0, s1, s2 = w.sum(1), (w * d).sum(1), (w * d * d).sum(1)
+    t0, t1 = (w * y).sum(1), (w * d * y).sum(1)
+    det = s0 * s2 - s1 * s1
+    slope = np.where(det > 1e-13 * s0 * s2, (s0 * t1 - s1 * t0) / det, 0.0)
+    v = np.where(w > 0.0, y - slope[:, None] * d, np.inf)
+    return _row_quantiles(v, w, tau * s0, last)
+
+
+def _row_quantiles(
+    v: np.ndarray, c: np.ndarray, cut: np.ndarray, last: np.ndarray
+) -> np.ndarray:
+    """``_sorted_select`` on each row of (points x window) arrays: the column
+    of the smallest v whose running weight c, in order of v, reaches cut, or
+    of the v at sorted position ``last`` when rounding puts cut above the
+    total.  The rows at sorted positions 0 to ``last`` must weigh more than
+    0 and the others 0."""
+    order = np.argsort(v, axis=1)
+    running = np.cumsum(np.take_along_axis(c, order, axis=1), axis=1)
+    return order[np.arange(len(v)), np.minimum((running < cut[:, None]).sum(1), last)]
+
+
 def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     """Evaluate the local fit on an equispaced grid over [min(x), max(x)].
 
@@ -515,12 +661,15 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     x0 is fitted on its window, the slice of the sorted rows with
     |x - x0| <= _REACH * h, found by binary search.  Quadratic loss is solved
     in closed form on the run of the window's rows that carry kernel
-    weight; check loss calls ``local_linear_fit`` on the window, which is
-    built once for neighbouring grid points that share it.  The window holds
-    every row with kernel weight, so the curve is ``local_linear_fit`` on the
-    sample stably sorted by x, bit for bit, for both losses (see the module
-    docstring), errors included: a window of fewer than two rows raises the
-    ``SmoothingError`` that ``local_linear_fit`` raises there.
+    weight.  For check loss on tie-free x, the grid points whose windows
+    hold fewer than ``_SMALL_WINDOW`` rows are solved together in lock step;
+    the other points, and those the lock step leaves unfinished, call
+    ``local_linear_fit`` on the window, which is built once for neighbouring
+    grid points that share it.  The window holds every row with kernel
+    weight, so the curve is ``local_linear_fit`` on the sample stably sorted
+    by x, bit for bit, for both losses (see the module docstring), errors
+    included: the first grid point at which ``local_linear_fit`` fails, a
+    window of fewer than two rows among them, raises its ``SmoothingError``.
 
     No extrapolation is attempted beyond the data range, and fitted values
     are never clamped here; clamping to [0, 1] is a presentation concern.
@@ -532,7 +681,8 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     h = spec.bandwidth.value
     order = np.argsort(sample.x)
     xs = sample.x[order]
-    if np.any(xs[1:] == xs[:-1]):
+    tied = bool(np.any(xs[1:] == xs[:-1]))
+    if tied:
         order = np.argsort(sample.x, kind="stable")
         xs = sample.x[order]
     ys = sample.y[order]
@@ -541,8 +691,18 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     his = np.searchsorted(xs, grid + _REACH * h, side="right")
     values = np.empty(spec.grid_size)
     mean = spec.loss.kind == "quadratic"
+    todo = np.ones(spec.grid_size, dtype=bool)
+    if not mean and not tied:
+        small = np.flatnonzero((his - los >= 2) & (his - los < _SMALL_WINDOW))
+        for start in range(0, len(small), _BLOCK):
+            block = small[start:start + _BLOCK]
+            solved, block_values = _lock_step(xs, ys, grid[block], los[block], his[block], h,
+                                              spec.loss.tau)
+            values[block[solved]] = block_values[solved]
+            todo[block[solved]] = False
     bounds, window = None, None
-    for i, (x0, lo, hi) in enumerate(zip(grid.tolist(), los.tolist(), his.tolist())):
+    for i, x0, lo, hi in zip(np.flatnonzero(todo).tolist(), grid[todo].tolist(),
+                             los[todo].tolist(), his[todo].tolist()):
         try:
             if hi - lo < 2:  # a PairedSample needs two rows, and so does the fit
                 raise _too_few(x0)

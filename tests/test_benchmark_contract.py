@@ -52,22 +52,47 @@ def test_fixture_warm_up_runs_through_fit_capture(perfbench):
     assert report["ops_failed"] == 0, report["problems"]
 
 
-def test_fixture_warm_up_fits_only_medians_through_local_linear_fit(perfbench):
-    # perfbench's smoothing.local_fit_calls counts the calls made through the
-    # module attribute: fit_curve calls it once per grid point for check
-    # loss and solves the mean itself, so 6 median curves x 20 points
-    _, tracing, worker, workloads = perfbench
+def traced_span_names(perfbench, workload) -> list[str]:
+    """The names of the spans a traced run of ``workload`` records; every op must succeed."""
+    _, tracing, worker, _ = perfbench
     tracer = tracing.Tracer()
     worker.install_trace(tracer, locindex)
     try:
-        workload = workloads.warm_up_copy(workloads.FixtureMatrix(0))
         inputs = workload.build(workload.generate())
-        assert workload.run(inputs)[0] == 0
+        ops = workload.ops(inputs, workload.run(inputs))
     finally:
         tracer.restore()
-    names = [span[tracing.NAME] for span in tracer.spans]
-    assert names.count("smoothing.fit_curve") == 12
-    assert names.count("smoothing.local_linear_fit") == 120
+    assert ops and all(op.problem is None for op in ops)
+    return [span[tracing.NAME] for span in tracer.spans]
+
+
+def test_fixture_warm_up_solves_its_medians_in_lock_step(perfbench):
+    # every fixture window holds fewer than _SMALL_WINDOW rows, so fit_curve
+    # solves the median grid points together and calls local_linear_fit for
+    # none of them: perfbench's smoothing.local_fit_calls reads 0 here,
+    # though the median work is still done, inside smoothing.fit_curve
+    _, _, _, workloads = perfbench
+    names = traced_span_names(perfbench, workloads.warm_up_copy(workloads.FixtureMatrix(0)))
+    assert names.count("smoothing.fit_curve") == 12  # 6 ordered pairs x 2 losses
+    assert names.count("smoothing.local_linear_fit") == 0
+
+
+def test_median_curve_in_large_windows_calls_local_linear_fit_per_grid_point(perfbench):
+    # the warm-up pair at n = 400 has windows of 119-283 rows, all on the
+    # selection path, which takes one local_linear_fit call per grid point:
+    # what smoothing.local_fit_calls counts there
+    _, _, _, workloads = perfbench
+    workload = workloads.warm_up_copy(workloads.make("pair-both-1e4", 0))
+    jittered = locindex.jitter(workload.build(workload.generate()), workloads.JITTER_SD,
+                               workload.seed)
+    h = locindex.median_adjust(locindex.dpi_bandwidth(jittered)).value
+    grid = np.linspace(jittered.x.min(), jittered.x.max(), workload.grid)
+    windows = np.sum(np.abs(jittered.x[None, :] - grid[:, None])
+                     <= locindex.smoothing._REACH * h, axis=1)
+    assert windows.min() >= locindex.smoothing._SMALL_WINDOW
+    names = traced_span_names(perfbench, workload)
+    assert names.count("smoothing.fit_curve") == 2
+    assert names.count("smoothing.local_linear_fit") == workload.grid
 
 
 def test_median_curve_in_large_windows_passes_verification(perfbench):

@@ -198,6 +198,23 @@ def test_config_values_of_the_wrong_type_exit_with_status_2(tmp_path, capsys, se
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    '{"grid": ' + "1" * 5000 + "}",  # beyond Python's limit on integer digits
+    '{"grid": 10',
+    b'{"grid": 10}\xff',
+])
+def test_unreadable_config_json_exits_with_status_2(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    if isinstance(text, bytes):
+        config.write_bytes(text)
+    else:
+        config.write_text(text, encoding="utf-8")
+    assert main(["summarize", "--input", str(FIXTURE), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"config file {config}: invalid JSON" in err
+    assert "Traceback" not in err
+
+
 def test_config_values_of_the_flags_types_are_accepted(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"input": str(FIXTURE), "max_items": [65, 45, 80],

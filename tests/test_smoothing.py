@@ -238,6 +238,16 @@ class TestKernelWeights:
                 np.testing.assert_array_equal(smoothing._kernel_weights(window, x0, h),
                                               kernel_weights(window, x0, h))
 
+    def test_equal_to_the_kernel_formula_on_the_rows_of_a_lock_step_block(self):
+        # the lock step weighs many windows at once, each row of a
+        # (points x window) array against its own x0
+        rng = np.random.default_rng(4)
+        xs = np.sort(rng.uniform(0.0, 1.0, 52))
+        x0 = rng.uniform(0.0, 1.0, 300)
+        weights = smoothing._kernel_weights(np.broadcast_to(xs, (300, 52)), x0[:, None], 0.05)
+        for row, point in zip(weights, x0.tolist()):
+            np.testing.assert_array_equal(row, kernel_weights(xs, point, 0.05))
+
 
 def sorted_by_x(pr: PairedSample) -> PairedSample:
     order = np.argsort(pr.x, kind="stable")
@@ -394,15 +404,114 @@ class TestFitCurve:
         x = np.concatenate([np.linspace(0.0, 0.2, 10), np.linspace(0.8, 1.0, 10)])
         sample = PairedSample(x=x, y=np.cos(4.0 * x))
         h = BandwidthEstimate(value=0.02, method="fixed")
-        with pytest.raises(SmoothingError) as info:
-            fit_curve(sample, FitSpec(loss=loss, bandwidth=h, grid_size=101))
-        grid = np.linspace(0.0, 1.0, 101)
-        for i, x0 in enumerate(grid):
-            try:
-                local_linear_fit(sample, float(x0), h.value, loss)
-            except SmoothingError as exc:
-                message = str(exc)
-                break
-        assert str(info.value) == f"grid point {i}: {message}"
+        i, message = assert_raises_local_fits_first_error(sample, loss, h, 101)
         assert "fewer than 2 distinct" in message
-        assert np.sum(np.abs(x - grid[i]) <= smoothing._REACH * h.value) < 2
+        x0 = np.linspace(0.0, 1.0, 101)[i]
+        assert np.sum(np.abs(x - x0) <= smoothing._REACH * h.value) < 2
+
+
+def assert_raises_local_fits_first_error(sample: PairedSample, loss: LossKind,
+                                         h: BandwidthEstimate, grid_size: int) -> tuple[int, str]:
+    """fit_curve raises local_linear_fit's error at its first failing grid point."""
+    with pytest.raises(SmoothingError) as info:
+        fit_curve(sample, FitSpec(loss=loss, bandwidth=h, grid_size=grid_size))
+    reference = sorted_by_x(sample)
+    for i, x0 in enumerate(np.linspace(sample.x.min(), sample.x.max(), grid_size).tolist()):
+        try:
+            local_linear_fit(reference, x0, h.value, loss)
+        except SmoothingError as exc:
+            assert str(info.value) == f"grid point {i}: {exc}"
+            return i, str(exc)
+    raise AssertionError(f"local_linear_fit raised nowhere, fit_curve raised {info.value}")
+
+
+class TestMedianInLockStep:
+    # fit_curve solves the median grid points whose windows hold fewer than
+    # smoothing._SMALL_WINDOW rows together; the curve is still
+    # local_linear_fit on the stably x-sorted sample, bit for bit
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(6, 63),
+        seed=st.integers(0, 2**32 - 1),
+        tau=st.sampled_from((0.25, 0.5, 0.8)),
+        h=st.sampled_from((0.05, 0.1, 0.3)),
+        rounded=st.booleans(),
+    )
+    def test_equals_local_fit_at_every_grid_point(self, n, seed, tau, h, rounded):
+        # y rounded to multiples of 1/20 puts more than two rows on some
+        # optimal lines, which local_linear_fit finishes
+        rng = np.random.default_rng(seed)
+        x, y = random_tie_free_sample(rng, n)
+        if rounded:
+            y = np.round(y * 20.0) / 20.0
+        sample = PairedSample(x=x, y=y)
+        loss = LossKind(kind="quantile", tau=tau)
+        bandwidth = BandwidthEstimate(value=h, method="fixed")
+        try:
+            curve = fit_curve(sample, FitSpec(loss=loss, bandwidth=bandwidth, grid_size=60))
+        except SmoothingError:  # a gap in x: the error is the scalar path's
+            assert_raises_local_fits_first_error(sample, loss, bandwidth, 60)
+            return
+        reference = sorted_by_x(sample)
+        for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
+            assert value == local_linear_fit(reference, x0, h, loss)[0], x0
+
+    def test_grid_of_several_blocks_equals_local_fit(self):
+        rng = np.random.default_rng(9)
+        x, y = random_tie_free_sample(rng, 50)
+        sample = PairedSample(x=x, y=y)
+        loss = LossKind.median()
+        h = BandwidthEstimate(value=0.1, method="fixed")
+        grid_size = 2 * smoothing._BLOCK + 3
+        curve = fit_curve(sample, FitSpec(loss=loss, bandwidth=h, grid_size=grid_size))
+        reference = sorted_by_x(sample)
+        for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
+            assert value == local_linear_fit(reference, x0, h.value, loss)[0]
+
+    def test_lines_through_more_rows_are_finished_by_local_linear_fit(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        x, y = random_tie_free_sample(rng, 40)
+        sample = PairedSample(x=x, y=np.round(y * 10.0) / 10.0)
+        calls = []
+        scalar = smoothing.local_linear_fit
+        monkeypatch.setattr(smoothing, "local_linear_fit",
+                            lambda *a: calls.append(a[1]) or scalar(*a))
+        loss = LossKind.median()
+        h = BandwidthEstimate(value=0.15, method="fixed")
+        curve = fit_curve(sample, FitSpec(loss=loss, bandwidth=h, grid_size=200))
+        assert 0 < len(calls) < 100
+        reference = sorted_by_x(sample)
+        for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
+            assert value == scalar(reference, x0, h.value, loss)[0]
+
+    @pytest.mark.parametrize("x, grid_size, first", [
+        # the last grid point sits on a lone row; the row below it is inside
+        # the window (within _REACH) but beyond the weight floor
+        (np.append(np.linspace(0.0, 1.0, 30), 1.734), 101, 100),
+        # the same with that lone row doubled, on the scalar path
+        (np.append(np.linspace(0.0, 1.0, 30), [1.734, 1.734]), 101, 100),
+        # the middle grid point has two rows in its window and neither weighs
+        (np.concatenate([np.linspace(0.0, 1.0, 30), np.linspace(2.47, 3.47, 30)]), 3, 1),
+    ])
+    def test_window_of_fewer_than_two_weighted_x_raises_local_fits_error(self, x, grid_size,
+                                                                         first):
+        h = 0.1  # the rows 7.34 to 7.35 bandwidths away weigh 0
+        sample = PairedSample(x=x, y=np.sin(3.0 * x))
+        i, message = assert_raises_local_fits_first_error(
+            sample, LossKind.median(), BandwidthEstimate(value=h, method="fixed"), grid_size)
+        assert i == first
+        assert "fewer than 2 distinct" in message
+        x0 = np.linspace(x.min(), x.max(), grid_size)[i]
+        assert np.sum(np.abs(x - x0) <= smoothing._REACH * h) >= 2
+
+    def test_objective_that_overflows_raises_local_fits_error(self):
+        # slopes of about 1e108 across a window 1e200 wide
+        rng = np.random.default_rng(6)
+        sample = PairedSample(x=rng.uniform(0.0, 1.0, 40) * 1e200,
+                              y=rng.uniform(-1.0, 1.0, 40) * 1e308)
+        # the start's least-squares sums overflow too, and numpy warns of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, message = assert_raises_local_fits_first_error(
+                sample, LossKind.median(), BandwidthEstimate(value=1e199, method="fixed"), 20)
+        assert message == "check-loss objective overflows"
