@@ -20,19 +20,16 @@ It is found exactly by pivoting descent over such lines [4, 3]:
    with weights c_i = w_i |a_i| and level tau (a_i > 0) or 1 - tau
    (a_i < 0).  So the best slope is the smallest s_(j) whose cumulative
    weight reaches cut = sum_i c_i (tau if a_i > 0 else 1 - tau), a weighted
-   quantile of the slopes.  In a window of ``_SMALL_WINDOW`` (64) rows or
-   more it is found by selection [6, 3], not by sorting every row: a bracket
-   (lo, hi] whose weight below lo falls short of cut and whose weight up to
-   hi reaches it is grown geometrically from a guess, the slope of the
-   current line (which passes through k) or, at the first rotation, the
-   least-squares slope; each end costs one weighted count, and only the
-   rows inside the bracket are sorted.  Rows with a_i = 0 keep weight 0 and
-   are never the partner.  Among equal slopes, rows count in row order: the
-   partner is the row at which the running weight reaches cut, or the last
-   row of positive weight when rounding puts cut above the total.  Smaller
-   windows sort every row with a_i != 0, as numpy's default sort orders
-   them, because a sort that small costs fewer numpy calls than the
-   selection.  Equal slopes give one line through k; the partner among them
+   quantile of the slopes.  It is found by selection [6, 3], not by sorting
+   every row: a bracket (lo, hi] whose weight below lo falls short of cut
+   and whose weight up to hi reaches it is grown geometrically from a guess,
+   the slope of the current line (which passes through k) or, at the first
+   rotation, the least-squares slope; each end costs one weighted count,
+   and only the rows inside the bracket are sorted.  Rows with a_i = 0 keep
+   weight 0 and are never the partner.  Among equal slopes, rows count in
+   row order: the partner is the row at which the running weight reaches
+   cut, or the last row of positive weight when rounding puts cut above the
+   total.  Equal slopes give one line through k; the partner among them
    only decides which point of it the descent rotates about next.
 2. Descent.  The line through k and that observation j is taken when it
    lowers the objective strictly, and j becomes the next pivot.  The first
@@ -80,30 +77,31 @@ lines.  On tie-free data the check-loss optimum is unique and the value
 depends on the line only, so there the median curve equals
 ``local_linear_fit`` on the unsorted sample too.
 
-Lock step.  When x has no ties, ``fit_curve`` solves the check loss at all
-grid points whose windows hold fewer than ``_SMALL_WINDOW`` rows together,
-in blocks of ``_BLOCK`` points, instead of calling ``local_linear_fit`` at
-each; the time of such a point goes to numpy call overhead, not arithmetic.
-The windows are the rows of (points x window) arrays, padded to the widest.
-Padding and rows below ``WEIGHT_FLOOR`` get weight 0 and the slope +inf, so
-they sort last and are never a partner.  Each step rotates every unfinished
-point about its pivot, by the row-wise sort and running weight of the small
-window in step 1, and takes a line that lowers the objective strictly.  The
-kernel weights, slopes, residuals and on-line test are the doubles of the
-scalar descent.  Equal slopes may sort in another order, and the cut and
-the objective are sums taken in another order, so a step could differ only
-between lines of equal objective to within rounding.  A point stops when a
-rotation brings no strict decrease and its best line holds no weighted row
-besides the two that define it: there step 3 has tried every point of the
-line, so the scalar descent stops on it too.  That line is optimal; where
-the optimum is unique, as on tie-free data, it is the line the scalar
-descent reaches from any start, so the start (a row-wise least-squares
-slope and weighted quantile, ``_start`` up to rounding) only steers the
-path, and the value, anchored as in ``local_linear_fit``, is the same
-double.  A point whose best line holds more rows (tied y), whose first
+Lock step.  ``fit_curve`` solves the check loss at all grid points whose
+windows hold fewer than ``_SMALL_WINDOW`` rows together, in blocks of
+``_BLOCK`` points, instead of calling ``local_linear_fit`` at each; the time
+of such a point goes to numpy call overhead, not arithmetic.  The windows
+are the rows of (points x window) arrays, padded to the widest.  Padding and
+rows below ``WEIGHT_FLOOR`` get weight 0 and the slope +inf, so they sort
+last and are never a partner.  Each step rotates every unfinished point
+about its pivot, taking the weighted quantile of step 1 by a row-wise sort
+of the slopes and their running weight, and takes a line that lowers the
+objective strictly.  The kernel weights, slopes, residuals and on-line test
+are the doubles of the scalar descent.  Equal slopes may sort in another
+order, and the cut and the objective are sums taken in another order, so a
+step could differ only between lines of equal objective to within rounding.
+A point stops when a rotation brings no strict decrease and its best line
+holds no weighted row besides the two that define it: there step 3 has tried
+every point of the line, so the scalar descent stops on it too.  That line
+is optimal; where the optimum is unique, as on tie-free data, it is the line
+the scalar descent reaches from any start, so the start (a row-wise
+least-squares slope and weighted quantile, ``_start`` up to rounding) only
+steers the path, and the value, anchored as in ``local_linear_fit``, is the
+same double.  A point whose best line holds more rows (tied y), whose first
 objective is not finite, whose window holds fewer than two weighted rows or
-whose slopes could overflow is finished by ``local_linear_fit`` on its
-window, as is every grid point of a curve whose x has a tie.
+whose slopes could overflow, a window with a tied x among them, is finished
+by ``local_linear_fit`` on its window.  That is the one rule for tied data:
+its other windows are tie-free and take the lock step like any other.
 
 References
 ----------
@@ -269,10 +267,9 @@ def check_loss_objective(
 _ON_LINE = 2.0**-40
 
 
-# The one threshold between the two median paths.  A window of fewer rows
-# than this finds a weighted quantile by sorting every row, and ``fit_curve``
-# solves all such grid points of a curve in lock step (``_lock_step``); the
-# selection below costs more numpy calls than a sort that small.  Larger
+# The one threshold between the two median paths.  ``fit_curve`` solves the
+# grid points whose windows hold fewer rows than this together, in lock step
+# (``_lock_step``), where a point's time goes to numpy call overhead; larger
 # windows take ``local_linear_fit`` and its selection, one grid point at a time.
 _SMALL_WINDOW = 64
 
@@ -350,22 +347,12 @@ def _rotate(
     """
     a = x - x[k]
     dy = y - y[k]
-    if len(a) < _SMALL_WINDOW:
-        rows = np.flatnonzero(a)
-        ar = a[rows]
-        slopes = dy[rows] / ar
-        c = w[rows] * np.abs(ar)
-        cut = tau * float(c.sum()) + (1.0 - 2.0 * tau) * float(c[ar < 0.0].sum())
-        order = np.argsort(slopes)
-        pos = order[min(int(np.searchsorted(np.cumsum(c[order]), cut)), len(order) - 1)]
-        j, b1 = rows[pos], float(slopes[pos])
-    else:
-        c = w * np.abs(a)  # 0 where a = 0, whose slope is inf or nan
-        total = float(c.sum())
-        cut = tau * total + (1.0 - 2.0 * tau) * float(np.dot(c, a < 0.0))
-        slopes = dy / a
-        j = _select(slopes, c, cut, guess, spread / total)
-        b1 = float(slopes[j])
+    c = w * np.abs(a)  # 0 where a = 0, whose slope is inf or nan
+    total = float(c.sum())
+    cut = tau * total + (1.0 - 2.0 * tau) * float(np.dot(c, a < 0.0))
+    slopes = dy / a
+    j = _select(slopes, c, cut, guess, spread / total)
+    b1 = float(slopes[j])
     r = dy - b1 * a
     return int(j), b1, float(w @ np.maximum(tau * r, (tau - 1.0) * r)), r, a
 
@@ -453,17 +440,13 @@ def _start(
     the optimum; this one is usually on or next to the optimal line.
     Returns the pivot, the slope and the weighted sum of absolute deviations
     of y - slope * d from their weighted mean, which steer the first
-    rotation's selection (0 in a small window, which sorts instead).
+    rotation's selection.
     """
     try:
         slope = _solve_wls(d, y, w, x0)[1]
     except SmoothingError:  # a nearly singular design: slope 0 starts as well
         slope = 0.0
     v = y - slope * d
-    if len(v) < _SMALL_WINDOW:
-        order = np.argsort(v)
-        cum = np.cumsum(w[order])
-        return int(order[np.searchsorted(cum, tau * cum[-1])]), slope, 0.0
     total = float(w.sum())
     mean = float(w @ v) / total
     spread = float(w @ np.abs(v - mean))
@@ -493,7 +476,7 @@ def local_linear_fit(
     weight at x0, when quadratic loss has a singular (or overflowing) design,
     and when the check-loss objective overflows.
     """
-    if bandwidth <= 0:
+    if not bandwidth > 0:  # nan too
         raise ValueError("bandwidth must be > 0")
     w = _kernel_weights(sample.x, x0, bandwidth)
     rows = np.flatnonzero(w)
@@ -547,18 +530,18 @@ def _lock_step(
     xs: np.ndarray, ys: np.ndarray, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
     h: float, tau: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Check-loss values at the grid points x0 whose windows xs[lo:hi] of a
-    tie-free, x-sorted sample hold 2 to ``_SMALL_WINDOW`` - 1 rows.
+    """Check-loss values at the grid points x0 whose windows xs[lo:hi] of an
+    x-sorted sample hold 2 to ``_SMALL_WINDOW`` - 1 rows.
 
-    Every point runs the small-window descent of ``_check_loss_line`` at
-    once, on (points x window) arrays in which the rows outside a window and
-    those below ``WEIGHT_FLOOR`` carry weight 0.  Returns (solved, values):
-    a point is solved when its descent ends on a line that holds no weighted
+    Every point runs the descent of ``_check_loss_line`` at once, on
+    (points x window) arrays in which the rows outside a window and those
+    below ``WEIGHT_FLOOR`` carry weight 0.  Returns (solved, values): a
+    point is solved when its descent ends on a line that holds no weighted
     row besides its two defining ones, which is where ``_check_loss_line``
     stops too, so its value is ``local_linear_fit``'s.  The other points,
-    whose window holds fewer than two weighted rows, whose slopes could
-    overflow, whose first objective is not finite or whose line holds more
-    rows, are left to ``local_linear_fit``.
+    whose window holds fewer than two weighted rows or a tied x, whose
+    slopes could overflow, whose first objective is not finite or whose line
+    holds more rows, are left to ``local_linear_fit``.
     """
     size = hi - lo
     col = np.arange(int(size.max()))
@@ -571,7 +554,7 @@ def _lock_step(
     y_scale = 2.0 * np.where(weighted, np.abs(y), 0.0).max(1)
     x_span = np.where(weighted, x, -np.inf).max(1) - np.where(weighted, x, np.inf).min(1)
     # the closest two rows bound every |a| from below, so each slope and each
-    # c = w |a| is a positive float where these hold
+    # c = w |a| is a positive float where these hold; a tied x makes the gap 0
     gap = np.where(col[1:] < size[:, None], np.diff(x, axis=1), np.inf).min(1)
     ids = np.flatnonzero((m >= 2) & (x_span < 1e300) & (gap > 1e-300)
                          & (y_scale < 1e300 * gap))
@@ -661,15 +644,17 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     x0 is fitted on its window, the slice of the sorted rows with
     |x - x0| <= _REACH * h, found by binary search.  Quadratic loss is solved
     in closed form on the run of the window's rows that carry kernel
-    weight.  For check loss on tie-free x, the grid points whose windows
-    hold fewer than ``_SMALL_WINDOW`` rows are solved together in lock step;
-    the other points, and those the lock step leaves unfinished, call
-    ``local_linear_fit`` on the window, which is built once for neighbouring
-    grid points that share it.  The window holds every row with kernel
-    weight, so the curve is ``local_linear_fit`` on the sample stably sorted
-    by x, bit for bit, for both losses (see the module docstring), errors
-    included: the first grid point at which ``local_linear_fit`` fails, a
-    window of fewer than two rows among them, raises its ``SmoothingError``.
+    weight.  For check loss, the grid points whose windows hold fewer than
+    ``_SMALL_WINDOW`` rows are solved together in lock step; the other
+    points, and those the lock step leaves unfinished (a window holding a
+    tied x among them), call ``local_linear_fit`` on the window, which is
+    built once for neighbouring grid points that share it.  The window holds
+    every row with kernel weight, so the curve is ``local_linear_fit`` on the
+    sample stably sorted by x, bit for bit, for both losses (see the module
+    docstring), errors included: the first grid point at which
+    ``local_linear_fit`` fails, a window of fewer than two rows among them,
+    raises its ``SmoothingError``.  An x whose range overflows a float
+    raises ``SmoothingError`` before any fit.
 
     No extrapolation is attempted beyond the data range, and fitted values
     are never clamped here; clamping to [0, 1] is a presentation concern.
@@ -681,10 +666,11 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     h = spec.bandwidth.value
     order = np.argsort(sample.x)
     xs = sample.x[order]
-    tied = bool(np.any(xs[1:] == xs[:-1]))
-    if tied:
+    if np.any(xs[1:] == xs[:-1]):  # tied x: only a stable sort keeps the row order
         order = np.argsort(sample.x, kind="stable")
         xs = sample.x[order]
+    if not math.isfinite(float(xs[-1]) - float(xs[0])):  # the grid's step would overflow
+        raise SmoothingError(f"x spans more than the float range: {xs[0]} to {xs[-1]}")
     ys = sample.y[order]
     grid = np.linspace(float(xs[0]), float(xs[-1]), spec.grid_size)
     los = np.searchsorted(xs, grid - _REACH * h, side="left")
@@ -692,7 +678,7 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     values = np.empty(spec.grid_size)
     mean = spec.loss.kind == "quadratic"
     todo = np.ones(spec.grid_size, dtype=bool)
-    if not mean and not tied:
+    if not mean:
         small = np.flatnonzero((his - los >= 2) & (his - los < _SMALL_WINDOW))
         for start in range(0, len(small), _BLOCK):
             block = small[start:start + _BLOCK]

@@ -97,8 +97,8 @@ def test_median_curve_in_large_windows_calls_local_linear_fit_per_grid_point(per
 
 def test_median_curve_in_large_windows_passes_verification(perfbench):
     # at n = 2000 every window holds hundreds of rows, above the size below
-    # which the median solver sorts instead of selecting; perfbench's check
-    # must find every sampled fit at the linear programming optimum
+    # which fit_curve solves the median in lock step; perfbench's check must
+    # find every sampled fit at the linear programming optimum
     _, _, _, workloads = perfbench
     import verification
 

@@ -89,7 +89,7 @@ class TestCheckLossOptimality:
         assert_reaches_minimum(sample, x0, h, tau)
 
 
-    @pytest.mark.parametrize("n", [30, 100])  # below and above _SMALL_WINDOW
+    @pytest.mark.parametrize("n", [30, 100])  # a window of a few rows, and a larger one
     @pytest.mark.parametrize("tau", TAUS)
     def test_slopes_beyond_the_float_range(self, n, tau):
         # x spread over subnormals, as a jitter of 1e-320 leaves zeros: a y
@@ -115,8 +115,8 @@ class TestCheckLossOptimality:
 
 
 class TestCheckLossOptimalityInLargeWindows:
-    # windows above smoothing._SMALL_WINDOW rows, where each rotation finds
-    # its slope by selection instead of sorting every row
+    # windows above smoothing._SMALL_WINDOW rows, the ones fit_curve leaves to
+    # local_linear_fit: each rotation selects its slope among hundreds of rows
 
     @pytest.mark.parametrize("tau", TAUS)
     @pytest.mark.parametrize("tied", [False, True])
@@ -209,6 +209,13 @@ class TestLocalLinearFit:
             b0, b1 = local_linear_fit(sample, x0, 0.2, loss)
             assert b0 == pytest.approx(0.3, abs=1e-15)
             assert b1 == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan])
+    def test_bandwidth_not_above_zero_raises(self, linear_pair, loss, bandwidth):
+        # nan fails every comparison, so the test asks for > 0
+        with pytest.raises(ValueError, match="bandwidth must be > 0"):
+            local_linear_fit(linear_pair, 0.5, bandwidth, loss)
 
     @pytest.mark.parametrize("loss", LOSSES)
     @pytest.mark.parametrize(
@@ -373,6 +380,17 @@ class TestFitCurve:
         with pytest.raises(SmoothingError, match="check-loss objective overflows"):
             fit_curve(sample, spec)
 
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_x_spanning_more_than_the_float_range_raises(self, loss):
+        # max(x) - min(x) overflows, and so would the grid's step: the error
+        # comes before numpy can warn of it, which would fail this test
+        x = np.append(np.linspace(-1e307, 1e307, 20), [-1.7e308, 1.7e308])
+        sample = PairedSample(x=x, y=np.linspace(0.0, 1.0, 22))
+        spec = FitSpec(loss=loss, bandwidth=BandwidthEstimate(value=1e306, method="fixed"),
+                       grid_size=20)
+        with pytest.raises(SmoothingError, match="x spans more than the float range"):
+            fit_curve(sample, spec)
+
     def test_mean_gathers_weighted_rows_around_a_zero_weight_row(self, monkeypatch):
         # the kernel falls away from x0, so the weighted rows of a window are
         # one run in x order; should rounding ever zero a row inside it, the
@@ -454,6 +472,40 @@ class TestMedianInLockStep:
             assert_raises_local_fits_first_error(sample, loss, bandwidth, 60)
             return
         reference = sorted_by_x(sample)
+        for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
+            assert value == local_linear_fit(reference, x0, h, loss)[0], x0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(10, 60),
+        seed=st.integers(0, 2**32 - 1),
+        tau=st.sampled_from((0.25, 0.5, 0.8)),
+        h=st.sampled_from((0.02, 0.04)),
+        copies=st.integers(1, 3),
+    )
+    def test_tied_x_in_some_windows_equals_local_fit_at_every_grid_point(
+            self, n, seed, tau, h, copies):
+        # a few x values repeated with new y: the windows that hold a tie
+        # are finished by local_linear_fit, which raises where a window's
+        # weighted rows share one x; the others are solved in lock step
+        rng = np.random.default_rng(seed)
+        x, y = random_tie_free_sample(rng, n)
+        dup = rng.choice(n, copies, replace=False)
+        sample = PairedSample(x=np.append(x, x[dup]),
+                              y=np.append(y, rng.uniform(0.0, 1.0, copies)))
+        reference = sorted_by_x(sample)
+        grid = np.linspace(reference.x[0], reference.x[-1], 60)
+        reach = smoothing._REACH * h
+        tied = [np.any(np.diff(reference.x[np.abs(reference.x - x0) <= reach]) == 0.0)
+                for x0 in grid]
+        assume(0 < sum(tied) < len(grid))
+        loss = LossKind(kind="quantile", tau=tau)
+        bandwidth = BandwidthEstimate(value=h, method="fixed")
+        try:
+            curve = fit_curve(sample, FitSpec(loss=loss, bandwidth=bandwidth, grid_size=60))
+        except SmoothingError:  # a gap in x: the error is the scalar path's
+            assert_raises_local_fits_first_error(sample, loss, bandwidth, 60)
+            return
         for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
             assert value == local_linear_fit(reference, x0, h, loss)[0], x0
 
