@@ -36,7 +36,7 @@ import numpy as np
 
 from .bandwidth import BandwidthEstimate, dpi_bandwidth, median_adjust
 from .dataset import NormalizedSample, PairedSample, jitter, pair
-from .rearrangement import StepFunction, loc_index, step_from_curve
+from .rearrangement import loc_index, step_from_curve
 from .smoothing import FitSpec, FittedCurve, fit_curve
 
 __all__ = [
@@ -190,14 +190,13 @@ def finite_population_I(sample: PairedSample) -> float:
     return num / (2.0 * n**3)
 
 
-def rank_step_function(sample: PairedSample) -> StepFunction:
-    """Step function t -> r_i / n built from the induced ranks.
+def rank_step_function(sample: PairedSample) -> np.ndarray:
+    """Values r_i / n of the step function built from the induced ranks.
 
     Its ``loc_index`` reproduces ``finite_population_I`` exactly, which ties
     the rank-based coefficients to the LOC machinery.
     """
-    ranks = empirical_ranks(sample)
-    return StepFunction(taus=ranks.induced / sample.n)
+    return empirical_ranks(sample).induced / sample.n
 
 
 @dataclass(frozen=True)

@@ -68,14 +68,18 @@ class BandwidthDiagnostics:
     """What the plug-in saw: chosen block count, curvature and variance.
 
     ``reason`` says why the plug-in fell back ("y is constant",
-    "curvature ~ 0" or "residual variance ~ 0"), and is None when it did not.
+    "curvature ~ 0" or "residual variance ~ 0"), and is None when it did not;
+    ``fallback`` says whether it fell back.
     """
 
     block_count: int
     curvature: float            # estimate of integral h''(x)^2 f(x) dx
     residual_variance: float
-    fallback: bool = False
     reason: str | None = None
+
+    @property
+    def fallback(self) -> bool:
+        return self.reason is not None
 
 
 @dataclass(frozen=True)
@@ -183,36 +187,21 @@ def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:
     rss, theta22 = fits[n_hat]
     sigma2 = rss / (n - 5 * n_hat)
 
-    if amplitude == 0.0 or theta22 <= curvature_floor or sigma2 <= variance_floor:
-        reason = ("y is constant" if amplitude == 0.0
-                  else "curvature ~ 0" if theta22 <= curvature_floor
-                  else "residual variance ~ 0")
+    reason = ("y is constant" if amplitude == 0.0
+              else "curvature ~ 0" if theta22 <= curvature_floor
+              else "residual variance ~ 0" if sigma2 <= variance_floor
+              else None)
+    if reason is None:
+        value = (
+            KERNEL_ROUGHNESS * sigma2 * support / (n * KERNEL_SECOND_MOMENT**2 * theta22)
+        ) ** 0.2
+    else:
         _log.warning("plug-in bandwidth degenerate (%s); "
                      "falling back to oversmoothed bandwidth", reason)
-        return BandwidthEstimate(
-            value=oversmoothed_bandwidth(x),
-            method="dpi",
-            diagnostics=BandwidthDiagnostics(
-                block_count=n_hat,
-                curvature=theta22,
-                residual_variance=sigma2,
-                fallback=True,
-                reason=reason,
-            ),
-        )
-
-    value = (
-        KERNEL_ROUGHNESS * sigma2 * support / (n * KERNEL_SECOND_MOMENT**2 * theta22)
-    ) ** 0.2
-    return BandwidthEstimate(
-        value=value,
-        method="dpi",
-        diagnostics=BandwidthDiagnostics(
-            block_count=n_hat,
-            curvature=theta22,
-            residual_variance=sigma2,
-        ),
-    )
+        value = oversmoothed_bandwidth(x)
+    diagnostics = BandwidthDiagnostics(block_count=n_hat, curvature=theta22,
+                                       residual_variance=sigma2, reason=reason)
+    return BandwidthEstimate(value=value, method="dpi", diagnostics=diagnostics)
 
 
 def yu_jones_factor(tau: float) -> float:

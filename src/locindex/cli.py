@@ -117,7 +117,7 @@ def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read config file {path}: {exc.strerror or exc}") from None

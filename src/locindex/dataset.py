@@ -141,16 +141,22 @@ def load_csv(path: str | Path, max_items: Sequence[int] | None = None) -> RawSco
     order.  ``max_items`` gives their numbers of items, one per column, each
     in [1, 2**63 - 1] because counts are stored as int64; it defaults to
     ``DEFAULT_MAX_ITEMS`` only when the columns are exactly the paper's three,
-    in any order.  Cells must be integers in ``[0, max_items]``.  Errors name
-    the offending row (1-based, counting data rows) and column.
+    in any order.  Cells must be integers in ``[0, max_items]``, and a row
+    may not have more cells than the header has columns.  Errors name the
+    offending row (1-based, counting data rows) and column.  A UTF-8 byte
+    order mark at the start of the file is skipped.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         names = tuple(c for c in reader.fieldnames or () if c != ID_COLUMN)
         caps = _max_items(path, names, max_items)
         rows = []
         for idx, record in enumerate(reader, start=1):
+            if None in record:  # DictReader files a row's extra cells under None
+                width = len(reader.fieldnames)
+                raise ParseError(f"{path}: row {idx}: {width + len(record[None])} cells, "
+                                 f"but the header has {width} columns")
             row = []
             for name, cap in zip(names, caps):
                 cell = record.get(name)
@@ -218,7 +224,8 @@ def pair(sample: NormalizedSample, x_name: str, y_name: str) -> PairedSample:
     """Build the ordered pair with ``x_name`` explanatory and ``y_name`` response.
 
     Self-pairing (``x_name == y_name``) is allowed; it is occasionally useful
-    as a diagnostic (the result is perfectly co-monotone).
+    as a diagnostic.  It is perfectly co-monotone only before jitter, which
+    moves x and y independently.
     """
     for name in (x_name, y_name):
         if name not in sample.columns:

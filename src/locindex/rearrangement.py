@@ -19,9 +19,10 @@ subintervals ((i-1)/m, i/m] the integral collapses to an exact finite sum
 with tau_{(1)} <= ... <= tau_{(m)} the sorted values, i.e. the values of the
 increasing rearrangement: the quantile function of the values' distribution
 function G(x) = #{i : tau_i <= x} / m, which a sort gives without forming G.
-``loc_index`` evaluates that sum.  The pipeline
-applies it to a fitted curve with m equal to the curve's grid size, through
-``step_from_curve``.
+A step function is therefore passed around as its values alone, a
+non-empty finite 1-d array; ``loc_index`` evaluates the sum on them.  The
+pipeline applies it to a fitted curve with m equal to the curve's grid size,
+through ``step_from_curve``.
 """
 
 from __future__ import annotations
@@ -35,35 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from .smoothing import FittedCurve
 
 __all__ = [
-    "StepFunction",
     "LocValue",
     "step_from_curve",
     "increasing_rearrangement",
     "loc_index",
 ]
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Piecewise-constant function on [0, 1] with m equal-width pieces.
-
-    Piece i (1-based) carries the value ``taus[i-1]`` on ((i-1)/m, i/m];
-    the value at t = 0 is ``taus[0]``.
-    """
-
-    taus: np.ndarray
-
-    def __post_init__(self) -> None:
-        taus = np.atleast_1d(np.asarray(self.taus, dtype=float))
-        if taus.ndim != 1 or taus.size < 1:
-            raise ValueError("taus must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(taus)):
-            raise ValueError("taus must be finite")
-        object.__setattr__(self, "taus", taus)
-
-    @property
-    def m(self) -> int:
-        return int(self.taus.size)
 
 
 @dataclass(frozen=True)
@@ -73,35 +50,45 @@ class LocValue:
     value: float
 
 
-def step_from_curve(curve: "FittedCurve") -> StepFunction:
-    """Transfer a grid-evaluated curve onto m = grid_size equal pieces.
+def _taus(values) -> np.ndarray:
+    """The step values tau_1..tau_m as a float vector, checked."""
+    taus = np.asarray(values, dtype=float)
+    if taus.ndim != 1 or taus.size < 1:
+        raise ValueError("taus must be a non-empty 1-d vector")
+    if not np.all(np.isfinite(taus)):
+        raise ValueError("taus must be finite")
+    return taus
+
+
+def step_from_curve(curve: "FittedCurve") -> np.ndarray:
+    """The step values of a grid-evaluated curve on m = grid_size equal pieces.
 
     The i-th grid point acts as the evaluation point t_i chosen inside the
     i-th piece (the equispaced grid maps affinely onto the partition), so the
     step values are exactly the curve values in grid order.
     """
-    return StepFunction(taus=np.array(curve.values, dtype=float))
+    return curve.values
 
 
-def increasing_rearrangement(step: StepFunction) -> StepFunction:
-    """The non-decreasing step function with the same values.
+def increasing_rearrangement(values) -> np.ndarray:
+    """The values of the non-decreasing step function with the same values.
 
     Viewed as a function, the result is the quantile function of the values'
     distribution function G(x) = #{i : tau_i <= x} / m: on piece i it takes
     the i-th smallest value.
     """
-    return StepFunction(taus=np.sort(step.taus))
+    return np.sort(_taus(values))
 
 
-def loc_index(step: StepFunction) -> LocValue:
-    """Exact LOC index of a step function.
+def loc_index(values) -> LocValue:
+    """Exact LOC index of the step function with the values tau_1..tau_m.
 
     Evaluates (1/m^2) * sum_i i * (tau_{(i)} - tau_i).  The result is zero
     exactly when the values are already non-decreasing, and positive
     otherwise (up to float rounding of the sum).
     """
-    m = step.m
+    taus = _taus(values)
+    m = taus.size
     weights = np.arange(1, m + 1, dtype=float)
-    gaps = increasing_rearrangement(step).taus - step.taus
+    gaps = increasing_rearrangement(taus) - taus
     return LocValue(value=float(np.dot(weights, gaps)) / (m * m))
-

@@ -17,31 +17,29 @@ import scipy.sparse
 from scipy import stats
 from scipy.optimize import linprog
 
-from locindex import StepFunction
 
-
-def distribution(step: StepFunction, x: float) -> float:
+def distribution(taus: np.ndarray, x: float) -> float:
     """G(x) = #{i : tau_i <= x} / m, counted over the values themselves."""
-    return int(np.count_nonzero(step.taus <= x)) / step.m
+    return int(np.count_nonzero(taus <= x)) / taus.size
 
 
-def loc_by_integration(step: StepFunction) -> float:
-    """LOC of a step function by numerically integrating t * (I(t) - D(t)).
+def loc_by_integration(taus: np.ndarray) -> float:
+    """LOC of the step function with values ``taus`` by integrating t * (I(t) - D(t)).
 
     I(t) = inf{x : G(x) >= t} is evaluated from the distribution function by
     searching over the value levels; D(t) is the step definition itself.
     Both are constant on each piece ((i-1)/m, i/m], and t * c integrates
     exactly by the midpoint rule on each piece.
     """
-    m = step.m
-    levels = np.unique(step.taus)  # sorted
-    g_at_levels = np.array([distribution(step, x) for x in levels])
+    m = taus.size
+    levels = np.unique(taus)  # sorted
+    g_at_levels = np.array([distribution(taus, x) for x in levels])
     total = 0.0
     for i in range(1, m + 1):
         t_mid = (i - 0.5) / m
         pos = int(np.searchsorted(g_at_levels, t_mid, side="left"))
         inf_value = float(levels[pos])  # first level with G >= t_mid
-        d_value = float(step.taus[i - 1])
+        d_value = float(taus[i - 1])
         piece_weight = (2 * i - 1) / (2.0 * m * m)  # integral of t over the piece
         total += (inf_value - d_value) * piece_weight
     return total

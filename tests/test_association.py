@@ -217,12 +217,19 @@ class TestFinitePopulationI:
 class TestRankStepFunction:
     def test_hand_example(self):
         step = rank_step_function(sample_with_induced_2_3_1())
-        assert step.taus == pytest.approx([2 / 3, 1.0, 1 / 3])
+        assert step == pytest.approx([2 / 3, 1.0, 1 / 3])
+
+    def test_is_the_induced_ranks_over_n(self):
+        rng = np.random.default_rng(12)
+        x, y = random_tie_free_sample(rng, 40)
+        pr = PairedSample(x=x, y=y)
+        step = rank_step_function(pr)
+        assert np.array_equal(step, empirical_ranks(pr).induced / pr.n)
 
     def test_comonotone_is_nondecreasing(self):
         x = np.linspace(0.1, 0.9, 9)
         step = rank_step_function(PairedSample(x=x, y=x**2))
-        assert (np.diff(step.taus) >= 0).all()
+        assert (np.diff(step) >= 0).all()
 
     def test_identity_with_finite_I(self):
         rng = np.random.default_rng(8)

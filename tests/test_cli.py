@@ -224,6 +224,14 @@ def test_config_values_of_the_flags_types_are_accepted(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["bins"] == 4
 
 
+def test_config_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    text = json.dumps({"input": str(FIXTURE), "format": "json", "bins": 4})
+    config.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert main(["summarize", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["bins"] == 4
+
+
 @pytest.mark.parametrize("argv, message", [
     (["summarize", "--input", "{dir}"], "cannot read input file {dir}"),
     (["summarize", "--input", "{dir}/missing.csv"], "cannot read input file {dir}/missing.csv"),

@@ -27,6 +27,21 @@ class TestLoadCsv:
         assert raw.rows.shape == (52, 3)
         assert raw.column_names == ("mathematics", "reading", "spelling")
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path, marks_csv):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + marks_csv.read_bytes())
+        raw, plain = load_csv(path), load_csv(marks_csv)
+        assert raw.column_names == plain.column_names
+        assert raw.max_items == plain.max_items
+        assert np.array_equal(raw.rows, plain.rows)
+        assert raw.rows.dtype == plain.rows.dtype
+
+    def test_a_row_with_more_cells_than_the_header_is_rejected(self, tmp_path):
+        path = write_csv(tmp_path / "wide.csv", ["S1,20,30", "S2,20,30,40"],
+                         header="student_id,mathematics,reading")
+        with pytest.raises(ParseError, match=r"row 2: 4 cells, but the header has 3 columns$"):
+            load_csv(path, (65, 45))
+
     def test_empty_data_section(self, tmp_path):
         path = write_csv(tmp_path / "empty.csv", [])
         with pytest.raises(ParseError, match="no rows"):

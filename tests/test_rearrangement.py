@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from locindex import (
-    StepFunction,
     increasing_rearrangement,
     loc_index,
     step_from_curve,
@@ -20,65 +19,68 @@ finite_taus = hnp.arrays(
 )
 
 
-class TestStepFunction:
-    def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            StepFunction(taus=[])
-        with pytest.raises(ValueError):
-            StepFunction(taus=[0.1, np.nan])
+class TestStepValues:
+    @pytest.mark.parametrize("func", [loc_index, increasing_rearrangement])
+    @pytest.mark.parametrize("values, message", [
+        ([], "taus must be a non-empty 1-d vector"),
+        ([[0.1, 0.2], [0.3, 0.4]], "taus must be a non-empty 1-d vector"),
+        ([0.1, np.nan], "taus must be finite"),
+        ([0.1, np.inf], "taus must be finite"),
+    ], ids=["empty", "2-d", "nan", "inf"])
+    def test_rejects_invalid_values(self, func, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            func(np.array(values, dtype=float))
 
 
 class TestIncreasingRearrangement:
     def test_sorts(self):
-        out = increasing_rearrangement(StepFunction(taus=[0.9, 0.1, 0.5]))
-        assert out.taus.tolist() == [0.1, 0.5, 0.9]
+        out = increasing_rearrangement(np.array([0.9, 0.1, 0.5]))
+        assert out.tolist() == [0.1, 0.5, 0.9]
 
     def test_sorted_input_unchanged(self):
         taus = [0.1, 0.5, 0.9]
-        out = increasing_rearrangement(StepFunction(taus=taus))
-        assert out.taus.tolist() == taus
+        out = increasing_rearrangement(np.array(taus))
+        assert out.tolist() == taus
 
     @given(finite_taus)
     @settings(max_examples=100, deadline=None)
     def test_idempotent(self, taus):
-        once = increasing_rearrangement(StepFunction(taus=taus))
+        once = increasing_rearrangement(taus)
         twice = increasing_rearrangement(once)
-        assert (once.taus == twice.taus).all()
+        assert (once == twice).all()
 
     @given(finite_taus)
     @settings(max_examples=100, deadline=None)
     def test_quantile_of_distribution_at_midpoints(self, taus):
-        step = StepFunction(taus=taus)
-        rearranged = increasing_rearrangement(step)
-        m = step.m
-        levels = np.unique(step.taus)
+        rearranged = increasing_rearrangement(taus)
+        m = taus.size
+        levels = np.unique(taus)
         for i in range(1, m + 1):
             t = (i - 0.5) / m
-            g = np.array([distribution(step, x) for x in levels])
+            g = np.array([distribution(taus, x) for x in levels])
             inf_value = levels[np.searchsorted(g, t, side="left")]
-            assert inf_value == rearranged.taus[i - 1]
+            assert inf_value == rearranged[i - 1]
 
 
 class TestLocIndex:
     def test_two_piece_swap(self):
-        value = loc_index(StepFunction(taus=[1.0, 0.0])).value
+        taus = np.array([1.0, 0.0])
+        value = loc_index(taus).value
         assert value == pytest.approx(0.25, abs=1e-15)
-        assert value == pytest.approx(
-            loc_by_integration(StepFunction(taus=[1.0, 0.0])), abs=1e-15
-        )
+        assert value == pytest.approx(loc_by_integration(taus), abs=1e-15)
 
     def test_three_piece_example(self):
-        step = StepFunction(taus=[0.5, 0.9, 0.1])
-        assert loc_index(step).value == pytest.approx(1.2 / 9.0, abs=1e-14)
-        assert loc_index(step).value == pytest.approx(loc_by_integration(step), abs=1e-13)
+        taus = np.array([0.5, 0.9, 0.1])
+        assert loc_index(taus).value == pytest.approx(1.2 / 9.0, abs=1e-14)
+        assert loc_index(taus).value == pytest.approx(loc_by_integration(taus), abs=1e-13)
 
     def test_nondecreasing_gives_exact_zero(self):
-        assert loc_index(StepFunction(taus=[0.1, 0.1, 0.4, 0.9])).value == 0.0
+        assert loc_index(np.array([0.1, 0.1, 0.4, 0.9])).value == 0.0
 
     @given(finite_taus)
     @settings(max_examples=150, deadline=None)
     def test_nonnegative_and_zero_iff_sorted(self, taus):
-        value = loc_index(StepFunction(taus=taus)).value
+        value = loc_index(taus).value
         assert value >= -1e-12  # float rounding of the exact non-negative sum
         if (np.diff(taus) >= 0).all():
             assert value == 0.0
@@ -86,15 +88,15 @@ class TestLocIndex:
     @given(finite_taus, st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_translation_invariance(self, taus, shift):
-        base = loc_index(StepFunction(taus=taus)).value
-        shifted = loc_index(StepFunction(taus=taus + shift)).value
+        base = loc_index(taus).value
+        shifted = loc_index(taus + shift).value
         assert shifted == pytest.approx(base, abs=1e-12)
 
     @given(finite_taus, st.floats(min_value=0.0, max_value=2.0, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_positive_homogeneity(self, taus, c):
-        base = loc_index(StepFunction(taus=taus)).value
-        scaled = loc_index(StepFunction(taus=c * taus)).value
+        base = loc_index(taus).value
+        scaled = loc_index(c * taus).value
         assert scaled == pytest.approx(c * base, abs=1e-12)
 
     def test_comonotonic_additivity(self):
@@ -105,8 +107,8 @@ class TestLocIndex:
             driver = rng.uniform(0, 1, m)
             g = transforms[rng.integers(0, 4)](driver)
             h = transforms[rng.integers(0, 4)](driver)
-            lhs = loc_index(StepFunction(taus=g + h)).value
-            rhs = loc_index(StepFunction(taus=g)).value + loc_index(StepFunction(taus=h)).value
+            lhs = loc_index(g + h).value
+            rhs = loc_index(g).value + loc_index(h).value
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     @given(finite_taus.filter(lambda t: t.size >= 2), st.data())
@@ -128,9 +130,8 @@ class TestLocIndex:
         for _ in range(200):
             m = int(rng.integers(1, 51))
             taus = rng.uniform(-2, 2, m)
-            step = StepFunction(taus=taus)
-            assert loc_index(step).value == pytest.approx(
-                loc_by_integration(step), abs=1e-12
+            assert loc_index(taus).value == pytest.approx(
+                loc_by_integration(taus), abs=1e-12
             )
 
 
@@ -144,9 +145,8 @@ class TestStepFromCurve:
             grid_size=3,
         )
         curve = FittedCurve(grid=np.array([0.0, 0.5, 1.0]), values=np.array([0.1, 0.2, 0.3]), spec=spec)
-        step = step_from_curve(curve)
-        assert step.m == 3
-        assert step.taus.tolist() == [0.1, 0.2, 0.3]
+        assert step_from_curve(curve) is curve.values
+        assert step_from_curve(curve).tolist() == [0.1, 0.2, 0.3]
 
     def test_value_multiset_preserved(self):
         from locindex import BandwidthEstimate, FitSpec, FittedCurve, LossKind
@@ -158,5 +158,5 @@ class TestStepFromCurve:
         )
         values = np.array([0.3, 0.1, 0.9, 0.1, 0.5])
         curve = FittedCurve(grid=np.linspace(0, 1, 5), values=values, spec=spec)
-        assert sorted(step_from_curve(curve).taus) == sorted(values)
+        assert sorted(step_from_curve(curve)) == sorted(values)
 
