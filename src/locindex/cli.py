@@ -6,8 +6,8 @@ a curve runs each ordered pair through ``association.fit_pair``, jittered
 with the pair's own seed, so a pair gets the same curves and LOC in every
 command.  ``fit`` is ``plot-data`` with both curves and the bandwidths
 reported.  summarize, compare and loc-matrix build their result once and
-print it as a table, csv or json.  ``--m`` must equal ``--grid`` for
-loc-matrix and compare and has no other effect.
+print it as a table, csv or json.  ``--m`` defaults to ``--grid``, must equal
+it for loc-matrix and compare, and has no other effect.
 
 Configuration precedence is flags > config file > built-in defaults; the
 config file is JSON, found via --config or the LOCINDEX_CONFIG environment
@@ -30,6 +30,7 @@ left tied (curves fit tied data exactly).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import math
@@ -37,7 +38,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -70,20 +71,40 @@ from .smoothing import FitSpec, LossKind
 
 CONFIG_ENV = "LOCINDEX_CONFIG"
 
-#: Each setting's built-in default, and the type of its flag, which its value in
-#: a config file must have too
+#: Each command's help, and whether it takes an ordered pair of columns
+_COMMANDS = {
+    "summarize": ("per-column summary statistics and histograms", False),
+    "fit": ("fit mean and median curves for one ordered pair", True),
+    "plot-data": ("write scatter/curve plot data for one pair", True),
+    "loc-matrix": ("LOC over all ordered column pairs", False),
+    "compare": ("classical coefficients and LOC for one pair", True),
+}
+_EVERY = tuple(_COMMANDS)
+
+
+class _Setting(NamedTuple):
+    default: object  # None: unset, or worked out by _default
+    kind: type  # of the flag, and of the setting's value in a config file
+    commands: tuple[str, ...]  # the commands that take the flag
+    help: str
+
+
+#: Each setting, under the key that names its config entry, its flag
+#: (``--`` and the key with dashes) and its ``RunConfig`` field
 _SETTINGS = {
-    "input": (None, str),
-    "loss": (None, str),  # per-command default
-    "grid": (1000, int),
-    "m": (1000, int),
-    "jitter_sd": (1e-5, float),
-    "seed": (0, int),
-    "format": ("table", str),
-    "bins": (10, int),
-    "bandwidth": (None, float),
-    "max_items": (None, str),  # None: load_csv's counts for the paper's three columns
-    "out": (".", str),
+    "input": _Setting(None, str, _EVERY, "CSV file of raw integer marks"),
+    "max_items": _Setting(None, str, _EVERY, "items per score column, in header order "
+                                             "(needed unless the columns are the paper's three)"),
+    "format": _Setting("table", str, _EVERY, "output format: table, csv or json"),
+    "grid": _Setting(1000, int, _EVERY, "curve evaluation grid size"),
+    "m": _Setting(None, int, _EVERY, "step-function piece count; must equal --grid, its default"),
+    "jitter_sd": _Setting(1e-5, float, _EVERY, "tie-breaking noise sd, in [0, 1)"),
+    "seed": _Setting(0, int, _EVERY, "random seed"),
+    "bandwidth": _Setting(None, float, _EVERY, "fixed bandwidth overriding the plug-in selection"),
+    "loss": _Setting(None, str, ("plot-data", "loc-matrix"),
+                     "which fitted curve(s) to use: mean, median or both"),
+    "bins": _Setting(10, int, ("summarize",), "histogram bin count"),
+    "out": _Setting(".", str, ("fit", "plot-data"), "output directory for plot data files"),
 }
 
 _LOSSES = {"mean": LossKind.quadratic(), "median": LossKind.median()}
@@ -98,13 +119,21 @@ class RunConfig:
     input: Path
     max_items: tuple[int, ...] | None
     loss: str
-    grid_size: int
+    grid: int
+    m: int | None  # None: the grid size
     jitter_sd: float
     seed: int
-    fmt: str
+    format: str
     bins: int
     bandwidth: float | None
     out: Path
+
+
+def _default(key: str, command: str):
+    """The built-in value of ``key`` under ``command``; loc-matrix fits the mean curve only."""
+    if key == "loss":
+        return "mean" if command == "loc-matrix" else "both"
+    return _SETTINGS[key].default
 
 
 def _fmt(value: float) -> str:
@@ -135,9 +164,9 @@ def _config_value(key: str, value):
     """A config file's ``value`` for ``key``, of the type of the key's flag.
 
     A float key also takes an integer, ``max_items`` also a list of integers,
-    and a key whose default is null also null; a bool is never a number.
+    and a key whose default is null also null (unset); a bool is never a number.
     """
-    default, kind = _SETTINGS[key]
+    default, kind = _SETTINGS[key][:2]
     if key == "max_items" and type(value) is list and all(type(v) is int for v in value):
         return ",".join(map(str, value))
     if type(value) is kind or value is None and default is None:
@@ -172,31 +201,27 @@ def _too_large_for_an_array(count: int) -> bool:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    settings = {key: default for key, (default, _) in _SETTINGS.items()}
-    for key, value in _load_config_file(getattr(args, "config", None)).items():
-        settings[key] = _config_value(key, value)
-    for key in _SETTINGS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            settings[key] = flag
+    settings = {key: _default(key, args.command) for key in _SETTINGS}
+    config = {key: _config_value(key, value)
+              for key, value in _load_config_file(args.config).items()}
+    for given in (config, vars(args)):  # flags over the config file over the defaults
+        settings.update({key: value for key, value in given.items()
+                         if key in _SETTINGS and value is not None})
     if settings["input"] is None:
         raise CliError("no input file given (use --input or a config file)")
 
-    loss = settings["loss"] or ("mean" if args.command == "loc-matrix" else "both")
-    if loss not in ("mean", "median", "both"):
-        raise CliError(f"unknown loss {loss!r}; expected mean, median or both")
-    if "loss" not in vars(args):  # fit and compare have no --loss: both curves
-        loss = "both"
-    fmt = settings["format"]
-    if fmt not in ("table", "csv", "json"):
-        raise CliError(f"unknown format {fmt!r}; expected table, csv or json")
-    seed = settings["seed"]
-    if seed < 0:
+    if settings["loss"] not in ("mean", "median", "both"):
+        raise CliError(f"unknown loss {settings['loss']!r}; expected mean, median or both")
+    if args.command not in _SETTINGS["loss"].commands:  # these commands use both curves
+        settings["loss"] = "both"
+    if settings["format"] not in ("table", "csv", "json"):
+        raise CliError(f"unknown format {settings['format']!r}; expected table, csv or json")
+    if settings["seed"] < 0:
         raise CliError("--seed must be non-negative")
     grid, m = settings["grid"], settings["m"]
     if grid < 2:
         raise CliError("--grid must be at least 2")
-    if args.command in ("loc-matrix", "compare") and m != grid:
+    if args.command in ("loc-matrix", "compare") and m not in (None, grid):
         raise CliError(
             f"m ({m}) must equal grid size ({grid}); the step "
             "function is a direct transfer of the fitted grid"
@@ -214,18 +239,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if bandwidth is not None and not 0 < bandwidth < math.inf:
         raise CliError("--bandwidth must be finite and positive")
 
-    return RunConfig(
-        input=Path(settings["input"]),
-        max_items=_parse_max_items(settings["max_items"]),
-        loss=loss,
-        grid_size=grid,
-        jitter_sd=jitter_sd,
-        seed=seed,
-        fmt=fmt,
-        bins=bins,
-        bandwidth=bandwidth,
-        out=Path(settings["out"]),
-    )
+    settings.update(input=Path(settings["input"]), out=Path(settings["out"]),
+                    max_items=_parse_max_items(settings["max_items"]))
+    return RunConfig(**settings)
 
 
 def _load_normalized(config: RunConfig) -> NormalizedSample:
@@ -242,7 +258,7 @@ def _specs(config: RunConfig) -> dict[str, FitSpec]:
     fixed = (BandwidthEstimate(value=config.bandwidth, method="fixed")
              if config.bandwidth is not None else None)
     labels = ("mean", "median") if config.loss == "both" else (config.loss,)
-    return {label: FitSpec(loss=_LOSSES[label], bandwidth=fixed, grid_size=config.grid_size)
+    return {label: FitSpec(loss=_LOSSES[label], bandwidth=fixed, grid_size=config.grid)
             for label in labels}
 
 
@@ -288,13 +304,14 @@ def _aligned(rows: list[list[str]]) -> list[str]:
 class Section:
     """A block of table or csv output.
 
-    csv prints ``csv_head`` and then the rows joined by commas; table prints
-    ``head``, the rows laid out by ``layout`` and then ``tail``.
+    csv prints the rows of ``csv_head`` and then ``rows``, quoting a cell as
+    csv does; table prints ``head``, the rows laid out by ``layout`` and then
+    ``tail``.
     """
 
     rows: list[list[str]]
     head: tuple[str, ...] = ()
-    csv_head: tuple[str, ...] = ()
+    csv_head: tuple[list[str], ...] = ()
     tail: tuple[str, ...] = ()
     layout: Callable[[list[list[str]]], list[str]] = _aligned
 
@@ -306,10 +323,9 @@ def _render(fmt: str, payload: dict, sections: list[Section]) -> None:
         return
     for s in sections:
         if fmt == "csv":
-            lines = [*s.csv_head, *(",".join(row) for row in s.rows)]
-        else:
-            lines = [*s.head, *s.layout(s.rows), *s.tail]
-        for line in lines:
+            csv.writer(sys.stdout, lineterminator="\n").writerows([*s.csv_head, *s.rows])
+            continue
+        for line in [*s.head, *s.layout(s.rows), *s.tail]:
             print(line)
 
 
@@ -338,16 +354,15 @@ def cmd_summarize(config: RunConfig) -> int:
         "histograms": hists,
         "n": sample.n,
     }
-    corner = "statistic" if config.fmt == "csv" else "Summary statistics"
+    corner = "statistic" if config.format == "csv" else "Summary statistics"
     rows = [[corner, *names]] + [[label, *(_fmt(getattr(stats[n], attr)) for n in names)]
                                  for label, attr in _SUMMARY_ROWS]
     counts = {name: [str(c) for c in hists[name]] for name in names}
-    _render(config.fmt, payload, [
+    _render(config.format, payload, [
         Section(rows),
         Section([], head=("", f"Histogram counts ({config.bins} bins, n = {sample.n})",
                           *(f"  {name}: " + " ".join(counts[name]) for name in names)),
-                csv_head=tuple(",".join([f"histogram {name}", *counts[name]])
-                               for name in names)),
+                csv_head=tuple([f"histogram {name}", *counts[name]] for name in names)),
     ])
     return 0
 
@@ -380,6 +395,10 @@ def cmd_plot_data(config: RunConfig, x_name: str, y_name: str,
         bw = fit.bandwidth
         blocks = f" blocks={bw.diagnostics.block_count}" if bw.diagnostics else ""
         bandwidths.append(f"bandwidth {label}: {_fmt(bw.value)} method={bw.method}{blocks}")
+    for name in points:  # a column name holding a path separator would leave --out
+        if Path(name).name != name:
+            raise CliError(f"columns {x_name!r} and {y_name!r} make {name!r}, "
+                           "which is not a plain file name")
     try:
         config.out.mkdir(parents=True, exist_ok=True)
         for name, (xs, ys) in points.items():
@@ -417,13 +436,13 @@ def cmd_loc_matrix(config: RunConfig) -> int:
         }
         for label, matrix in matrices.items()
     }
-    _render(config.fmt, payload, [
+    _render(config.format, payload, [
         Section([["X", *block["labels"]]]
                 + [[name, *map(_fmt, row)]
                    for name, row in zip(block["labels"], block["entries_x1000"])],
                 head=(f"LOC matrix, conditional-{label} fit (entries multiplied by 1000)",
                       " " * 12 + "Y"),
-                csv_head=(f"loss,{label}",),
+                csv_head=(["loss", label],),
                 tail=("",))
         for label, block in payload.items()
     ])
@@ -494,10 +513,10 @@ def cmd_compare(config: RunConfig, x_name: str, y_name: str) -> int:
     payload["loc_mean"] = fits["mean"].loc
     payload["loc_median"] = fits["median"].loc
 
-    _render(config.fmt, payload, [Section(
+    _render(config.format, payload, [Section(
         [[label, _cell(payload[key])] for key, label in _COMPARE_ROWS],
         head=(f"pair: {x_name} -> {y_name}",),
-        csv_head=(f"pair,{x_name}->{y_name}",),
+        csv_head=(["pair", f"{x_name}->{y_name}"],),
         layout=lambda rows: [f"{label:<28}{value}" for label, value in rows],
     )])
     return _report_errors(
@@ -510,57 +529,24 @@ def cmd_compare(config: RunConfig, x_name: str, y_name: str) -> int:
 # argument parsing
 
 
-def _add_common(parser: argparse.ArgumentParser, with_loss: bool = True) -> None:
-    parser.add_argument("--input", help="CSV file of raw integer marks")
-    parser.add_argument("--config", help=f"JSON config file (default: ${CONFIG_ENV})")
-    parser.add_argument("--max-items", dest="max_items",
-                        help="items per score column, in header order (default "
-                             "65,45,80 for mathematics,reading,spelling)")
-    parser.add_argument("--format", choices=("table", "csv", "json"),
-                        help="output format (default table)")
-    parser.add_argument("--grid", type=int, help="curve evaluation grid size (default 1000)")
-    parser.add_argument("--m", type=int, help="step-function piece count (default 1000)")
-    parser.add_argument("--jitter-sd", dest="jitter_sd", type=float,
-                        help="tie-breaking noise sd, in [0, 1) (default 1e-5)")
-    parser.add_argument("--seed", type=int, help="random seed (default 0)")
-    parser.add_argument("--bandwidth", type=float,
-                        help="fixed bandwidth overriding the plug-in selection")
-    if with_loss:
-        parser.add_argument("--loss", choices=("mean", "median", "both"),
-                            help="which fitted curve(s) to use")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="locindex",
         description="Lack-of-co-monotonicity (LOC) analysis of paired mark data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("summarize", help="per-column summary statistics and histograms")
-    _add_common(p, with_loss=False)
-    p.add_argument("--bins", type=int, help="histogram bin count (default 10)")
-
-    p = sub.add_parser("fit", help="fit mean and median curves for one ordered pair")
-    _add_common(p, with_loss=False)
-    p.add_argument("x_name")
-    p.add_argument("y_name")
-    p.add_argument("--out", help="output directory for plot data files (default .)")
-
-    p = sub.add_parser("plot-data", help="write scatter/curve plot data for one pair")
-    _add_common(p)
-    p.add_argument("x_name")
-    p.add_argument("y_name")
-    p.add_argument("--out", help="output directory for plot data files (default .)")
-
-    p = sub.add_parser("loc-matrix", help="LOC over all ordered column pairs")
-    _add_common(p)
-
-    p = sub.add_parser("compare", help="classical coefficients and LOC for one pair")
-    _add_common(p, with_loss=False)
-    p.add_argument("x_name")
-    p.add_argument("y_name")
-
+    for command, (text, takes_pair) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if takes_pair:
+            p.add_argument("x_name")
+            p.add_argument("y_name")
+        p.add_argument("--config", help=f"JSON config file (default: ${CONFIG_ENV})")
+        for key, setting in _SETTINGS.items():
+            if command in setting.commands:
+                default = _default(key, command)
+                shown = "" if default is None else f" (default {default})"
+                p.add_argument("--" + key.replace("_", "-"), type=setting.kind,
+                               help=setting.help + shown)
     return parser
 
 

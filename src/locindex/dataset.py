@@ -142,13 +142,17 @@ def load_csv(path: str | Path, max_items: Sequence[int] | None = None) -> RawSco
     in [1, 2**63 - 1] because counts are stored as int64; it defaults to
     ``DEFAULT_MAX_ITEMS`` only when the columns are exactly the paper's three,
     in any order.  Cells must be integers in ``[0, max_items]``, and a row
-    may not have more cells than the header has columns.  Errors name the
-    offending row (1-based, counting data rows) and column.  A UTF-8 byte
-    order mark at the start of the file is skipped.
+    may not have more cells than the header has columns, nor the header a
+    column with an empty or blank name.  Errors name the offending row
+    (1-based, counting data rows) and column.  A UTF-8 byte order mark at the
+    start of the file is skipped.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
+        for position, name in enumerate(reader.fieldnames or (), start=1):
+            if not name.strip():
+                raise ParseError(f"{path}: header column {position} has no name")
         names = tuple(c for c in reader.fieldnames or () if c != ID_COLUMN)
         caps = _max_items(path, names, max_items)
         rows = []

@@ -5,6 +5,7 @@ Regenerate golden files with ``PYTHONPATH=src python tests/test_cli.py
 ``CASES`` or of ``JSON_CASES``.
 """
 
+import csv
 import json
 import math
 import os
@@ -133,14 +134,24 @@ def test_unknown_subcommand_exits_with_status_2(capsys):
     (["summarize", "--max-items", f"{10 ** 400},45,80"], "column 'mathematics': max_items"),
     (["summarize", "--max-items", "65,0,80"], "column 'reading': max_items"),
     (["fit", "mathematics", "reading", "--grid", "1"], "--grid"),
-    (["loc-matrix", "--grid", "50"], "must equal grid size"),
+    (["loc-matrix", "--grid", "50", "--m", "40"], "must equal grid size"),
     (["summarize", "--bins", "0"], "--bins"),
+    (["summarize", "--format", "xml"], "unknown format 'xml'; expected table, csv or json"),
+    (["loc-matrix", "--loss", "all"], "unknown loss 'all'; expected mean, median or both"),
 ])
 def test_invalid_settings_exit_with_status_2(marks_csv, capsys, argv, message):
     assert main([*argv, "--input", str(marks_csv)]) == 2
     err = capsys.readouterr().err
     assert message in err
     assert "Traceback" not in err
+
+
+def test_m_defaults_to_the_grid_size(capsys):
+    argv = ["loc-matrix", "--input", str(FIXTURE), "--grid", "20", "--format", "json"]
+    assert main(argv) == 0
+    omitted = capsys.readouterr().out
+    assert main([*argv, "--m", "20"]) == 0
+    assert capsys.readouterr().out == omitted
 
 
 def test_compare_names_a_jitter_that_left_ties(marks_csv, capsys):
@@ -345,6 +356,46 @@ def test_other_columns_need_one_max_items_value_each(tmp_path, capsys, max_items
     path = _algebra_geometry_csv(tmp_path)
     assert main(["summarize", "--input", str(path), *max_items]) == 2
     assert "algebra, geometry" in capsys.readouterr().err
+
+
+def test_a_header_column_without_a_name_exits_with_status_2(tmp_path, capsys):
+    # the fixture with a trailing comma on every line
+    path = tmp_path / "trailing.csv"
+    path.write_text("".join(f"{line},\n" for line in FIXTURE.read_text(encoding="utf-8")
+                            .splitlines()), encoding="utf-8")
+    assert main(["summarize", "--input", str(path)]) == 2
+    assert "header column 5 has no name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["fit", "plot-data"])
+def test_plot_data_files_stay_under_out(tmp_path, capsys, command):
+    path = tmp_path / "marks.csv"
+    lines = _algebra_geometry_csv(tmp_path).read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(["student_id,../up,geometry", *lines[1:]]) + "\n",
+                    encoding="utf-8")
+    code = main([command, "../up", "geometry", "--input", str(path), "--max-items", "50,40",
+                 "--grid", "20", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "columns '../up' and 'geometry'" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*.dat")) == []
+
+
+@pytest.mark.parametrize("argv, widths, named_row", [
+    (["summarize", "--bins", "2"], [3] * 10, ["statistic", "math, algebra", "geometry"]),
+    (["compare", "math, algebra", "geometry"], [2] * 10, ["pair", "math, algebra->geometry"]),
+    (["loc-matrix"], [2, 3, 3, 3], ["X", "math, algebra", "geometry"]),
+])
+def test_csv_output_quotes_a_column_name_holding_a_comma(tmp_path, capsys, argv, widths,
+                                                         named_row):
+    path = _algebra_geometry_csv(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(['student_id,"math, algebra",geometry', *lines[1:]]) + "\n",
+                    encoding="utf-8")
+    assert main([*argv, "--input", str(path), "--max-items", "50,40", "--grid", "20",
+                 "--format", "csv"]) == 0
+    rows = list(csv.reader(StringIO(capsys.readouterr().out)))
+    assert [len(row) for row in rows] == widths
+    assert named_row in rows
 
 
 def test_default_columns_in_another_order_keep_their_max_items(tmp_path, capsys):

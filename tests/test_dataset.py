@@ -90,6 +90,8 @@ class TestLoadCsv:
         ("student_id,reading,reading,spelling", None,
          "column[(]s[)] reading appear more than once"),
         ("student_id", None, "no score columns in the header$"),
+        ("student_id,algebra,,geometry", (10, 10, 10), "header column 3 has no name$"),
+        ("student_id,algebra,geometry, ", (10, 10, 10), "header column 4 has no name$"),
         ("", None, "no score columns in the header$"),
     ])
     def test_header_and_max_items_are_checked(self, tmp_path, header, max_items, message):

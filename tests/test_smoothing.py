@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from locindex import (
     BandwidthEstimate,
     FitSpec,
+    FittedCurve,
     LossKind,
     PairedSample,
     SmoothingError,
@@ -567,3 +568,24 @@ class TestMedianInLockStep:
             _, message = assert_raises_local_fits_first_error(
                 sample, LossKind.median(), BandwidthEstimate(value=1e199, method="fixed"), 20)
         assert message == "check-loss objective overflows"
+
+
+def _curve(grid, values, grid_size):
+    return FittedCurve(grid=grid, values=values,
+                       spec=FitSpec(loss=LossKind.quadratic(), grid_size=grid_size))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: LossKind(kind="quadratic", tau=0.5), "^quadratic loss takes no tau$"),
+    (lambda: LossKind(kind="quantile"), r"^quantile loss needs tau in \(0, 1\)$"),
+    (lambda: LossKind(kind="quantile", tau=1.0), r"^quantile loss needs tau in \(0, 1\)$"),
+    (lambda: LossKind(kind="huber"), "^unknown loss kind 'huber'$"),
+    (lambda: FitSpec(loss=LossKind.median(), grid_size=1), "^grid_size must be >= 2$"),
+    (lambda: _curve([0, 1], [0], 2), "^grid and values must be 1-d and of equal length$"),
+    (lambda: _curve([[0, 1]], [[0, 1]], 2), "^grid and values must be 1-d and of equal length$"),
+    (lambda: _curve([0, 1, 2], [0, 0, 0], 2), "^grid length must equal spec.grid_size$"),
+    (lambda: _curve([0, 1, 1], [0, 0, 0], 3), "^grid must be strictly increasing$"),
+])
+def test_constructors_reject_inconsistent_fields(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
