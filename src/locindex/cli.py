@@ -6,17 +6,19 @@ a curve runs each ordered pair through ``association.fit_pair``, jittered
 with the pair's own seed, so a pair gets the same curves and LOC in every
 command.  ``fit`` is ``plot-data`` with both curves and the bandwidths
 reported.  summarize, compare and loc-matrix build their result once and
-print it as a table, csv or json.  ``--m`` defaults to ``--grid``, must equal
-it for loc-matrix and compare, and has no other effect.
+print it as a table, csv or json.  A plug-in bandwidth that falls back
+prints one ``warning: ...`` line on stderr per fit, with the reason.
 
-Configuration precedence is flags > config file > built-in defaults; the
-config file is JSON, found via --config or the LOCINDEX_CONFIG environment
-variable.  Numeric output uses 6 decimal places in table mode, and LOC
-matrices are presented multiplied by 1000 (table/csv modes only; JSON carries
-both the unscaled and the scaled entries).
-
-A plug-in bandwidth that falls back prints one ``warning: ...`` line on
-stderr per fit, with the reason.
+A command takes only the settings it reads: every command --input and
+--max-items; the four that fit curves --grid, --jitter-sd, --seed and
+--bandwidth; summarize, loc-matrix and compare --format; loc-matrix and
+compare --m (it must equal --grid, its default, and does nothing else);
+plot-data and loc-matrix --loss; summarize --bins; fit and plot-data --out.
+Flags override a JSON config file (--config or $LOCINDEX_CONFIG), which
+overrides built-in defaults.  The file's keys and value types are checked for
+every command, but a command uses and range-checks only its own settings.
+Numeric output has 6 decimal places in table mode, and LOC matrices are shown
+multiplied by 1000 (table/csv only; JSON carries the unscaled entries too).
 
 Exit status: 0 on success, 1 when some ordered pairs or curves failed, or
 compare's coefficients are undefined for a constant column, but others were
@@ -24,7 +26,7 @@ produced, 2 on input errors, among them a config value not of its flag's type,
 a ``--jitter-sd`` outside [0, 1), a ``--grid`` or ``--bins`` too large for an
 array, an input, config or ``--out`` path that cannot be read or written, an
 input that ``load_csv`` rejects, and compare's ranks on data that the jitter
-left tied (curves fit tied data exactly).
+left tied (curves fit tied data exactly), and 141 when stdout is closed early.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ _COMMANDS = {
     "loc-matrix": ("LOC over all ordered column pairs", False),
     "compare": ("classical coefficients and LOC for one pair", True),
 }
-_EVERY = tuple(_COMMANDS)
+_FITS = ("fit", "plot-data", "loc-matrix", "compare")
 
 
 class _Setting(NamedTuple):
@@ -92,15 +94,17 @@ class _Setting(NamedTuple):
 #: Each setting, under the key that names its config entry, its flag
 #: (``--`` and the key with dashes) and its ``RunConfig`` field
 _SETTINGS = {
-    "input": _Setting(None, str, _EVERY, "CSV file of raw integer marks"),
-    "max_items": _Setting(None, str, _EVERY, "items per score column, in header order "
-                                             "(needed unless the columns are the paper's three)"),
-    "format": _Setting("table", str, _EVERY, "output format: table, csv or json"),
-    "grid": _Setting(1000, int, _EVERY, "curve evaluation grid size"),
-    "m": _Setting(None, int, _EVERY, "step-function piece count; must equal --grid, its default"),
-    "jitter_sd": _Setting(1e-5, float, _EVERY, "tie-breaking noise sd, in [0, 1)"),
-    "seed": _Setting(0, int, _EVERY, "random seed"),
-    "bandwidth": _Setting(None, float, _EVERY, "fixed bandwidth overriding the plug-in selection"),
+    "input": _Setting(None, str, tuple(_COMMANDS), "CSV file of raw integer marks"),
+    "max_items": _Setting(None, str, tuple(_COMMANDS), "items per score column, in header "
+                          "order (needed unless the columns are the paper's three)"),
+    "format": _Setting("table", str, ("summarize", "loc-matrix", "compare"),
+                       "output format: table, csv or json"),
+    "grid": _Setting(1000, int, _FITS, "curve evaluation grid size"),
+    "m": _Setting(None, int, ("loc-matrix", "compare"),
+                  "step-function piece count; must equal --grid, its default"),
+    "jitter_sd": _Setting(1e-5, float, _FITS, "tie-breaking noise sd, in [0, 1)"),
+    "seed": _Setting(0, int, _FITS, "random seed"),
+    "bandwidth": _Setting(None, float, _FITS, "fixed bandwidth overriding the plug-in selection"),
     "loss": _Setting(None, str, ("plot-data", "loc-matrix"),
                      "which fitted curve(s) to use: mean, median or both"),
     "bins": _Setting(10, int, ("summarize",), "histogram bin count"),
@@ -204,16 +208,14 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     settings = {key: _default(key, args.command) for key in _SETTINGS}
     config = {key: _config_value(key, value)
               for key, value in _load_config_file(args.config).items()}
+    takes = [key for key, setting in _SETTINGS.items() if args.command in setting.commands]
     for given in (config, vars(args)):  # flags over the config file over the defaults
-        settings.update({key: value for key, value in given.items()
-                         if key in _SETTINGS and value is not None})
+        settings.update({key: given[key] for key in takes if given.get(key) is not None})
     if settings["input"] is None:
         raise CliError("no input file given (use --input or a config file)")
 
     if settings["loss"] not in ("mean", "median", "both"):
         raise CliError(f"unknown loss {settings['loss']!r}; expected mean, median or both")
-    if args.command not in _SETTINGS["loss"].commands:  # these commands use both curves
-        settings["loss"] = "both"
     if settings["format"] not in ("table", "csv", "json"):
         raise CliError(f"unknown format {settings['format']!r}; expected table, csv or json")
     if settings["seed"] < 0:
@@ -221,11 +223,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     grid, m = settings["grid"], settings["m"]
     if grid < 2:
         raise CliError("--grid must be at least 2")
-    if args.command in ("loc-matrix", "compare") and m not in (None, grid):
-        raise CliError(
-            f"m ({m}) must equal grid size ({grid}); the step "
-            "function is a direct transfer of the fitted grid"
-        )
+    if m not in (None, grid):
+        raise CliError(f"m ({m}) must equal grid size ({grid}); the step "
+                       "function is a direct transfer of the fitted grid")
     jitter_sd = settings["jitter_sd"]
     if not 0 <= jitter_sd < 1:  # noise of sd 1 would swamp marks on [0, 1]
         raise CliError(f"--jitter-sd must be finite and in [0, 1), got {jitter_sd!r}")
@@ -536,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, takes_pair) in _COMMANDS.items():
-        p = sub.add_parser(command, help=text)
+        p = sub.add_parser(command, help=text, allow_abbrev=False)  # --m is not --max-items
         if takes_pair:
             p.add_argument("x_name")
             p.add_argument("y_name")
@@ -561,16 +561,24 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _build_config(args)
         if args.command == "summarize":
-            return cmd_summarize(config)
-        if args.command == "loc-matrix":
-            return cmd_loc_matrix(config)
-        if args.command == "compare":
-            return cmd_compare(config, args.x_name, args.y_name)
-        return cmd_plot_data(config, args.x_name, args.y_name,
-                             report_bandwidth=args.command == "fit")
+            code = cmd_summarize(config)
+        elif args.command == "loc-matrix":
+            code = cmd_loc_matrix(config)
+        elif args.command == "compare":
+            code = cmd_compare(config, args.x_name, args.y_name)
+        else:
+            code = cmd_plot_data(config, args.x_name, args.y_name,
+                                 report_bandwidth=args.command == "fit")
+        sys.stdout.flush()  # a closed stdout fails here, not in Python's flush at exit
+        return code
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        devnull = os.open(os.devnull, os.O_WRONLY)  # for what is left to flush at exit
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, the status a shell shows for a writer killed by it
     finally:
         logger.removeHandler(to_stderr)
 

@@ -26,7 +26,8 @@ from locindex.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 FIXTURE = Path(__file__).resolve().parent.parent / "data" / "synthetic_marks.csv"
 
-# case name -> argv after "--input FIXTURE --seed 0"; fit and plot-data also get --out
+# case name -> argv before "--input FIXTURE"; the commands that fit curves also
+# get "--seed 0", and fit and plot-data "--out"
 CASES = {
     "summarize_table": ["summarize"],
     "summarize_csv": ["summarize", "--format", "csv"],
@@ -47,7 +48,9 @@ JSON_CASES = {"loc_matrix_mean": "mean", "loc_matrix_median": "median"}
 
 def run_case(name: str, out_dir: Path) -> str:
     """Exit status, stdout, stderr and every written file of one case, as text."""
-    argv = [*CASES[name], "--input", str(FIXTURE), "--seed", "0"]
+    argv = [*CASES[name], "--input", str(FIXTURE)]
+    if argv[0] != "summarize":
+        argv += ["--seed", "0"]
     if argv[0] in ("fit", "plot-data"):
         argv += ["--out", str(out_dir)]
     out, err = StringIO(), StringIO()
@@ -115,6 +118,18 @@ def test_unknown_subcommand_exits_with_status_2(capsys):
         main(["no-such-command"])
     assert info.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["summarize", "--grid", "5"],  # summarize fits no curve
+    ["fit", "mathematics", "reading", "--format", "json"],  # fit prints no table
+    ["plot-data", "mathematics", "reading", "--m", "50"],  # and not --max-items by prefix
+])
+def test_a_flag_the_command_does_not_read_exits_with_status_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--input", str(FIXTURE)])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -187,26 +202,84 @@ def test_the_module_entry_point_runs_a_jitter_that_leaves_ties():
     assert result.stdout.startswith("LOC matrix, conditional-mean fit")
 
 
-@pytest.mark.parametrize("setting, message", [
-    ({"seed": "abc"}, "config key 'seed': expected int"),
-    ({"grid": "x"}, "config key 'grid': expected int"),
-    ({"bins": 2.7}, "config key 'bins': expected int"),
-    ({"seed": True}, "config key 'seed': expected int"),
-    ({"jitter_sd": None}, "config key 'jitter_sd': expected float"),
-    ({"jitter_sd": "1e-5"}, "config key 'jitter_sd': expected float"),
-    ({"bandwidth": 10 ** 400}, "config key 'bandwidth': expected float"),
-    ({"max_items": ["a", 2, 3]}, "config key 'max_items': expected str or a list of int"),
-    ({"max_items": [65.5, 45, 80]}, "config key 'max_items': expected str or a list of int"),
-    ({"format": 3}, "config key 'format': expected str"),
-    ({"jitter_sd": float("nan")}, "--jitter-sd must be finite"),
-    ({"bandwidth": float("inf")}, "--bandwidth must be finite"),
+@pytest.mark.parametrize("unbuffered", ["1", None])
+@pytest.mark.parametrize("argv", [
+    ["summarize", "--format", "csv"],
+    ["fit", "mathematics", "reading", "--grid", "20"],
+    ["plot-data", "mathematics", "reading", "--grid", "20"],
+    ["loc-matrix", "--grid", "20"],
+    ["compare", "mathematics", "reading", "--grid", "20"],
 ])
-def test_config_values_of_the_wrong_type_exit_with_status_2(tmp_path, capsys, setting,
-                                                            message):
+def test_a_reader_that_closed_stdout_ends_the_run_with_status_141(tmp_path, argv, unbuffered):
+    # stdout is a pipe whose read end is closed before the run, so the first
+    # write fails: at the print when stdout is unbuffered, else at a flush
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(src)
+    if unbuffered is not None:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    if argv[0] in ("fit", "plot-data"):
+        argv = [*argv, "--out", str(tmp_path)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "locindex.cli", *argv,
+                                 "--input", str(FIXTURE)],
+                                stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    # compare's note that it jittered the fixture's ties is all stderr may hold
+    assert [line for line in result.stderr.splitlines()
+            if not line.startswith("note: ties present")] == []
+
+
+# the types of every key are checked under every command, summarize too; a
+# value's range only under a command that takes the setting (exit 2 before any fit)
+@pytest.mark.parametrize("command, setting, message", [
+    ("summarize", {"seed": "abc"}, "config key 'seed': expected int"),
+    ("summarize", {"grid": "x"}, "config key 'grid': expected int"),
+    ("summarize", {"bins": 2.7}, "config key 'bins': expected int"),
+    ("summarize", {"seed": True}, "config key 'seed': expected int"),
+    ("summarize", {"jitter_sd": None}, "config key 'jitter_sd': expected float"),
+    ("summarize", {"jitter_sd": "1e-5"}, "config key 'jitter_sd': expected float"),
+    ("summarize", {"bandwidth": 10 ** 400}, "config key 'bandwidth': expected float"),
+    ("summarize", {"max_items": ["a", 2, 3]},
+     "config key 'max_items': expected str or a list of int"),
+    ("summarize", {"max_items": [65.5, 45, 80]},
+     "config key 'max_items': expected str or a list of int"),
+    ("summarize", {"format": 3}, "config key 'format': expected str"),
+    ("loc-matrix", {"jitter_sd": float("nan")}, "--jitter-sd must be finite"),
+    ("loc-matrix", {"bandwidth": float("inf")}, "--bandwidth must be finite"),
+])
+def test_config_values_of_the_wrong_type_exit_with_status_2(tmp_path, capsys, command,
+                                                            setting, message):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"input": str(FIXTURE), **setting}), encoding="utf-8")
-    assert main(["summarize", "--config", str(config)]) == 2
+    assert main([command, "--config", str(config)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_a_config_setting_the_command_does_not_read_is_not_range_checked(tmp_path, capsys):
+    assert main(["summarize", "--input", str(FIXTURE)]) == 0
+    without = capsys.readouterr().out
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"grid": 1, "m": 3, "loss": "all"}), encoding="utf-8")
+    assert main(["summarize", "--input", str(FIXTURE), "--config", str(config)]) == 0
+    assert capsys.readouterr().out == without
+
+
+def test_compare_prints_both_locs_whatever_loss_the_config_gives(tmp_path, capsys):
+    argv = ["compare", "mathematics", "reading", "--input", str(FIXTURE), "--grid", "20",
+            "--format", "json"]
+    assert main(argv) == 0
+    without = json.loads(capsys.readouterr().out)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"loss": "median"}), encoding="utf-8")
+    assert main([*argv, "--config", str(config)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert result == without
+    assert math.isfinite(result["loc_mean"]) and math.isfinite(result["loc_median"])
 
 
 @pytest.mark.parametrize("text", [
@@ -382,8 +455,9 @@ def test_plot_data_files_stay_under_out(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("argv, widths, named_row", [
     (["summarize", "--bins", "2"], [3] * 10, ["statistic", "math, algebra", "geometry"]),
-    (["compare", "math, algebra", "geometry"], [2] * 10, ["pair", "math, algebra->geometry"]),
-    (["loc-matrix"], [2, 3, 3, 3], ["X", "math, algebra", "geometry"]),
+    (["compare", "math, algebra", "geometry", "--grid", "20"], [2] * 10,
+     ["pair", "math, algebra->geometry"]),
+    (["loc-matrix", "--grid", "20"], [2, 3, 3, 3], ["X", "math, algebra", "geometry"]),
 ])
 def test_csv_output_quotes_a_column_name_holding_a_comma(tmp_path, capsys, argv, widths,
                                                          named_row):
@@ -391,8 +465,7 @@ def test_csv_output_quotes_a_column_name_holding_a_comma(tmp_path, capsys, argv,
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join(['student_id,"math, algebra",geometry', *lines[1:]]) + "\n",
                     encoding="utf-8")
-    assert main([*argv, "--input", str(path), "--max-items", "50,40", "--grid", "20",
-                 "--format", "csv"]) == 0
+    assert main([*argv, "--input", str(path), "--max-items", "50,40", "--format", "csv"]) == 0
     rows = list(csv.reader(StringIO(capsys.readouterr().out)))
     assert [len(row) for row in rows] == widths
     assert named_row in rows
@@ -461,7 +534,10 @@ def _marks(draw, n: int, cap: int) -> list[int]:
 
 @st.composite
 def _cli_cases(draw) -> tuple[str, list[str]]:
-    """A CSV's text and the argv of one command on it, without --input."""
+    """A CSV's text and the argv of one command on it, without --input.
+
+    Each command gets only the flags it takes, so argparse rejects no argv.
+    """
     k, n = draw(st.integers(1, 3)), draw(st.integers(2, 60))
     names = [f"s{j}" for j in range(k)]
     caps = draw(st.lists(st.integers(1, 100), min_size=k, max_size=k))
@@ -474,14 +550,16 @@ def _cli_cases(draw) -> tuple[str, list[str]]:
     argv = [command]
     if command in ("fit", "plot-data", "compare"):
         argv += [draw(st.sampled_from(names)), draw(st.sampled_from(names))]
-    argv += ["--max-items", ",".join(map(str, caps)),
-             "--format", draw(st.sampled_from(["table", "csv", "json"])),
-             "--seed", str(draw(st.integers(0, 2**32)))]
+    argv += ["--max-items", ",".join(map(str, caps))]
+    if command in ("summarize", "loc-matrix", "compare"):
+        argv += ["--format", draw(st.sampled_from(["table", "csv", "json"]))]
     if command == "summarize":
         return text, [*argv, "--bins", str(draw(st.integers(1, 1000)))]
     grid = str(draw(st.integers(2, 60)))
-    argv += ["--grid", grid, "--m", grid, "--jitter-sd",
+    argv += ["--seed", str(draw(st.integers(0, 2**32))), "--grid", grid, "--jitter-sd",
              draw(st.sampled_from(["0", "1e-320", "1e-5", "0.5", "0.999", "1", "1e300"]))]
+    if command in ("loc-matrix", "compare"):
+        argv += ["--m", grid]
     bandwidth = draw(st.sampled_from([None, "1e-300", "1e-3", "0.1", "10", "1e300"]))
     if bandwidth is not None:
         argv += ["--bandwidth", bandwidth]
@@ -533,11 +611,7 @@ def test_every_input_ends_in_an_exit_status_without_a_traceback(case):
             argv += ["--out", tmp]
         err = StringIO()
         with redirect_stdout(StringIO()), redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse's usage error, and nothing else
-                assert exc.code == 2
-                code = 2
+            code = main(argv)
     assert code in (0, 1, 2)
     err = err.getvalue()
     assert "Traceback" not in err
