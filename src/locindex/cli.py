@@ -17,6 +17,9 @@ plot-data and loc-matrix --loss; summarize --bins; fit and plot-data --out.
 Flags override a JSON config file (--config or $LOCINDEX_CONFIG), which
 overrides built-in defaults.  The file's keys and value types are checked for
 every command, but a command uses and range-checks only its own settings.
+A command receives one namespace: its parsed arguments and every setting,
+checked.  A flag the command does not take is reported by the command's parser,
+with its usage.
 Numeric output has 6 decimal places in table mode, and LOC matrices are shown
 multiplied by 1000 (table/csv only; JSON carries the unscaled entries too).
 
@@ -92,7 +95,7 @@ class _Setting(NamedTuple):
 
 
 #: Each setting, under the key that names its config entry, its flag
-#: (``--`` and the key with dashes) and its ``RunConfig`` field
+#: (``--`` and the key with dashes) and its attribute of a command's namespace
 _SETTINGS = {
     "input": _Setting(None, str, tuple(_COMMANDS), "CSV file of raw integer marks"),
     "max_items": _Setting(None, str, tuple(_COMMANDS), "items per score column, in header "
@@ -116,21 +119,6 @@ _LOSSES = {"mean": LossKind.quadratic(), "median": LossKind.median()}
 
 class CliError(Exception):
     """Input or configuration error; maps to exit status 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    input: Path
-    max_items: tuple[int, ...] | None
-    loss: str
-    grid: int
-    m: int | None  # None: the grid size
-    jitter_sd: float
-    seed: int
-    format: str
-    bins: int
-    bandwidth: float | None
-    out: Path
 
 
 def _default(key: str, command: str):
@@ -204,7 +192,8 @@ def _too_large_for_an_array(count: int) -> bool:
     return count > memory // 8
 
 
-def _build_config(args: argparse.Namespace) -> RunConfig:
+def _build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """``args`` and, under its key, each setting of ``_SETTINGS``, merged and checked."""
     settings = {key: _default(key, args.command) for key in _SETTINGS}
     config = {key: _config_value(key, value)
               for key, value in _load_config_file(args.config).items()}
@@ -241,10 +230,10 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
     settings.update(input=Path(settings["input"]), out=Path(settings["out"]),
                     max_items=_parse_max_items(settings["max_items"]))
-    return RunConfig(**settings)
+    return argparse.Namespace(**vars(args) | settings)
 
 
-def _load_normalized(config: RunConfig) -> NormalizedSample:
+def _load_normalized(config: argparse.Namespace) -> NormalizedSample:
     try:
         return normalize(load_csv(config.input, config.max_items))
     except OSError as exc:
@@ -253,7 +242,7 @@ def _load_normalized(config: RunConfig) -> NormalizedSample:
         raise CliError(str(exc)) from None
 
 
-def _specs(config: RunConfig) -> dict[str, FitSpec]:
+def _specs(config: argparse.Namespace) -> dict[str, FitSpec]:
     """Fit spec of each curve the command uses; no bandwidth means plug-in."""
     fixed = (BandwidthEstimate(value=config.bandwidth, method="fixed")
              if config.bandwidth is not None else None)
@@ -262,8 +251,7 @@ def _specs(config: RunConfig) -> dict[str, FitSpec]:
             for label in labels}
 
 
-def _fit_named_pair(config: RunConfig, x_name: str,
-                    y_name: str) -> tuple[PairedSample, dict[str, PairFit]]:
+def _fit_named_pair(config: argparse.Namespace) -> tuple[PairedSample, dict[str, PairFit]]:
     """The raw pair (x_name, y_name) and its fit for each curve.
 
     The pair is jittered with its own seed, as in loc-matrix, so each
@@ -271,11 +259,11 @@ def _fit_named_pair(config: RunConfig, x_name: str,
     """
     sample = _load_normalized(config)
     try:
-        pr = pair(sample, x_name, y_name)
+        pr = pair(sample, config.x_name, config.y_name)
     except ValueError as exc:
         raise CliError(str(exc)) from None
     names = sample.column_names
-    seed = pair_seed(config.seed, names.index(x_name), names.index(y_name))
+    seed = pair_seed(config.seed, names.index(config.x_name), names.index(config.y_name))
     return pr, {label: fit_pair(pr, spec, config.jitter_sd, seed)
                 for label, spec in _specs(config).items()}
 
@@ -343,7 +331,7 @@ _SUMMARY_ROWS = (
 )
 
 
-def cmd_summarize(config: RunConfig) -> int:
+def cmd_summarize(config: argparse.Namespace) -> int:
     sample = _load_normalized(config)
     names = sample.column_names
     stats = {name: summarize(sample.columns[name]) for name in names}
@@ -377,13 +365,13 @@ def _write_points(path: Path, xs, ys) -> None:
             fh.write(f"{xv:.6f} {yv:.6f}\n")
 
 
-def cmd_plot_data(config: RunConfig, x_name: str, y_name: str,
-                  report_bandwidth: bool = False) -> int:
+def cmd_plot_data(config: argparse.Namespace) -> int:
     """Write the raw scatter and each fitted curve of one pair as plot data.
 
-    ``fit`` is this command with both curves and ``report_bandwidth``.
+    ``fit`` is this command with both curves and the bandwidths reported.
     """
-    pr, fits = _fit_named_pair(config, x_name, y_name)
+    x_name, y_name = config.x_name, config.y_name
+    pr, fits = _fit_named_pair(config)
     points = {f"{x_name}_{y_name}_scatter.dat": (pr.x, pr.y)}
     bandwidths = []
     for label, fit in fits.items():
@@ -407,7 +395,7 @@ def cmd_plot_data(config: RunConfig, x_name: str, y_name: str,
         raise CliError(f"cannot write to --out {config.out}: {exc.strerror or exc}") from None
     for name in points:
         print(f"wrote {config.out / name}")
-    for line in bandwidths if report_bandwidth else ():
+    for line in bandwidths if config.command == "fit" else ():
         print(line)
     return _report_errors([f"{label} curve failed: {fit.error}"
                            for label, fit in fits.items() if fit.error is not None])
@@ -417,7 +405,7 @@ def cmd_plot_data(config: RunConfig, x_name: str, y_name: str,
 # loc-matrix
 
 
-def cmd_loc_matrix(config: RunConfig) -> int:
+def cmd_loc_matrix(config: argparse.Namespace) -> int:
     sample = _load_normalized(config)
     try:
         matrices = {label: loc_matrix(sample, spec, jitter_sd=config.jitter_sd,
@@ -478,8 +466,9 @@ def _cell(value: float | bool | None) -> str:
     return _fmt(value)
 
 
-def cmd_compare(config: RunConfig, x_name: str, y_name: str) -> int:
-    pr, fits = _fit_named_pair(config, x_name, y_name)
+def cmd_compare(config: argparse.Namespace) -> int:
+    x_name, y_name = config.x_name, config.y_name
+    pr, fits = _fit_named_pair(config)
     jittered = fits["mean"].sample
     had_ties = (len(np.unique(pr.x)) < pr.n) or (len(np.unique(pr.y)) < pr.n)
     if had_ties and config.jitter_sd > 0:
@@ -550,8 +539,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The handler of each command; fit is plot-data that also reports its bandwidths
+_HANDLERS = {"summarize": cmd_summarize, "fit": cmd_plot_data, "plot-data": cmd_plot_data,
+             "loc-matrix": cmd_loc_matrix, "compare": cmd_compare}
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # reported by the command's parser, whose usage shows the flags it takes
+        commands = next(action for action in parser._actions if action.dest == "command")
+        commands.choices[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     # the program's warnings (a plug-in bandwidth that falls back, once per
     # fit) go to stderr as "warning: ..." lines while the command runs
     to_stderr = logging.StreamHandler(sys.stderr)
@@ -559,16 +557,7 @@ def main(argv: list[str] | None = None) -> int:
     logger = logging.getLogger("locindex")
     logger.addHandler(to_stderr)
     try:
-        config = _build_config(args)
-        if args.command == "summarize":
-            code = cmd_summarize(config)
-        elif args.command == "loc-matrix":
-            code = cmd_loc_matrix(config)
-        elif args.command == "compare":
-            code = cmd_compare(config, args.x_name, args.y_name)
-        else:
-            code = cmd_plot_data(config, args.x_name, args.y_name,
-                                 report_bandwidth=args.command == "fit")
+        code = _HANDLERS[args.command](_build_config(args))
         sys.stdout.flush()  # a closed stdout fails here, not in Python's flush at exit
         return code
     except CliError as exc:

@@ -63,9 +63,9 @@ window: the slice of the sorted rows within ``_REACH`` (that distance plus
 1%) of x0, found by binary search [5].  Tie-free x has one sorted order,
 which numpy's default sort gives; only tied x needs a stable sort.  The
 kernel falls away from x0 on both sides, so the weighted rows of a window
-are one contiguous run, and the mean is solved on views of it; the
-check-loss fit of a window of ``_SMALL_WINDOW`` rows or more calls
-``local_linear_fit`` on the window, and smaller windows are solved in lock
+are one contiguous run.  The mean, and the check-loss fit of a window of
+``_SMALL_WINDOW`` rows or more, which calls ``local_linear_fit`` on the
+window, are solved on views of that run; smaller windows are solved in lock
 step (below).  Either way the weighted rows reach the solvers in the order
 of the sorted sample, and ``fit_curve`` is ``local_linear_fit`` on the
 sample stably sorted by x at each grid point, bit for bit.  On tie-free x
@@ -478,13 +478,9 @@ def local_linear_fit(
     """
     if not bandwidth > 0:  # nan too
         raise ValueError("bandwidth must be > 0")
-    w = _kernel_weights(sample.x, x0, bandwidth)
-    rows = np.flatnonzero(w)
-    x = sample.x[rows]
+    x, y, w = _weighted_rows(sample.x, sample.y, x0, bandwidth)
     if not x.size or x.min() == x.max():
         raise _too_few(x0)
-    y = sample.y[rows]
-    w = w[rows]
     if loss.kind == "quadratic":
         return _solve_wls(x - x0, y, w, x0)
 
@@ -501,26 +497,24 @@ def _too_few(x0: float) -> SmoothingError:
     )
 
 
-def _local_mean(x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float) -> float:
-    """Local linear mean at x0 from rows sorted by x: ``local_linear_fit``'s
-    quadratic value on them.
+def _weighted_rows(
+    x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of (x, y) that carry kernel weight at x0, in row order, and
+    their weights.
 
-    The kernel weights fall monotonically away from x0, so the rows with
-    positive weight are one contiguous run; the fit solves on views of it.
-    When rounding breaks the run, its rows are gathered instead.
+    On rows sorted by x the kernel falls away from x0 on both sides, so these
+    rows are one contiguous run, returned as views; rows that are not one
+    run, in any order or where rounding breaks it, are gathered instead.
     """
     w = _kernel_weights(x, x0, bandwidth)
-    positive = w > 0.0
-    first = int(positive.argmax())
-    end = first + int(np.count_nonzero(positive))
-    if positive[first:end].all():
-        x, y, w = x[first:end], y[first:end], w[first:end]
-    else:
-        rows = np.flatnonzero(positive)
-        x, y, w = x[rows], y[rows], w[rows]
-    if not x.size or x[0] == x[-1]:
-        raise _too_few(x0)
-    return _solve_wls(x - x0, y, w, x0)[0]
+    weighted = w != 0.0
+    first = int(weighted.argmax())
+    end = first + int(np.count_nonzero(weighted))
+    if weighted[first:end].all():
+        return x[first:end], y[first:end], w[first:end]
+    rows = np.flatnonzero(weighted)
+    return x[rows], y[rows], w[rows]
 
 
 # the pivot's own slope is 0 / 0, and the start's sums may overflow: neither
@@ -693,7 +687,10 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
             if hi - lo < 2:  # a PairedSample needs two rows, and so does the fit
                 raise _too_few(x0)
             if mean:
-                values[i] = _local_mean(xs[lo:hi], ys[lo:hi], x0, h)
+                x, y, w = _weighted_rows(xs[lo:hi], ys[lo:hi], x0, h)
+                if not x.size or x[0] == x[-1]:  # sorted: x[0] is the least x
+                    raise _too_few(x0)
+                values[i] = _solve_wls(x - x0, y, w, x0)[0]
                 continue
             if (lo, hi) != bounds:
                 bounds, window = (lo, hi), PairedSample(x=xs[lo:hi], y=ys[lo:hi])

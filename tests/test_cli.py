@@ -129,7 +129,11 @@ def test_a_flag_the_command_does_not_read_exits_with_status_2(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main([*argv, "--input", str(FIXTURE)])
     assert info.value.code == 2
-    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+    # the command's usage, which lists the flags it takes, not the command list
+    assert f"usage: locindex {argv[0]} " in err
+    assert "{summarize," not in err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -153,6 +157,11 @@ def test_a_flag_the_command_does_not_read_exits_with_status_2(capsys, argv):
     (["summarize", "--bins", "0"], "--bins"),
     (["summarize", "--format", "xml"], "unknown format 'xml'; expected table, csv or json"),
     (["loc-matrix", "--loss", "all"], "unknown loss 'all'; expected mean, median or both"),
+    (["summarize", "--max-items", "65,x,80"],
+     "--max-items expects comma-separated integers, got '65,x,80'"),
+    (["loc-matrix", "--seed", "-1"], "--seed must be non-negative"),
+    (["compare", "mathematics", "nosuch"], "unknown column 'nosuch'"),
+    (["plot-data", "nosuch", "reading"], "unknown column 'nosuch'"),
 ])
 def test_invalid_settings_exit_with_status_2(marks_csv, capsys, argv, message):
     assert main([*argv, "--input", str(marks_csv)]) == 2
@@ -251,6 +260,7 @@ def test_a_reader_that_closed_stdout_ends_the_run_with_status_141(tmp_path, argv
     ("summarize", {"format": 3}, "config key 'format': expected str"),
     ("loc-matrix", {"jitter_sd": float("nan")}, "--jitter-sd must be finite"),
     ("loc-matrix", {"bandwidth": float("inf")}, "--bandwidth must be finite"),
+    ("summarize", {"grids": 5}, "unknown key(s) grids"),
 ])
 def test_config_values_of_the_wrong_type_exit_with_status_2(tmp_path, capsys, command,
                                                             setting, message):
@@ -282,12 +292,13 @@ def test_compare_prints_both_locs_whatever_loss_the_config_gives(tmp_path, capsy
     assert math.isfinite(result["loc_mean"]) and math.isfinite(result["loc_median"])
 
 
-@pytest.mark.parametrize("text", [
-    '{"grid": ' + "1" * 5000 + "}",  # beyond Python's limit on integer digits
-    '{"grid": 10',
-    b'{"grid": 10}\xff',
+@pytest.mark.parametrize("text, message", [
+    ('{"grid": ' + "1" * 5000 + "}", "invalid JSON"),  # beyond Python's integer digits
+    ('{"grid": 10', "invalid JSON"),
+    (b'{"grid": 10}\xff', "invalid JSON"),
+    ("[1]", "expected a JSON object"),
 ])
-def test_unreadable_config_json_exits_with_status_2(tmp_path, capsys, text):
+def test_unreadable_config_json_exits_with_status_2(tmp_path, capsys, text, message):
     config = tmp_path / "config.json"
     if isinstance(text, bytes):
         config.write_bytes(text)
@@ -295,7 +306,7 @@ def test_unreadable_config_json_exits_with_status_2(tmp_path, capsys, text):
         config.write_text(text, encoding="utf-8")
     assert main(["summarize", "--input", str(FIXTURE), "--config", str(config)]) == 2
     err = capsys.readouterr().err
-    assert f"config file {config}: invalid JSON" in err
+    assert f"config file {config}: {message}" in err
     assert "Traceback" not in err
 
 
@@ -323,8 +334,10 @@ def test_config_with_a_byte_order_mark_is_read(tmp_path, capsys):
      "cannot read config file {dir}"),
     (["plot-data", "mathematics", "reading", "--input", str(FIXTURE), "--grid", "50",
       "--out", "{dir}/taken"], "cannot write to --out {dir}/taken"),
+    (["summarize"], "no input file given (use --input or a config file)"),
 ])
-def test_unusable_paths_exit_with_status_2(tmp_path, capsys, argv, message):
+def test_unusable_paths_exit_with_status_2(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.delenv("LOCINDEX_CONFIG", raising=False)
     (tmp_path / "taken").write_text("", encoding="utf-8")
     argv = [arg.format(dir=tmp_path) for arg in argv]
     assert main(argv) == 2
@@ -438,6 +451,15 @@ def test_a_header_column_without_a_name_exits_with_status_2(tmp_path, capsys):
                             .splitlines()), encoding="utf-8")
     assert main(["summarize", "--input", str(path)]) == 2
     assert "header column 5 has no name" in capsys.readouterr().err
+
+
+def test_loc_matrix_of_one_column_exits_with_status_2(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    path.write_text("student_id,algebra\nS1,3\nS2,5\n", encoding="utf-8")
+    assert main(["loc-matrix", "--input", str(path), "--max-items", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "need at least 2 columns for a LOC matrix" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["fit", "plot-data"])

@@ -63,6 +63,12 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="required for the columns mathematics, reading$"):
             load_csv(path)
 
+    @pytest.mark.parametrize("row, column", [("S1,3,,7", "reading"), ("S1,3,5", "spelling")])
+    def test_an_empty_or_missing_cell_names_its_row_and_column(self, tmp_path, row, column):
+        path = write_csv(tmp_path / "gap.csv", [row])
+        with pytest.raises(ParseError, match=f"row 1: column '{column}': empty cell$"):
+            load_csv(path)
+
     def test_negative_count(self, tmp_path):
         path = write_csv(tmp_path / "neg.csv", ["S1,-3,30,40"])
         with pytest.raises(ParseError, match=r"row 1.*negative"):
@@ -254,6 +260,10 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram(np.array([0.1]), 0)
 
+    def test_empty_column_rejected(self):
+        with pytest.raises(ValueError, match="^cannot histogram an empty column$"):
+            histogram(np.array([]), 3)
+
 
 class TestPair:
     def test_roles_are_ordered(self, marks_sample):
@@ -280,6 +290,11 @@ class TestNormalizedSample:
         with pytest.raises(ValueError, match="^column 'b' has a non-finite value"):
             NormalizedSample(column_names=("a", "b"), columns=columns)
 
+    def test_columns_of_unequal_length_are_rejected(self):
+        columns = {"a": np.array([0.1, 0.3, 0.2]), "b": np.array([0.5, 0.1])}
+        with pytest.raises(ValueError, match="^all columns must have equal length$"):
+            NormalizedSample(column_names=("a", "b"), columns=columns)
+
     def test_value_outside_the_unit_interval_names_its_column(self):
         columns = {"a": np.array([0.1, 0.3, 0.2]), "b": np.array([0.5, 1.5, 0.4])}
         with pytest.raises(ValueError, match="^column 'b' has values outside"):
@@ -295,6 +310,15 @@ class TestPairedSample:
         with pytest.raises(ValueError, match=f"^{coordinate} has a non-finite value"):
             PairedSample(**values)
 
+    @pytest.mark.parametrize("x, y, message", [
+        ([[0.1, 0.2], [0.3, 0.4]], [0.5, 0.6], "^x and y must be 1-d vectors of equal length$"),
+        ([0.1, 0.2, 0.3], [0.5, 0.6], "^x and y must be 1-d vectors of equal length$"),
+        ([0.1], [0.5], "^a paired sample needs at least 2 observations$"),
+    ])
+    def test_inconsistent_shapes_are_rejected(self, x, y, message):
+        with pytest.raises(ValueError, match=message):
+            PairedSample(x=np.array(x), y=np.array(y))
+
     def test_finite_extremes_are_accepted(self):
         big = np.finfo(float).max
         sample = PairedSample(x=np.array([-big, big]), y=np.array([5e-324, 0.0]))
@@ -302,6 +326,13 @@ class TestPairedSample:
 
 
 class TestRawScores:
-    def test_raw_scores_invariants(self):
-        with pytest.raises(ValueError):
-            RawScores(column_names=("a",), rows=np.array([[11]]), max_items=(10,))
+    @pytest.mark.parametrize("names, rows, max_items, message", [
+        (("a",), [[11]], (10,), "^column 'a' has a count above 10$"),
+        (("a",), [3, 4], (10,), r"^rows must be \(n, k\) with k = len\(column_names\)$"),
+        (("a", "b"), [[3], [4]], (10, 10), r"^rows must be \(n, k\)"),
+        (("a", "b"), [[3, 4]], (10,), "^max_items must match column_names$"),
+        (("a", "b"), [[3, -1]], (10, 10), "^raw counts must be non-negative$"),
+    ])
+    def test_raw_scores_invariants(self, names, rows, max_items, message):
+        with pytest.raises(ValueError, match=message):
+            RawScores(column_names=names, rows=np.array(rows), max_items=max_items)

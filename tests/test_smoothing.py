@@ -416,6 +416,17 @@ class TestFitCurve:
         for x0, value in zip(curve.grid, curve.values):
             assert value == local_linear_fit(sample, float(x0), h.value, loss)[0]
 
+    @pytest.mark.parametrize("n, bandwidth, message", [
+        (3, BandwidthEstimate(value=0.5, method="fixed"),
+         "^curve fitting needs at least 4 observations$"),
+        (10, None, "^spec.bandwidth must be set before fitting$"),
+    ])
+    def test_too_few_rows_or_no_bandwidth_raises(self, n, bandwidth, message):
+        sample = PairedSample(x=np.linspace(0.0, 1.0, n), y=np.linspace(0.2, 0.8, n))
+        spec = FitSpec(loss=LossKind.quadratic(), bandwidth=bandwidth, grid_size=20)
+        with pytest.raises(ValueError, match=message):
+            fit_curve(sample, spec)
+
     @pytest.mark.parametrize("loss", LOSSES)
     def test_gap_wider_than_the_window_raises_at_its_first_grid_point(self, loss):
         # grid points inside the gap see one row or none, which a window
@@ -538,6 +549,7 @@ class TestMedianInLockStep:
         for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
             assert value == scalar(reference, x0, h.value, loss)[0]
 
+    @pytest.mark.parametrize("loss", LOSSES)  # the mean's own check of its window too
     @pytest.mark.parametrize("x, grid_size, first", [
         # the last grid point sits on a lone row; the row below it is inside
         # the window (within _REACH) but beyond the weight floor
@@ -548,11 +560,11 @@ class TestMedianInLockStep:
         (np.concatenate([np.linspace(0.0, 1.0, 30), np.linspace(2.47, 3.47, 30)]), 3, 1),
     ])
     def test_window_of_fewer_than_two_weighted_x_raises_local_fits_error(self, x, grid_size,
-                                                                         first):
+                                                                         first, loss):
         h = 0.1  # the rows 7.34 to 7.35 bandwidths away weigh 0
         sample = PairedSample(x=x, y=np.sin(3.0 * x))
         i, message = assert_raises_local_fits_first_error(
-            sample, LossKind.median(), BandwidthEstimate(value=h, method="fixed"), grid_size)
+            sample, loss, BandwidthEstimate(value=h, method="fixed"), grid_size)
         assert i == first
         assert "fewer than 2 distinct" in message
         x0 = np.linspace(x.min(), x.max(), grid_size)[i]
