@@ -68,40 +68,45 @@ are one contiguous run.  The mean, and the check-loss fit of a window of
 window, are solved on views of that run; smaller windows are solved in lock
 step (below).  Either way the weighted rows reach the solvers in the order
 of the sorted sample, and ``fit_curve`` is ``local_linear_fit`` on the
-sample stably sorted by x at each grid point, bit for bit.  On tie-free x
-that sorted sample, and so the curve, does not depend on the order of the
-input rows.  Against ``local_linear_fit`` on the unsorted sample, the mean
-can differ in the last bits, because its sums add the rows in another order,
-and on tied data the check-loss descent can reach another of several optimal
-lines.  On tie-free data the check-loss optimum is unique and the value
-depends on the line only, so there the median curve equals
-``local_linear_fit`` on the unsorted sample too.
+sample stably sorted by x at each grid point, bit for bit, save where tied
+x make several lines optimal.  On tie-free x that sorted sample, and so the
+curve, does not depend on the order of the input rows.  Against
+``local_linear_fit`` on the unsorted sample, the mean can differ in the last
+bits, because its sums add the rows in another order, and on tied data the
+check-loss descent can reach another of several optimal lines.  On tie-free
+data the check-loss optimum is unique and the value depends on the line
+only, so there the median curve equals ``local_linear_fit`` on the unsorted
+sample too.
 
 Lock step.  ``fit_curve`` solves the check loss at all grid points whose
 windows hold fewer than ``_SMALL_WINDOW`` rows together, in blocks of
 ``_BLOCK`` points, instead of calling ``local_linear_fit`` at each; the time
 of such a point goes to numpy call overhead, not arithmetic.  The windows
 are the rows of (points x window) arrays, padded to the widest.  Padding and
-rows below ``WEIGHT_FLOOR`` get weight 0 and the slope +inf, so they sort
-last and are never a partner.  Each step rotates every unfinished point
-about its pivot, taking the weighted quantile of step 1 by a row-wise sort
-of the slopes and their running weight, and takes a line that lowers the
-objective strictly.  The kernel weights, slopes, residuals and on-line test
-are the doubles of the scalar descent.  Equal slopes may sort in another
-order, and the cut and the objective are sums taken in another order, so a
-step could differ only between lines of equal objective to within rounding.
-A point stops when a rotation brings no strict decrease and its best line
-holds no weighted row besides the two that define it: there step 3 has tried
-every point of the line, so the scalar descent stops on it too.  That line
-is optimal; where the optimum is unique, as on tie-free data, it is the line
-the scalar descent reaches from any start, so the start (a row-wise
-least-squares slope and weighted quantile, ``_start`` up to rounding) only
-steers the path, and the value, anchored as in ``local_linear_fit``, is the
-same double.  A point whose best line holds more rows (tied y), whose first
-objective is not finite, whose window holds fewer than two weighted rows or
-whose slopes could overflow, a window with a tied x among them, is finished
-by ``local_linear_fit`` on its window.  That is the one rule for tied data:
-its other windows are tie-free and take the lock step like any other.
+rows below ``WEIGHT_FLOOR`` get weight 0, and rows of c = 0 the slope +inf,
+so they sort last and are never a partner.  Each step rotates every
+unfinished point about its pivot, taking the weighted quantile of step 1 by
+a row-wise sort of the slopes and their running weight, and takes a line
+that lowers the objective strictly.  The kernel weights, slopes, residuals
+and on-line test are the doubles of the scalar descent.  Equal slopes may
+sort in another order, and the cut and the objective are sums taken in
+another order, so a step could differ only between lines of equal objective
+to within rounding.  A point stops when a rotation brings no strict
+decrease and its best line holds no weighted row besides the two that
+define it: there step 3 has tried every point of the line, so the scalar
+descent stops on it too.  That line is optimal; where the optimum is unique,
+as on tie-free data, it is the line the scalar descent reaches from any
+start, so the start (a row-wise least-squares slope and weighted quantile,
+``_start`` up to rounding) only steers the path, and the value, anchored as
+in ``local_linear_fit``, is the same double.  Rows of equal x weigh the
+same, so on tied x sums can balance exactly and several lines be optimal;
+the order of a sum then decides which one a descent reaches.  A point takes
+the lock step by its window size alone, and is handed back to
+``local_linear_fit`` on its window when that holds fewer than two distinct
+weighted x, when its slopes could overflow, when its first objective is not
+finite, or when its best line holds another weighted row (tied y, or a copy
+of the pivot or the partner).  So ``fit_curve`` raises where
+``local_linear_fit`` does.
 
 References
 ----------
@@ -517,8 +522,7 @@ def _weighted_rows(
     return x[rows], y[rows], w[rows]
 
 
-# the pivot's own slope is 0 / 0, and the start's sums may overflow: neither
-# decides a value
+# slopes at the pivot's x divide by 0 and the start's sums may overflow: neither decides a value
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _lock_step(
     xs: np.ndarray, ys: np.ndarray, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
@@ -531,11 +535,11 @@ def _lock_step(
     (points x window) arrays in which the rows outside a window and those
     below ``WEIGHT_FLOOR`` carry weight 0.  Returns (solved, values): a
     point is solved when its descent ends on a line that holds no weighted
-    row besides its two defining ones, which is where ``_check_loss_line``
-    stops too, so its value is ``local_linear_fit``'s.  The other points,
-    whose window holds fewer than two weighted rows or a tied x, whose
-    slopes could overflow, whose first objective is not finite or whose line
-    holds more rows, are left to ``local_linear_fit``.
+    row besides its two defining ones, an optimal line on which
+    ``_check_loss_line`` stops too.  The others are left to
+    ``local_linear_fit``: a window of fewer than two distinct weighted x,
+    slopes that could overflow, a first objective that is not finite, or a
+    best line holding another weighted row.
     """
     size = hi - lo
     col = np.arange(int(size.max()))
@@ -544,22 +548,21 @@ def _lock_step(
     w = _kernel_weights(x, x0[:, None], h)
     w[col >= size[:, None]] = 0.0
     weighted = w > 0.0
-    m = weighted.sum(1)
     y_scale = 2.0 * np.where(weighted, np.abs(y), 0.0).max(1)
     x_span = np.where(weighted, x, -np.inf).max(1) - np.where(weighted, x, np.inf).min(1)
-    # the closest two rows bound every |a| from below, so each slope and each
-    # c = w |a| is a positive float where these hold; a tied x makes the gap 0
-    gap = np.where(col[1:] < size[:, None], np.diff(x, axis=1), np.inf).min(1)
-    ids = np.flatnonzero((m >= 2) & (x_span < 1e300) & (gap > 1e-300)
+    # the smallest positive step in x bounds each nonzero |a| from below, so where these
+    # hold every weighted row off the pivot's x has a finite slope and c = w |a| > 0
+    dx = np.diff(x, axis=1)
+    gap = np.where((col[1:] < size[:, None]) & (dx > 0.0), dx, np.inf).min(1)
+    ids = np.flatnonzero((x_span > 0.0) & (x_span < 1e300) & (gap > 1e-300)
                          & (y_scale < 1e300 * gap))
     solved = np.zeros(len(x0), dtype=bool)
     values = np.empty(len(x0))
-    # per point: its window and x0, the sorted position of the last row with
-    # a != 0, the on-line scales, and the best line so far, its objective and
-    # whether it holds a weighted row besides its pivot and partner
-    x, y, w, weighted, x0, last = x[ids], y[ids], w[ids], weighted[ids], x0[ids], m[ids] - 2
+    # per point: its window and x0, the on-line scales, and the best line so far, its
+    # objective and whether it holds a weighted row besides its pivot and partner
+    x, y, w, weighted, x0 = x[ids], y[ids], w[ids], weighted[ids], x0[ids]
     y_scale, x_span = y_scale[ids], x_span[ids]
-    k = _lock_step_start(x - x0[:, None], y, w, tau, last + 1)
+    k = _lock_step_start(x - x0[:, None], y, w, tau)
     best_k, best_j, best_b1 = k, k, np.zeros(len(ids))
     best_f = np.full(len(ids), np.inf)
     more = np.zeros(len(ids), dtype=bool)
@@ -567,14 +570,12 @@ def _lock_step(
         at = np.arange(len(ids))
         a = x - x[at, k][:, None]
         dy = y - y[at, k][:, None]
-        rows = weighted.copy()
-        rows[at, k] = False
-        j = _lock_step_partner(a, dy, w, rows, tau, last)
+        j = _lock_step_partner(a, dy, w, tau)
         b1 = dy[at, j] / a[at, j]
         r = dy - b1[:, None] * a
         f = np.where(weighted, w * np.maximum(tau * r, (tau - 1.0) * r), 0.0).sum(1)
-        on = rows & (np.abs(r) <= (_ON_LINE * (y_scale + np.abs(b1) * x_span))[:, None])
-        on[at, j] = False
+        on = weighted & (np.abs(r) <= (_ON_LINE * (y_scale + np.abs(b1) * x_span))[:, None])
+        on[at, k] = on[at, j] = False
         better = f < best_f
         best_k, best_j = np.where(better, k, best_k), np.where(better, j, best_j)
         best_b1, best_f = np.where(better, b1, best_b1), np.where(better, f, best_f)
@@ -590,23 +591,20 @@ def _lock_step(
         values[ids[done]] = y[done, p] - best_b1[done] * (x[done, p] - x0d)
         solved[ids[done]] = True
         go = ~stop
-        (ids, x, y, w, weighted, x0, last, y_scale, x_span, k, best_k, best_j, best_b1, best_f,
-         more) = (v[go] for v in (ids, x, y, w, weighted, x0, last, y_scale, x_span, j, best_k,
-                                  best_j, best_b1, best_f, more))
+        (ids, x, y, w, weighted, x0, y_scale, x_span, k, best_k, best_j, best_b1, best_f,
+         more) = (v[go] for v in (ids, x, y, w, weighted, x0, y_scale, x_span, j, best_k, best_j,
+                                  best_b1, best_f, more))
     return solved, values
 
 
-def _lock_step_partner(a: np.ndarray, dy: np.ndarray, w: np.ndarray, rows: np.ndarray,
-                       tau: float, last: np.ndarray) -> np.ndarray:
-    """``_rotate``'s partner for each row of (points x window) arrays: one of
-    ``rows``, the ``last`` + 1 weighted rows other than the pivot."""
-    c = w * np.abs(a)  # 0 at the pivot and at rows of weight 0
+def _lock_step_partner(a: np.ndarray, dy: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
+    """``_rotate``'s partner for each row of (points x window) arrays."""
+    c = w * np.abs(a)  # 0 at rows of weight 0 and at the pivot's x, the pivot among them
     cut = tau * c.sum(1) + (1.0 - 2.0 * tau) * np.where(a < 0.0, c, 0.0).sum(1)
-    return _row_quantiles(np.where(rows, dy / a, np.inf), c, cut, last)
+    return _row_quantiles(np.where(c > 0.0, dy / a, np.inf), c, cut)
 
 
-def _lock_step_start(d: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float,
-                     last: np.ndarray) -> np.ndarray:
+def _lock_step_start(d: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
     """``_start``'s pivot for each row of (points x window) arrays, up to
     rounding: the weighted row on the best line of least-squares slope."""
     s0, s1, s2 = w.sum(1), (w * d).sum(1), (w * d * d).sum(1)
@@ -614,19 +612,17 @@ def _lock_step_start(d: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float,
     det = s0 * s2 - s1 * s1
     slope = np.where(det > 1e-13 * s0 * s2, (s0 * t1 - s1 * t0) / det, 0.0)
     v = np.where(w > 0.0, y - slope[:, None] * d, np.inf)
-    return _row_quantiles(v, w, tau * s0, last)
+    return _row_quantiles(v, w, tau * s0)
 
 
-def _row_quantiles(
-    v: np.ndarray, c: np.ndarray, cut: np.ndarray, last: np.ndarray
-) -> np.ndarray:
+def _row_quantiles(v: np.ndarray, c: np.ndarray, cut: np.ndarray) -> np.ndarray:
     """``_sorted_select`` on each row of (points x window) arrays: the column
     of the smallest v whose running weight c, in order of v, reaches cut, or
-    of the v at sorted position ``last`` when rounding puts cut above the
-    total.  The rows at sorted positions 0 to ``last`` must weigh more than
-    0 and the others 0."""
+    of the largest v of positive weight when rounding puts cut above the
+    total.  Columns of positive c must sort before the others."""
     order = np.argsort(v, axis=1)
     running = np.cumsum(np.take_along_axis(c, order, axis=1), axis=1)
+    last = np.count_nonzero(c, axis=1) - 1
     return order[np.arange(len(v)), np.minimum((running < cut[:, None]).sum(1), last)]
 
 
@@ -640,14 +636,16 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     in closed form on the run of the window's rows that carry kernel
     weight.  For check loss, the grid points whose windows hold fewer than
     ``_SMALL_WINDOW`` rows are solved together in lock step; the other
-    points, and those the lock step leaves unfinished (a window holding a
-    tied x among them), call ``local_linear_fit`` on the window, which is
-    built once for neighbouring grid points that share it.  The window holds
-    every row with kernel weight, so the curve is ``local_linear_fit`` on the
-    sample stably sorted by x, bit for bit, for both losses (see the module
-    docstring), errors included: the first grid point at which
-    ``local_linear_fit`` fails, a window of fewer than two rows among them,
-    raises its ``SmoothingError``.  An x whose range overflows a float
+    points, and those the lock step hands back (a window of fewer than two
+    distinct weighted x, slopes that could overflow, a first objective that
+    is not finite, a best line holding another weighted row), call
+    ``local_linear_fit`` on the window, built once for neighbouring grid
+    points that share it.  The window holds every row with kernel weight, so
+    the curve is ``local_linear_fit`` on the sample stably sorted by x, bit
+    for bit, for both losses, save where tied x make several lines optimal
+    (see the module docstring), errors included: the first grid point at
+    which ``local_linear_fit`` fails, a window of fewer than two rows among
+    them, raises its ``SmoothingError``.  An x whose range overflows a float
     raises ``SmoothingError`` before any fit.
 
     No extrapolation is attempted beyond the data range, and fitted values

@@ -42,8 +42,13 @@ CASES = {
                          "--grid", "50"],
 }
 
-# snapshot name -> loss of the `loc-matrix --format json --seed 0` run whose stdout it holds
-JSON_CASES = {"loc_matrix_mean": "mean", "loc_matrix_median": "median"}
+# snapshot name -> the arguments that follow `loc-matrix --format json --seed 0` in the
+# run whose stdout it holds; the un-jittered median fits the fixture's tied marks
+JSON_CASES = {
+    "loc_matrix_mean": ["--loss", "mean"],
+    "loc_matrix_median": ["--loss", "median"],
+    "loc_matrix_median_unjittered": ["--loss", "median", "--jitter-sd", "0"],
+}
 
 
 def run_case(name: str, out_dir: Path) -> str:
@@ -72,18 +77,18 @@ def run_json_case(name: str) -> tuple[int, str]:
     """Exit status and stdout of one ``JSON_CASES`` snapshot's run."""
     out = StringIO()
     with redirect_stdout(out):
-        code = main(["loc-matrix", "--input", str(FIXTURE), "--loss", JSON_CASES[name],
-                     "--format", "json", "--seed", "0"])
+        code = main(["loc-matrix", "--input", str(FIXTURE), "--format", "json", "--seed", "0",
+                     *JSON_CASES[name]])
     return code, out.getvalue()
 
 
-@pytest.mark.parametrize("loss", ["mean", "median"])
-def test_loc_matrix_json_matches_golden_output(loss):
+@pytest.mark.parametrize("case", ["mean", "median", "median_unjittered"])
+def test_loc_matrix_json_matches_golden_output(case):
     # full-precision LOCs: a change that moves a fit by one rounding moves
     # them, and regenerates them as the module docstring says
-    code, out = run_json_case(f"loc_matrix_{loss}")
+    code, out = run_json_case(f"loc_matrix_{case}")
     assert code == 0
-    assert out == (GOLDEN / f"loc_matrix_{loss}.json").read_text(encoding="utf-8")
+    assert out == (GOLDEN / f"loc_matrix_{case}.json").read_text(encoding="utf-8")
 
 
 def test_compare_gives_the_loc_matrix_entries_of_its_pair(marks_csv, capsys):
