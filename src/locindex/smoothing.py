@@ -68,15 +68,14 @@ are one contiguous run.  The mean, and the check-loss fit of a window of
 window, are solved on views of that run; smaller windows are solved in lock
 step (below).  Either way the weighted rows reach the solvers in the order
 of the sorted sample, and ``fit_curve`` is ``local_linear_fit`` on the
-sample stably sorted by x at each grid point, bit for bit, save where tied
-x make several lines optimal.  On tie-free x that sorted sample, and so the
-curve, does not depend on the order of the input rows.  Against
-``local_linear_fit`` on the unsorted sample, the mean can differ in the last
-bits, because its sums add the rows in another order, and on tied data the
-check-loss descent can reach another of several optimal lines.  On tie-free
-data the check-loss optimum is unique and the value depends on the line
-only, so there the median curve equals ``local_linear_fit`` on the unsorted
-sample too.
+sample stably sorted by x at each grid point, bit for bit.  On tie-free x
+that sorted sample, and so the curve, does not depend on the order of the
+input rows.  Against ``local_linear_fit`` on the unsorted sample, the mean
+can differ in the last bits, because its sums add the rows in another order,
+and on tied data the check-loss descent can reach another of several optimal
+lines.  On tie-free data the check-loss optimum is unique and the value
+depends on the line only, so there the median curve equals
+``local_linear_fit`` on the unsorted sample too.
 
 Lock step.  ``fit_curve`` solves the check loss at all grid points whose
 windows hold fewer than ``_SMALL_WINDOW`` rows together, in blocks of
@@ -88,24 +87,23 @@ so they sort last and are never a partner.  Each step rotates every
 unfinished point about its pivot, taking the weighted quantile of step 1 by
 a row-wise sort of the slopes and their running weight, and takes a line
 that lowers the objective strictly.  The kernel weights, slopes, residuals
-and on-line test are the doubles of the scalar descent.  Equal slopes may
-sort in another order, and the cut and the objective are sums taken in
-another order, so a step could differ only between lines of equal objective
-to within rounding.  A point stops when a rotation brings no strict
-decrease and its best line holds no weighted row besides the two that
-define it: there step 3 has tried every point of the line, so the scalar
-descent stops on it too.  That line is optimal; where the optimum is unique,
-as on tie-free data, it is the line the scalar descent reaches from any
-start, so the start (a row-wise least-squares slope and weighted quantile,
-``_start`` up to rounding) only steers the path, and the value, anchored as
-in ``local_linear_fit``, is the same double.  Rows of equal x weigh the
-same, so on tied x sums can balance exactly and several lines be optimal;
-the order of a sum then decides which one a descent reaches.  A point takes
-the lock step by its window size alone, and is handed back to
-``local_linear_fit`` on its window when that holds fewer than two distinct
-weighted x, when its slopes could overflow, when its first objective is not
-finite, or when its best line holds another weighted row (tied y, or a copy
-of the pivot or the partner).  So ``fit_curve`` raises where
+and on-line test are the doubles of the scalar descent; equal slopes may
+sort, and the cut and the objective be summed, in another order.  A point
+stops when the rotation about the newer point of its best line brings no
+strict decrease.  That line is optimal, and the only optimal one when it
+holds no weighted row besides the two that define it and neither rotation
+about those two ties two lines, with a running weight within ``_ON_LINE`` of
+the total from the cut (as equal weights at a tied x can be): near the line
+every direction is a rotation about one of the two.  The scalar descent
+reaches the only optimal line from any start, so the start (a row-wise
+least-squares slope and weighted quantile, ``_start`` up to rounding) only
+steers the path, and the value, anchored as in ``local_linear_fit``, is the
+same double.  A point takes the lock step by its window size alone, and is
+handed back to ``local_linear_fit`` on its window when its slopes could
+overflow, when its first objective is not finite, when its best line holds
+another weighted row (tied y, or a copy of the pivot or the partner), or
+when two lines tie, as all lines through the pivot do where the window holds
+fewer than two distinct weighted x.  So ``fit_curve`` raises where
 ``local_linear_fit`` does.
 
 References
@@ -265,10 +263,10 @@ def check_loss_objective(
     return float(np.sum(w * r * (tau - (r < 0.0))))
 
 
-# An observation lies on a line when its residual is zero up to rounding: at
-# most this multiple of the largest magnitude the residuals are computed
-# from.  Counting a point that is merely close costs a little time, never the
-# optimum; exactly collinear points of tied data sit many orders below it.
+# A residual, or a running weight's distance from its cut, is zero up to
+# rounding when at most this multiple of the largest magnitude it is computed
+# from.  Counting a near point or tie costs a little time, never the optimum;
+# exactly collinear points and exact ties of tied data sit many orders below.
 _ON_LINE = 2.0**-40
 
 
@@ -535,11 +533,11 @@ def _lock_step(
     (points x window) arrays in which the rows outside a window and those
     below ``WEIGHT_FLOOR`` carry weight 0.  Returns (solved, values): a
     point is solved when its descent ends on a line that holds no weighted
-    row besides its two defining ones, an optimal line on which
-    ``_check_loss_line`` stops too.  The others are left to
-    ``local_linear_fit``: a window of fewer than two distinct weighted x,
-    slopes that could overflow, a first objective that is not finite, or a
-    best line holding another weighted row.
+    row besides its two defining ones and no rotation about them ties two
+    lines: the only optimal line, which ``_check_loss_line`` reaches too.
+    The others are left to ``local_linear_fit``: slopes that could overflow,
+    a first objective that is not finite, a best line holding another
+    weighted row, or a tie, as in windows of under two distinct weighted x.
     """
     size = hi - lo
     col = np.arange(int(size.max()))
@@ -554,12 +552,11 @@ def _lock_step(
     # hold every weighted row off the pivot's x has a finite slope and c = w |a| > 0
     dx = np.diff(x, axis=1)
     gap = np.where((col[1:] < size[:, None]) & (dx > 0.0), dx, np.inf).min(1)
-    ids = np.flatnonzero((x_span > 0.0) & (x_span < 1e300) & (gap > 1e-300)
-                         & (y_scale < 1e300 * gap))
+    ids = np.flatnonzero((x_span < 1e300) & (gap > 1e-300) & (y_scale < 1e300 * gap))
     solved = np.zeros(len(x0), dtype=bool)
     values = np.empty(len(x0))
-    # per point: its window and x0, the on-line scales, and the best line so far, its
-    # objective and whether it holds a weighted row besides its pivot and partner
+    # per point: its window and x0, the on-line scales, and the best line so far, its objective
+    # and whether it holds a weighted row besides its pivot and partner or a rotation tied
     x, y, w, weighted, x0 = x[ids], y[ids], w[ids], weighted[ids], x0[ids]
     y_scale, x_span = y_scale[ids], x_span[ids]
     k = _lock_step_start(x - x0[:, None], y, w, tau)
@@ -570,7 +567,7 @@ def _lock_step(
         at = np.arange(len(ids))
         a = x - x[at, k][:, None]
         dy = y - y[at, k][:, None]
-        j = _lock_step_partner(a, dy, w, tau)
+        j, flat = _lock_step_partner(a, dy, w, tau)
         b1 = dy[at, j] / a[at, j]
         r = dy - b1[:, None] * a
         f = np.where(weighted, w * np.maximum(tau * r, (tau - 1.0) * r), 0.0).sum(1)
@@ -579,7 +576,7 @@ def _lock_step(
         better = f < best_f
         best_k, best_j = np.where(better, k, best_k), np.where(better, j, best_j)
         best_b1, best_f = np.where(better, b1, best_b1), np.where(better, f, best_f)
-        more = np.where(better, on.any(1), more)
+        more = np.where(better, on.any(1), more) | flat
         stop = ~better | (f == 0.0)
         # a first objective that is not finite leaves best_f at inf
         done = np.flatnonzero(stop & ~more & (best_f < np.inf))
@@ -597,11 +594,14 @@ def _lock_step(
     return solved, values
 
 
-def _lock_step_partner(a: np.ndarray, dy: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
-    """``_rotate``'s partner for each row of (points x window) arrays."""
+def _lock_step_partner(a: np.ndarray, dy: np.ndarray, w: np.ndarray,
+                       tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_rotate``'s partner for each row of (points x window) arrays, and
+    whether two lines tie: a running weight meets the cut up to rounding."""
     c = w * np.abs(a)  # 0 at rows of weight 0 and at the pivot's x, the pivot among them
     cut = tau * c.sum(1) + (1.0 - 2.0 * tau) * np.where(a < 0.0, c, 0.0).sum(1)
-    return _row_quantiles(np.where(c > 0.0, dy / a, np.inf), c, cut)
+    j, running = _row_quantiles(np.where(c > 0.0, dy / a, np.inf), c, cut)
+    return j, (np.abs(running - cut[:, None]) <= _ON_LINE * running[:, -1:]).any(1)
 
 
 def _lock_step_start(d: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
@@ -612,18 +612,19 @@ def _lock_step_start(d: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float) ->
     det = s0 * s2 - s1 * s1
     slope = np.where(det > 1e-13 * s0 * s2, (s0 * t1 - s1 * t0) / det, 0.0)
     v = np.where(w > 0.0, y - slope[:, None] * d, np.inf)
-    return _row_quantiles(v, w, tau * s0)
+    return _row_quantiles(v, w, tau * s0)[0]
 
 
-def _row_quantiles(v: np.ndarray, c: np.ndarray, cut: np.ndarray) -> np.ndarray:
+def _row_quantiles(v: np.ndarray, c: np.ndarray,
+                   cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_sorted_select`` on each row of (points x window) arrays: the column
     of the smallest v whose running weight c, in order of v, reaches cut, or
     of the largest v of positive weight when rounding puts cut above the
-    total.  Columns of positive c must sort before the others."""
+    total; and the running weights.  Columns of positive c sort first."""
     order = np.argsort(v, axis=1)
     running = np.cumsum(np.take_along_axis(c, order, axis=1), axis=1)
     last = np.count_nonzero(c, axis=1) - 1
-    return order[np.arange(len(v)), np.minimum((running < cut[:, None]).sum(1), last)]
+    return order[np.arange(len(v)), np.minimum((running < cut[:, None]).sum(1), last)], running
 
 
 def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
@@ -631,21 +632,21 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
 
     The sample is sorted by x once per curve, rows of equal x in their input
     order (a stable sort, needed only when x has ties), and each grid point
-    x0 is fitted on its window, the slice of the sorted rows with
-    |x - x0| <= _REACH * h, found by binary search.  Quadratic loss is solved
-    in closed form on the run of the window's rows that carry kernel
-    weight.  For check loss, the grid points whose windows hold fewer than
+    x0 is fitted on its window, the slice of the sorted rows with |x - x0|
+    <= _REACH * h, found by binary search.  Quadratic loss is solved in
+    closed form on the run of the window's rows that carry kernel weight.
+    For check loss, the grid points whose windows hold fewer than
     ``_SMALL_WINDOW`` rows are solved together in lock step; the other
-    points, and those the lock step hands back (a window of fewer than two
-    distinct weighted x, slopes that could overflow, a first objective that
-    is not finite, a best line holding another weighted row), call
-    ``local_linear_fit`` on the window, built once for neighbouring grid
-    points that share it.  The window holds every row with kernel weight, so
-    the curve is ``local_linear_fit`` on the sample stably sorted by x, bit
-    for bit, for both losses, save where tied x make several lines optimal
-    (see the module docstring), errors included: the first grid point at
-    which ``local_linear_fit`` fails, a window of fewer than two rows among
-    them, raises its ``SmoothingError``.  An x whose range overflows a float
+    points, and those the lock step hands back (slopes that could overflow,
+    a first objective that is not finite, a best line holding another
+    weighted row, a tie of two lines, as in a window of fewer than two
+    distinct weighted x), call ``local_linear_fit`` on the window, built
+    once for neighbouring grid points that share it.  The window holds every
+    row with kernel weight, so the curve is ``local_linear_fit`` on the
+    sample stably sorted by x, bit for bit, for both losses (see the module
+    docstring), errors included: the first grid point at which
+    ``local_linear_fit`` fails, a window of fewer than two rows among them,
+    raises its ``SmoothingError``.  An x whose range overflows a float
     raises ``SmoothingError`` before any fit.
 
     No extrapolation is attempted beyond the data range, and fitted values

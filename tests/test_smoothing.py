@@ -299,14 +299,11 @@ def assert_curve_is_local_fit(pr: PairedSample, loss: LossKind, h: BandwidthEsti
 class TestFitCurve:
     # fit_curve fits each grid point on its kernel window of the sample sorted
     # by x; the curve is local_linear_fit on the stably x-sorted sample, bit
-    # for bit, tied data included, save where tied x make several lines
-    # optimal and the lock step reaches another of them
+    # for bit, tied data included
 
     @pytest.mark.parametrize("x_name,y_name", ORDERED_PAIRS)
     def test_median_curve_equals_local_fit(self, marks_sample, x_name, y_name):
-        # on jittered data, and on tied data where the optimum is not unique:
-        # there the lock step could reach another optimal line, but on these
-        # pairs it reaches local_linear_fit's
+        # on jittered data and on tied data where the optimum is not unique
         raw = pair(marks_sample, x_name, y_name)
         jittered = jitter(raw, 1e-5, 11)
         h = median_adjust(dpi_bandwidth(jittered))
@@ -485,8 +482,7 @@ def assert_raises_local_fits_first_error(sample: PairedSample, loss: LossKind,
 class TestMedianInLockStep:
     # fit_curve solves the median grid points whose windows hold fewer than
     # smoothing._SMALL_WINDOW rows together; the curve is still
-    # local_linear_fit on the stably x-sorted sample, bit for bit, save where
-    # tied x make several lines optimal
+    # local_linear_fit on the stably x-sorted sample, bit for bit
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -523,21 +519,20 @@ class TestMedianInLockStep:
         h=st.sampled_from((0.02, 0.04)),
         copies=st.integers(1, 3),
     )
-    # grid point 0 has weighted rows at one x only: a window with two
-    # weighted rows is not enough, it needs two distinct x
+    # grid point 0 has weighted rows at one x only: every line through the
+    # pivot ties, so the point is handed back and local_linear_fit raises
     @example(n=10, seed=8, tau=0.25, h=0.02, copies=3)
-    # at grid point 1 two pairs of rows of tied x put a running weight of the
-    # pivot's rotation exactly at the cut: two lines are optimal, and the lock
-    # step reaches the one local_linear_fit does not
+    # at grid point 1 two pairs of rows of tied x put a running weight of a
+    # rotation exactly at the cut: two lines are optimal, and the lock step's
+    # sums, taken in another order, reach the one local_linear_fit does not,
+    # unless the point is handed back
     @example(n=10, seed=17, tau=0.5, h=0.04, copies=2)
-    def test_tied_x_in_some_windows_equals_local_fit_or_an_optimal_line(
+    def test_tied_x_in_some_windows_equals_local_fit_at_every_grid_point(
             self, n, seed, tau, h, copies):
         # a few x values repeated with new y: windows with and without a tie
         # take the lock step alike, which hands back the points that
         # local_linear_fit finishes, among them those where it raises
-        # because a window's weighted rows share one x.  A value in a
-        # tie-free window is local_linear_fit's; in a window with a tie
-        # it can be that of another of several optimal lines
+        # because a window's weighted rows share one x
         rng = np.random.default_rng(seed)
         x, y = random_tie_free_sample(rng, n)
         dup = rng.choice(n, copies, replace=False)
@@ -556,10 +551,8 @@ class TestMedianInLockStep:
         except SmoothingError:  # a gap in x: the error is the scalar path's
             assert_raises_local_fits_first_error(sample, loss, bandwidth, 60)
             return
-        for x0, value, has_tie in zip(curve.grid.tolist(), curve.values.tolist(), tied):
-            if value != local_linear_fit(reference, x0, h, loss)[0]:
-                assert has_tie, x0
-                assert_value_of_an_optimal_line(reference, x0, h, tau, value)
+        for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
+            assert value == local_linear_fit(reference, x0, h, loss)[0], x0
 
     def test_raw_fixture_windows_with_tied_x_take_the_lock_step(self, marks_sample,
                                                                 monkeypatch):
