@@ -63,48 +63,61 @@ window: the slice of the sorted rows within ``_REACH`` (that distance plus
 1%) of x0, found by binary search [5].  Tie-free x has one sorted order,
 which numpy's default sort gives; only tied x needs a stable sort.  The
 kernel falls away from x0 on both sides, so the weighted rows of a window
-are one contiguous run.  The mean, and the check-loss fit of a window of
-``_SMALL_WINDOW`` rows or more, which calls ``local_linear_fit`` on the
-window, are solved on views of that run; smaller windows are solved in lock
-step (below).  Either way the weighted rows reach the solvers in the order
-of the sorted sample, and ``fit_curve`` is ``local_linear_fit`` on the
-sample stably sorted by x at each grid point, bit for bit.  On tie-free x
-that sorted sample, and so the curve, does not depend on the order of the
-input rows.  Against ``local_linear_fit`` on the unsorted sample, the mean
-can differ in the last bits, because its sums add the rows in another order,
-and on tied data the check-loss descent can reach another of several optimal
-lines.  On tie-free data the check-loss optimum is unique and the value
-depends on the line only, so there the median curve equals
-``local_linear_fit`` on the unsorted sample too.
+are one contiguous run.  A window of ``_SMALL_WINDOW`` rows or more is
+solved on views of that run, the mean by ``_solve_wls`` and the check loss
+by ``local_linear_fit`` on the window; smaller windows are solved in lock
+step (below), for both losses.  Either way the weighted rows reach the
+solvers in the order of the sorted sample, and ``fit_curve`` is
+``local_linear_fit`` on the sample stably sorted by x at each grid point,
+bit for bit.  On tie-free x that sorted sample, and so the curve, does not
+depend on the order of the input rows.  Against ``local_linear_fit`` on the
+unsorted sample, the mean can differ in the last bits, because its sums add
+the rows in another order, and on tied data the check-loss descent can reach
+another of several optimal lines.  On tie-free data the check-loss optimum
+is unique and the value depends on the line only, so there the median curve
+equals ``local_linear_fit`` on the unsorted sample too.
 
-Lock step.  ``fit_curve`` solves the check loss at all grid points whose
-windows hold fewer than ``_SMALL_WINDOW`` rows together, in blocks of
-``_BLOCK`` points, instead of calling ``local_linear_fit`` at each; the time
-of such a point goes to numpy call overhead, not arithmetic.  The windows
-are the rows of (points x window) arrays, padded to the widest.  Padding and
-rows below ``WEIGHT_FLOOR`` get weight 0, and rows of c = 0 the slope +inf,
-so they sort last and are never a partner.  Each step rotates every
-unfinished point about its pivot, taking the weighted quantile of step 1 by
-a row-wise sort of the slopes and their running weight, and takes a line
-that lowers the objective strictly.  The kernel weights, slopes, residuals
-and on-line test are the doubles of the scalar descent; equal slopes may
-sort, and the cut and the objective be summed, in another order.  A point
-stops when the rotation about the newer point of its best line brings no
-strict decrease.  That line is optimal, and the only optimal one when it
-holds no weighted row besides the two that define it and neither rotation
-about those two ties two lines, with a running weight within ``_ON_LINE`` of
-the total from the cut (as equal weights at a tied x can be): near the line
-every direction is a rotation about one of the two.  The scalar descent
-reaches the only optimal line from any start, so the start (a row-wise
-least-squares slope and weighted quantile, ``_start`` up to rounding) only
-steers the path, and the value, anchored as in ``local_linear_fit``, is the
-same double.  A point takes the lock step by its window size alone, and is
-handed back to ``local_linear_fit`` on its window when its slopes could
-overflow, when its first objective is not finite, when its best line holds
-another weighted row (tied y, or a copy of the pivot or the partner), or
-when two lines tie, as all lines through the pivot do where the window holds
-fewer than two distinct weighted x.  So ``fit_curve`` raises where
+Lock step.  ``fit_curve`` solves all grid points whose windows hold fewer
+than ``_SMALL_WINDOW`` rows together, in blocks of ``_BLOCK`` points, for
+either loss, instead of solving each on its own; the time of such a point
+goes to numpy call overhead, not arithmetic.  The windows are the rows of
+(points x window) arrays, padded to the widest, where padding and rows below
+``WEIGHT_FLOOR`` get weight 0.
+
+The mean groups the points by the length of their run of weighted rows and
+gathers each group's runs into (points x run) arrays, one row per point.
+Its sums are a row-wise sum and stacked ``np.matmul`` products of a row by
+a column, which are BLAS dot products of each row, as ``_solve_wls``'s are;
+so the sums, and the value, are the same doubles.  Padded rows would not
+give them, since a dot's rounding depends on its length.  A point is handed
+back to the per-point path when its weighted rows are not one run, when
+they are fewer than two or share one x, or when its design fails
+``_solve_wls``'s determinant test; that path raises where
 ``local_linear_fit`` does.
+
+For the check loss, rows of c = 0 get the slope +inf, so they sort last and
+are never a partner.  Each step rotates every unfinished point about its
+pivot, taking the weighted quantile of step 1 by a row-wise sort of the
+slopes and their running weight, and takes a line that lowers the objective
+strictly.  The kernel weights, slopes, residuals and on-line test are the
+doubles of the scalar descent; equal slopes may sort, and the cut and the
+objective be summed, in another order.  A point stops when the rotation
+about the newer point of its best line brings no strict decrease.  That line
+is optimal, and the only optimal one when it holds no weighted row besides
+the two that define it and neither rotation about those two ties two lines,
+with a running weight within ``_ON_LINE`` of the total from the cut (as
+equal weights at a tied x can be): near the line every direction is a
+rotation about one of the two.  The scalar descent reaches the only optimal
+line from any start, so the start (a row-wise least-squares slope and
+weighted quantile, ``_start`` up to rounding) only steers the path, and the
+value, anchored as in ``local_linear_fit``, is the same double.  A point
+takes the lock step by its window size alone, and is handed back to
+``local_linear_fit`` on its window when its slopes could overflow, when its
+first objective is not finite, when its best line holds another weighted row
+(tied y, or a copy of the pivot or the partner), or when two lines tie, as
+all lines through the pivot do where the window holds fewer than two
+distinct weighted x.  So ``fit_curve`` raises where ``local_linear_fit``
+does.
 
 References
 ----------
@@ -270,14 +283,16 @@ def check_loss_objective(
 _ON_LINE = 2.0**-40
 
 
-# The one threshold between the two median paths.  ``fit_curve`` solves the
-# grid points whose windows hold fewer rows than this together, in lock step
-# (``_lock_step``), where a point's time goes to numpy call overhead; larger
-# windows take ``local_linear_fit`` and its selection, one grid point at a time.
+# The one threshold between the lock step and the per-point path, for both
+# losses.  ``fit_curve`` solves the grid points whose windows hold fewer rows
+# than this together, in lock step (``_mean_lock_step`` for the mean,
+# ``_lock_step`` for the check loss), where a point's time goes to numpy call
+# overhead; larger windows take ``_solve_wls`` (mean) or ``local_linear_fit``
+# and its selection (check loss), one grid point at a time.
 _SMALL_WINDOW = 64
 
-# The lock-step descent takes this many grid points at a time, which bounds
-# its (points x window) arrays however large the grid.
+# The lock step takes this many grid points at a time, for either loss, which
+# bounds its (points x window) arrays however large the grid.
 _BLOCK = 128
 
 # A bracket of the selection starts this many typical slope spacings wide
@@ -520,14 +535,84 @@ def _weighted_rows(
     return x[rows], y[rows], w[rows]
 
 
+# padding far beyond a window can lie so many bandwidths away that u overflows;
+# its weight is 0 either way
+@np.errstate(over="ignore")
+def _windows(
+    xs: np.ndarray, ys: np.ndarray, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The windows xs[lo:hi], ys[lo:hi] of an x-sorted sample at the grid
+    points x0 as the rows of (points x window) arrays, padded to the widest:
+    x, y, the kernel weights, 0 on the padding, and the mask of the columns
+    inside each window."""
+    col = np.arange(int((hi - lo).max()))
+    rows = np.minimum(lo[:, None] + col, len(xs) - 1)
+    x, y = xs[rows], ys[rows]
+    w = _kernel_weights(x, x0[:, None], h)
+    inside = col < (hi - lo)[:, None]
+    w[~inside] = 0.0
+    return x, y, w, inside
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for each row i of C-contiguous (points x run) arrays.
+
+    A stacked product of one row by one column is a BLAS dot per row, so
+    each sum is the double of ``_solve_wls``'s ``w @ d`` on that run.
+    Padding the rows to one length would not give it: a dot's rounding
+    depends on its length."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+# a handed-back point's sums may overflow and its determinant be 0; the
+# per-point path redoes it, warnings included
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _mean_lock_step(
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, x0: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadratic-loss values at the grid points x0 of ``_windows``' arrays:
+    ``_solve_wls`` on each point's run of weighted rows, bit for bit.
+
+    The points are grouped by the length of their run, and each group's
+    runs are gathered into C-contiguous (points x run) arrays, on which the
+    sums are a row-wise ``sum`` and ``_row_dots``, and the determinant test
+    and the solution are ``_solve_wls``'s, elementwise.  Returns (solved,
+    values).  A point is left to the per-point path, which raises where
+    ``local_linear_fit`` does, when its weighted rows are not one run, are
+    fewer than two or share one x, or fail the determinant test.  One x is
+    tested on its own: a determinant of subnormal sums can pass the test.
+    """
+    weighted = w != 0.0
+    count = np.count_nonzero(weighted, axis=1)
+    first = weighted.argmax(1)
+    end = weighted.shape[1] - weighted[:, ::-1].argmax(1)  # after the last weighted row
+    at = np.arange(len(x0))
+    # the rows are sorted by x, so a run of two or more x starts below its end
+    one_run = (count >= 2) & (end - first == count) & (x[at, first] < x[at, end - 1])
+    solved = np.zeros(len(x0), dtype=bool)
+    values = np.empty(len(x0))
+    for length in np.unique(count[one_run]).tolist():
+        ids = np.flatnonzero(one_run & (count == length))
+        rows, cols = ids[:, None], first[ids, None] + np.arange(length)
+        d = x[rows, cols] - x0[rows]
+        y_run, w_run = y[rows, cols], w[rows, cols]
+        s0 = w_run.sum(1)
+        s1, s2, t0, t1 = (_row_dots(w_run, v) for v in (d, d * d, y_run, d * y_run))
+        det = s0 * s2 - s1 * s1
+        beta1 = (s0 * t1 - s1 * t0) / det
+        values[ids] = (t0 - s1 * beta1) / s0
+        solved[ids] = det > 1e-13 * s0 * s2
+    return solved, values
+
+
 # slopes at the pivot's x divide by 0 and the start's sums may overflow: neither decides a value
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _lock_step(
-    xs: np.ndarray, ys: np.ndarray, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-    h: float, tau: float,
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, inside: np.ndarray, x0: np.ndarray,
+    tau: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Check-loss values at the grid points x0 whose windows xs[lo:hi] of an
-    x-sorted sample hold 2 to ``_SMALL_WINDOW`` - 1 rows.
+    """Check-loss values at the grid points x0 of ``_windows``' arrays, whose
+    windows hold 2 to ``_SMALL_WINDOW`` - 1 rows.
 
     Every point runs the descent of ``_check_loss_line`` at once, on
     (points x window) arrays in which the rows outside a window and those
@@ -539,19 +624,13 @@ def _lock_step(
     a first objective that is not finite, a best line holding another
     weighted row, or a tie, as in windows of under two distinct weighted x.
     """
-    size = hi - lo
-    col = np.arange(int(size.max()))
-    rows = np.minimum(lo[:, None] + col, len(xs) - 1)
-    x, y = xs[rows], ys[rows]
-    w = _kernel_weights(x, x0[:, None], h)
-    w[col >= size[:, None]] = 0.0
     weighted = w > 0.0
     y_scale = 2.0 * np.where(weighted, np.abs(y), 0.0).max(1)
     x_span = np.where(weighted, x, -np.inf).max(1) - np.where(weighted, x, np.inf).min(1)
     # the smallest positive step in x bounds each nonzero |a| from below, so where these
     # hold every weighted row off the pivot's x has a finite slope and c = w |a| > 0
     dx = np.diff(x, axis=1)
-    gap = np.where((col[1:] < size[:, None]) & (dx > 0.0), dx, np.inf).min(1)
+    gap = np.where(inside[:, 1:] & (dx > 0.0), dx, np.inf).min(1)
     ids = np.flatnonzero((x_span < 1e300) & (gap > 1e-300) & (y_scale < 1e300 * gap))
     solved = np.zeros(len(x0), dtype=bool)
     values = np.empty(len(x0))
@@ -633,15 +712,18 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     The sample is sorted by x once per curve, rows of equal x in their input
     order (a stable sort, needed only when x has ties), and each grid point
     x0 is fitted on its window, the slice of the sorted rows with |x - x0|
-    <= _REACH * h, found by binary search.  Quadratic loss is solved in
-    closed form on the run of the window's rows that carry kernel weight.
-    For check loss, the grid points whose windows hold fewer than
-    ``_SMALL_WINDOW`` rows are solved together in lock step; the other
-    points, and those the lock step hands back (slopes that could overflow,
-    a first objective that is not finite, a best line holding another
-    weighted row, a tie of two lines, as in a window of fewer than two
-    distinct weighted x), call ``local_linear_fit`` on the window, built
-    once for neighbouring grid points that share it.  The window holds every
+    <= _REACH * h, found by binary search.  For either loss, the grid
+    points whose windows hold fewer than ``_SMALL_WINDOW`` rows are solved
+    together in lock step, and the others one at a time.  Quadratic loss is
+    solved in closed form on the run of the window's rows that carry kernel
+    weight; the lock step hands back to that per-point path a window whose
+    weighted rows are not one run, are fewer than two or share one x, or
+    fail the determinant test.  For check loss, the other points, and those
+    the lock step hands back (slopes that could overflow, a first objective
+    that is not finite, a best line holding another weighted row, a tie of
+    two lines, as in a window of fewer than two distinct weighted x), call
+    ``local_linear_fit`` on the window, built once for neighbouring grid
+    points that share it.  The window holds every
     row with kernel weight, so the curve is ``local_linear_fit`` on the
     sample stably sorted by x, bit for bit, for both losses (see the module
     docstring), errors included: the first grid point at which
@@ -671,14 +753,16 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     values = np.empty(spec.grid_size)
     mean = spec.loss.kind == "quadratic"
     todo = np.ones(spec.grid_size, dtype=bool)
-    if not mean:
-        small = np.flatnonzero((his - los >= 2) & (his - los < _SMALL_WINDOW))
-        for start in range(0, len(small), _BLOCK):
-            block = small[start:start + _BLOCK]
-            solved, block_values = _lock_step(xs, ys, grid[block], los[block], his[block], h,
-                                              spec.loss.tau)
-            values[block[solved]] = block_values[solved]
-            todo[block[solved]] = False
+    small = np.flatnonzero((his - los >= 2) & (his - los < _SMALL_WINDOW))
+    for start in range(0, len(small), _BLOCK):
+        block = small[start:start + _BLOCK]
+        x, y, w, inside = _windows(xs, ys, grid[block], los[block], his[block], h)
+        if mean:
+            solved, block_values = _mean_lock_step(x, y, w, grid[block])
+        else:
+            solved, block_values = _lock_step(x, y, w, inside, grid[block], spec.loss.tau)
+        values[block[solved]] = block_values[solved]
+        todo[block[solved]] = False
     bounds, window = None, None
     for i, x0, lo, hi in zip(np.flatnonzero(todo).tolist(), grid[todo].tolist(),
                              los[todo].tolist(), his[todo].tolist()):

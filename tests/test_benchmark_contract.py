@@ -77,6 +77,31 @@ def test_fixture_warm_up_solves_its_medians_in_lock_step(perfbench):
     assert names.count("smoothing.local_linear_fit") == 0
 
 
+def test_fixture_warm_up_solves_its_means_in_lock_step(perfbench, monkeypatch):
+    # the mean curves too: no fixture grid point takes the per-point
+    # _solve_wls, so smoothing.mean_fit_s times the lock step there; the
+    # pair workloads' mean windows hold more than _SMALL_WINDOW rows, and
+    # every grid point of them takes the per-point path
+    _, _, _, workloads = perfbench
+    calls = []
+    solve = locindex.smoothing._solve_wls
+    monkeypatch.setattr(locindex.smoothing, "_solve_wls",
+                        lambda *a: calls.append(a[3]) or solve(*a))
+    names = traced_span_names(perfbench, workloads.warm_up_copy(workloads.FixtureMatrix(0)))
+    assert names.count("smoothing.fit_curve") == 12  # 6 ordered pairs x 2 losses
+    assert calls == []
+    workload = workloads.warm_up_copy(workloads.make("pair-mean-1e5", 0))
+    jittered = locindex.jitter(workload.build(workload.generate()), workloads.JITTER_SD,
+                               workload.seed)
+    h = locindex.dpi_bandwidth(jittered).value
+    grid = np.linspace(jittered.x.min(), jittered.x.max(), workload.grid)
+    windows = np.sum(np.abs(jittered.x[None, :] - grid[:, None])
+                     <= locindex.smoothing._REACH * h, axis=1)
+    assert windows.min() >= locindex.smoothing._SMALL_WINDOW
+    assert traced_span_names(perfbench, workload).count("smoothing.fit_curve") == 1
+    assert len(calls) == workload.grid
+
+
 def test_median_curve_in_large_windows_calls_local_linear_fit_per_grid_point(perfbench):
     # the warm-up pair at n = 400 has windows of 119-283 rows, all on the
     # selection path, which takes one local_linear_fit call per grid point:

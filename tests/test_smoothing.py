@@ -343,6 +343,39 @@ class TestFitCurve:
         for pr in (jittered, raw):
             assert_curve_is_local_fit(pr, LossKind.quadratic(), h)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(4, 90),
+        seed=st.integers(0, 2**32 - 1),
+        h=st.sampled_from((0.02, 0.05, 0.1, 0.3)),
+        rounded=st.booleans(),
+        twin=st.booleans(),
+    )
+    # at grid point 191, in the second block, the only weighted rows are a row
+    # and its twin: a singular design, handed back by the lock step
+    @example(n=10, seed=117, h=0.02, rounded=False, twin=True)
+    # at grid point 136 the window holds two rows and only one weighs
+    @example(n=10, seed=1, h=0.02, rounded=False, twin=False)
+    def test_mean_curve_equals_local_fit_on_random_samples(self, n, seed, h, rounded, twin):
+        # windows of fewer than smoothing._SMALL_WINDOW rows are solved in lock
+        # step and larger ones (n > 63 at h = 0.3) one point at a time; x
+        # rounded to multiples of 1/20 puts ties in the windows, and a twin
+        # of a row 1e-9 away makes the designs of some windows singular
+        rng = np.random.default_rng(seed)
+        x, y = random_tie_free_sample(rng, n)
+        if rounded:
+            x = np.round(x * 20.0) / 20.0
+        if twin:
+            x, y = np.append(x, x[0] + 1e-9), np.append(y, rng.uniform(0.0, 1.0))
+        assume(x.min() < x.max())
+        sample = PairedSample(x=x, y=y)
+        loss = LossKind.quadratic()
+        bandwidth = BandwidthEstimate(value=h, method="fixed")
+        try:
+            assert_curve_is_local_fit(sample, loss, bandwidth)  # 200 points: two blocks
+        except SmoothingError:
+            assert_raises_local_fits_first_error(sample, loss, bandwidth, 200)
+
     @pytest.mark.parametrize("loss", LOSSES)
     def test_tied_x_at_a_large_n_equals_local_fit(self, loss):
         # x rounded to 1e-3 puts about 20 rows on each value; at n = 2e4
@@ -477,6 +510,29 @@ def assert_raises_local_fits_first_error(sample: PairedSample, loss: LossKind,
             assert str(info.value) == f"grid point {i}: {exc}"
             return i, str(exc)
     raise AssertionError(f"local_linear_fit raised nowhere, fit_curve raised {info.value}")
+
+
+class TestMeanInLockStep:
+    # fit_curve solves the mean grid points whose windows hold fewer than
+    # smoothing._SMALL_WINDOW rows together, with _solve_wls's sums
+
+    def test_row_sums_equal_the_per_point_sums_on_gathered_rows(self):
+        # each point's run is gathered from a padded block into a
+        # C-contiguous (points x run) array; a numpy or BLAS whose stacked dot
+        # rounds otherwise than the dot of one row fails here, instead of
+        # moving mean curves in their last bits
+        rng = np.random.default_rng(3)
+        block = rng.normal(0.0, 1.0, (50, smoothing._SMALL_WINDOW))
+        block *= 10.0 ** rng.uniform(-6.0, 6.0, block.shape)
+        weights = smoothing._kernel_weights(rng.uniform(-4.0, 4.0, block.shape), 0.0, 1.0)
+        for length in range(2, smoothing._SMALL_WINDOW):
+            rows = np.arange(50)[:, None]
+            cols = rng.integers(0, smoothing._SMALL_WINDOW - length + 1, (50, 1)) + np.arange(length)
+            w, d = weights[rows, cols], block[rows, cols]
+            np.testing.assert_array_equal(w.sum(1), [row.sum() for row in w])
+            for v in (d, d * d):
+                np.testing.assert_array_equal(smoothing._row_dots(w, v),
+                                              [row @ col for row, col in zip(w, v)])
 
 
 class TestMedianInLockStep:
@@ -618,6 +674,9 @@ class TestMedianInLockStep:
         (np.append(np.linspace(0.0, 1.0, 30), [1.734, 1.734]), 101, 100),
         # the middle grid point has two rows in its window and neither weighs
         (np.concatenate([np.linspace(0.0, 1.0, 30), np.linspace(2.47, 3.47, 30)]), 3, 1),
+        # the middle grid point weighs two rows of one x 3e-162 away: the mean's
+        # sums are subnormal, and its determinant would pass the test by rounding
+        (np.array([-1.0, -0.99, 3e-162, 3e-162, 0.99, 1.0]), 3, 1),
     ])
     def test_window_of_fewer_than_two_weighted_x_raises_local_fits_error(self, x, grid_size,
                                                                          first, loss):
