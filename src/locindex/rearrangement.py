@@ -63,9 +63,13 @@ def _taus(values) -> np.ndarray:
 def step_from_curve(curve: "FittedCurve") -> np.ndarray:
     """The step values of a grid-evaluated curve on m = grid_size equal pieces.
 
-    The i-th grid point acts as the evaluation point t_i chosen inside the
-    i-th piece (the equispaced grid maps affinely onto the partition), so the
-    step values are exactly the curve values in grid order.
+    The step values are exactly the curve values in grid order: the i-th
+    grid point gives the value on the i-th piece ((i - 1)/m, i/m].  The grid
+    spans [min(x), max(x)] with both ends included, so, mapped affinely onto
+    [0, 1], grid point i sits at (i - 1)/(m - 1), not at the piece's
+    midpoint (i - 1/2)/m; grid point 1 sits on piece 1's open left end.  So
+    for a smooth curve the gap between the sum and the continuous LOC shrinks
+    only as 1/m, halving with each doubling of m.
     """
     return curve.values
 

@@ -82,14 +82,19 @@ than ``_SMALL_WINDOW`` rows together, in blocks of ``_BLOCK`` points, for
 either loss, instead of solving each on its own; the time of such a point
 goes to numpy call overhead, not arithmetic.  The windows are the rows of
 (points x window) arrays, padded to the widest, where padding and rows below
-``WEIGHT_FLOOR`` get weight 0.
+``WEIGHT_FLOOR`` get weight 0.  One overflow guard covers each block: the
+kernel weights of far padding, the slopes at a pivot's x and the sums of a
+point that is handed back may overflow or divide by zero, and none of them
+decides a value.
 
-The mean groups the points by the length of their run of weighted rows and
-gathers each group's runs into (points x run) arrays, one row per point.
-Its sums are a row-wise sum and stacked ``np.matmul`` products of a row by
-a column, which are BLAS dot products of each row, as ``_solve_wls``'s are;
-so the sums, and the value, are the same doubles.  Padded rows would not
-give them, since a dot's rounding depends on its length.  A point is handed
+Both losses take least-squares sums from ``_row_wls``, which applies
+``_solve_wls`` to each row of (points x run) arrays.  Its sums are a row-wise
+sum and stacked ``np.matmul`` products of a row by a column, which are BLAS
+dot products of each row, as ``_solve_wls``'s are; so the sums, the
+determinant test and the coefficients are the same doubles.  Padded rows
+would not give them, since a dot's rounding depends on its length.  The mean
+groups the points by the length of their run of weighted rows and gathers
+each group's runs into such arrays, one row per point.  A point is handed
 back to the per-point path when its weighted rows are not one run, when
 they are fewer than two or share one x, or when its design fails
 ``_solve_wls``'s determinant test; that path raises where
@@ -108,8 +113,9 @@ the two that define it and neither rotation about those two ties two lines,
 with a running weight within ``_ON_LINE`` of the total from the cut (as
 equal weights at a tied x can be): near the line every direction is a
 rotation about one of the two.  The scalar descent reaches the only optimal
-line from any start, so the start (a row-wise least-squares slope and
-weighted quantile, ``_start`` up to rounding) only steers the path, and the
+line from any start, so the start (``_start`` up to rounding: the slope
+from ``_row_wls`` on the padded windows, 0 where its determinant test fails,
+and the weighted quantile at that slope) only steers the path, and the
 value, anchored as in ``local_linear_fit``, is the same double.  A point
 takes the lock step by its window size alone, and is handed back to
 ``local_linear_fit`` on its window when its slopes could overflow, when its
@@ -535,38 +541,41 @@ def _weighted_rows(
     return x[rows], y[rows], w[rows]
 
 
-# padding far beyond a window can lie so many bandwidths away that u overflows;
-# its weight is 0 either way
-@np.errstate(over="ignore")
 def _windows(
     xs: np.ndarray, ys: np.ndarray, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The windows xs[lo:hi], ys[lo:hi] of an x-sorted sample at the grid
-    points x0 as the rows of (points x window) arrays, padded to the widest:
-    x, y, the kernel weights, 0 on the padding, and the mask of the columns
-    inside each window."""
+    points x0 as the rows of (points x window) arrays, padded to the widest
+    with the sorted rows that follow: x, y and the kernel weights, 0 on the
+    padding."""
     col = np.arange(int((hi - lo).max()))
     rows = np.minimum(lo[:, None] + col, len(xs) - 1)
     x, y = xs[rows], ys[rows]
     w = _kernel_weights(x, x0[:, None], h)
-    inside = col < (hi - lo)[:, None]
-    w[~inside] = 0.0
-    return x, y, w, inside
+    w[col >= (hi - lo)[:, None]] = 0.0
+    return x, y, w
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[i] @ b[i]`` for each row i of C-contiguous (points x run) arrays.
+def _row_wls(
+    d: np.ndarray, y: np.ndarray, w: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_solve_wls`` on each row of C-contiguous (points x run) arrays:
+    (beta0, beta1, regular), where ``regular`` is False at the rows on which
+    ``_solve_wls`` raises; the coefficients of those rows mean nothing.
 
-    A stacked product of one row by one column is a BLAS dot per row, so
-    each sum is the double of ``_solve_wls``'s ``w @ d`` on that run.
-    Padding the rows to one length would not give it: a dot's rounding
-    depends on its length."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+    ``s0`` is a row-wise sum and the other sums are stacked products of one
+    row by one column, which are BLAS dots of each row, as ``_solve_wls``'s
+    are; so on each row the sums, the determinant test and the coefficients
+    are its doubles.  Padding the rows to one length would not give them: a
+    dot's rounding depends on its length."""
+    s0 = w.sum(1)
+    s1, s2, t0, t1 = (np.matmul(w[:, None, :], v[:, :, None])[:, 0, 0]
+                      for v in (d, d * d, y, d * y))
+    det = s0 * s2 - s1 * s1
+    beta1 = (s0 * t1 - s1 * t0) / det
+    return (t0 - s1 * beta1) / s0, beta1, det > 1e-13 * s0 * s2
 
 
-# a handed-back point's sums may overflow and its determinant be 0; the
-# per-point path redoes it, warnings included
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _mean_lock_step(
     x: np.ndarray, y: np.ndarray, w: np.ndarray, x0: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -574,13 +583,10 @@ def _mean_lock_step(
     ``_solve_wls`` on each point's run of weighted rows, bit for bit.
 
     The points are grouped by the length of their run, and each group's
-    runs are gathered into C-contiguous (points x run) arrays, on which the
-    sums are a row-wise ``sum`` and ``_row_dots``, and the determinant test
-    and the solution are ``_solve_wls``'s, elementwise.  Returns (solved,
-    values).  A point is left to the per-point path, which raises where
-    ``local_linear_fit`` does, when its weighted rows are not one run, are
-    fewer than two or share one x, or fail the determinant test.  One x is
-    tested on its own: a determinant of subnormal sums can pass the test.
+    runs are gathered into C-contiguous (points x run) arrays and solved by
+    ``_row_wls``.  Returns (solved, values); the module docstring lists the
+    points left unsolved.  One x is tested on its own: a determinant of
+    subnormal sums can pass the determinant test.
     """
     weighted = w != 0.0
     count = np.count_nonzero(weighted, axis=1)
@@ -594,43 +600,32 @@ def _mean_lock_step(
     for length in np.unique(count[one_run]).tolist():
         ids = np.flatnonzero(one_run & (count == length))
         rows, cols = ids[:, None], first[ids, None] + np.arange(length)
-        d = x[rows, cols] - x0[rows]
-        y_run, w_run = y[rows, cols], w[rows, cols]
-        s0 = w_run.sum(1)
-        s1, s2, t0, t1 = (_row_dots(w_run, v) for v in (d, d * d, y_run, d * y_run))
-        det = s0 * s2 - s1 * s1
-        beta1 = (s0 * t1 - s1 * t0) / det
-        values[ids] = (t0 - s1 * beta1) / s0
-        solved[ids] = det > 1e-13 * s0 * s2
+        values[ids], _, solved[ids] = _row_wls(x[rows, cols] - x0[rows], y[rows, cols],
+                                               w[rows, cols])
     return solved, values
 
 
-# slopes at the pivot's x divide by 0 and the start's sums may overflow: neither decides a value
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _lock_step(
-    x: np.ndarray, y: np.ndarray, w: np.ndarray, inside: np.ndarray, x0: np.ndarray,
-    tau: float,
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, x0: np.ndarray, tau: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Check-loss values at the grid points x0 of ``_windows``' arrays, whose
     windows hold 2 to ``_SMALL_WINDOW`` - 1 rows.
 
     Every point runs the descent of ``_check_loss_line`` at once, on
-    (points x window) arrays in which the rows outside a window and those
-    below ``WEIGHT_FLOOR`` carry weight 0.  Returns (solved, values): a
-    point is solved when its descent ends on a line that holds no weighted
-    row besides its two defining ones and no rotation about them ties two
-    lines: the only optimal line, which ``_check_loss_line`` reaches too.
-    The others are left to ``local_linear_fit``: slopes that could overflow,
-    a first objective that is not finite, a best line holding another
-    weighted row, or a tie, as in windows of under two distinct weighted x.
+    (points x window) arrays in which the padding and the rows below
+    ``WEIGHT_FLOOR`` carry weight 0.  Returns (solved, values): a point is
+    solved when its descent ends on the only optimal line, which
+    ``_check_loss_line`` reaches too; the module docstring lists the points
+    left to ``local_linear_fit``.
     """
     weighted = w > 0.0
     y_scale = 2.0 * np.where(weighted, np.abs(y), 0.0).max(1)
     x_span = np.where(weighted, x, -np.inf).max(1) - np.where(weighted, x, np.inf).min(1)
-    # the smallest positive step in x bounds each nonzero |a| from below, so where these
-    # hold every weighted row off the pivot's x has a finite slope and c = w |a| > 0
+    # the columns hold each window and sorted rows after it, so their smallest positive
+    # step in x bounds each nonzero |a| in the window from below; where these hold every
+    # weighted row off the pivot's x has a finite slope and c = w |a| > 0
     dx = np.diff(x, axis=1)
-    gap = np.where(inside[:, 1:] & (dx > 0.0), dx, np.inf).min(1)
+    gap = np.where(dx > 0.0, dx, np.inf).min(1)
     ids = np.flatnonzero((x_span < 1e300) & (gap > 1e-300) & (y_scale < 1e300 * gap))
     solved = np.zeros(len(x0), dtype=bool)
     values = np.empty(len(x0))
@@ -638,7 +633,11 @@ def _lock_step(
     # and whether it holds a weighted row besides its pivot and partner or a rotation tied
     x, y, w, weighted, x0 = x[ids], y[ids], w[ids], weighted[ids], x0[ids]
     y_scale, x_span = y_scale[ids], x_span[ids]
-    k = _lock_step_start(x - x0[:, None], y, w, tau)
+    # _start's pivot up to rounding: the weighted row on the best line of least-squares slope
+    d = x - x0[:, None]
+    _, slope, regular = _row_wls(d, y, w)
+    v = np.where(weighted, y - np.where(regular, slope, 0.0)[:, None] * d, np.inf)
+    k = _row_quantiles(v, w, tau * w.sum(1))[0]
     best_k, best_j, best_b1 = k, k, np.zeros(len(ids))
     best_f = np.full(len(ids), np.inf)
     more = np.zeros(len(ids), dtype=bool)
@@ -683,17 +682,6 @@ def _lock_step_partner(a: np.ndarray, dy: np.ndarray, w: np.ndarray,
     return j, (np.abs(running - cut[:, None]) <= _ON_LINE * running[:, -1:]).any(1)
 
 
-def _lock_step_start(d: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
-    """``_start``'s pivot for each row of (points x window) arrays, up to
-    rounding: the weighted row on the best line of least-squares slope."""
-    s0, s1, s2 = w.sum(1), (w * d).sum(1), (w * d * d).sum(1)
-    t0, t1 = (w * y).sum(1), (w * d * y).sum(1)
-    det = s0 * s2 - s1 * s1
-    slope = np.where(det > 1e-13 * s0 * s2, (s0 * t1 - s1 * t0) / det, 0.0)
-    v = np.where(w > 0.0, y - slope[:, None] * d, np.inf)
-    return _row_quantiles(v, w, tau * s0)[0]
-
-
 def _row_quantiles(v: np.ndarray, c: np.ndarray,
                    cut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_sorted_select`` on each row of (points x window) arrays: the column
@@ -714,22 +702,16 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     x0 is fitted on its window, the slice of the sorted rows with |x - x0|
     <= _REACH * h, found by binary search.  For either loss, the grid
     points whose windows hold fewer than ``_SMALL_WINDOW`` rows are solved
-    together in lock step, and the others one at a time.  Quadratic loss is
-    solved in closed form on the run of the window's rows that carry kernel
-    weight; the lock step hands back to that per-point path a window whose
-    weighted rows are not one run, are fewer than two or share one x, or
-    fail the determinant test.  For check loss, the other points, and those
-    the lock step hands back (slopes that could overflow, a first objective
-    that is not finite, a best line holding another weighted row, a tie of
-    two lines, as in a window of fewer than two distinct weighted x), call
-    ``local_linear_fit`` on the window, built once for neighbouring grid
-    points that share it.  The window holds every
-    row with kernel weight, so the curve is ``local_linear_fit`` on the
-    sample stably sorted by x, bit for bit, for both losses (see the module
-    docstring), errors included: the first grid point at which
-    ``local_linear_fit`` fails, a window of fewer than two rows among them,
-    raises its ``SmoothingError``.  An x whose range overflows a float
-    raises ``SmoothingError`` before any fit.
+    together in lock step, and the others one at a time, as are the points
+    the lock step hands back (the module docstring lists them): the mean in
+    closed form on the run of the window's rows that carry kernel weight,
+    the check loss by ``local_linear_fit`` on the window, built once for
+    neighbouring grid points that share it.  The window holds every row with
+    kernel weight, so the curve is ``local_linear_fit`` on the sample stably
+    sorted by x, bit for bit, for both losses, errors included: the first
+    grid point at which ``local_linear_fit`` fails, a window of fewer than
+    two rows among them, raises its ``SmoothingError``.  An x whose range
+    overflows a float raises ``SmoothingError`` before any fit.
 
     No extrapolation is attempted beyond the data range, and fitted values
     are never clamped here; clamping to [0, 1] is a presentation concern.
@@ -754,15 +736,19 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     mean = spec.loss.kind == "quadratic"
     todo = np.ones(spec.grid_size, dtype=bool)
     small = np.flatnonzero((his - los >= 2) & (his - los < _SMALL_WINDOW))
-    for start in range(0, len(small), _BLOCK):
-        block = small[start:start + _BLOCK]
-        x, y, w, inside = _windows(xs, ys, grid[block], los[block], his[block], h)
-        if mean:
-            solved, block_values = _mean_lock_step(x, y, w, grid[block])
-        else:
-            solved, block_values = _lock_step(x, y, w, inside, grid[block], spec.loss.tau)
-        values[block[solved]] = block_values[solved]
-        todo[block[solved]] = False
+    # in a block, padding far beyond a window can lie so many bandwidths away that u
+    # overflows, slopes at the pivot's x divide by 0, and sums may overflow; none of them
+    # decides a value, and the per-point path redoes a handed-back point, warnings included
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, len(small), _BLOCK):
+            block = small[start:start + _BLOCK]
+            x, y, w = _windows(xs, ys, grid[block], los[block], his[block], h)
+            if mean:
+                solved, block_values = _mean_lock_step(x, y, w, grid[block])
+            else:
+                solved, block_values = _lock_step(x, y, w, grid[block], spec.loss.tau)
+            values[block[solved]] = block_values[solved]
+            todo[block[solved]] = False
     bounds, window = None, None
     for i, x0, lo, hi in zip(np.flatnonzero(todo).tolist(), grid[todo].tolist(),
                              los[todo].tolist(), his[todo].tolist()):

@@ -102,6 +102,28 @@ def test_fixture_warm_up_solves_its_means_in_lock_step(perfbench, monkeypatch):
     assert len(calls) == workload.grid
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("name", ["pair-both-1e4", "pair-mean-1e5"])
+def test_pair_workloads_take_no_lock_step_at_full_size(perfbench, name, seed):
+    # every grid point of the timed pair workloads has a window of at least
+    # _SMALL_WINDOW rows, so their fits run the per-point paths alone and a
+    # change to the lock step shows only on fixture-matrix; windows as
+    # fit_curve finds them, since an n x grid matrix would not fit in memory
+    _, _, _, workloads = perfbench
+    workload = workloads.make(name, seed)
+    jittered = locindex.jitter(workload.build(workload.generate()), workloads.JITTER_SD,
+                               workload.seed)
+    xs = np.sort(jittered.x)
+    grid = np.linspace(xs[0], xs[-1], workload.grid)
+    h = locindex.dpi_bandwidth(jittered)
+    for loss in workload.losses:
+        bw = h if loss == "mean" else locindex.median_adjust(h, 0.5)
+        reach = locindex.smoothing._REACH * bw.value
+        windows = (np.searchsorted(xs, grid + reach, side="right")
+                   - np.searchsorted(xs, grid - reach, side="left"))
+        assert windows.min() >= locindex.smoothing._SMALL_WINDOW, (loss, windows.min())
+
+
 def test_median_curve_in_large_windows_calls_local_linear_fit_per_grid_point(perfbench):
     # the warm-up pair at n = 400 has windows of 119-283 rows, all on the
     # selection path, which takes one local_linear_fit call per grid point:

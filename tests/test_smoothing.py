@@ -516,23 +516,40 @@ class TestMeanInLockStep:
     # fit_curve solves the mean grid points whose windows hold fewer than
     # smoothing._SMALL_WINDOW rows together, with _solve_wls's sums
 
-    def test_row_sums_equal_the_per_point_sums_on_gathered_rows(self):
+    def test_row_wls_equals_solve_wls_on_gathered_rows(self):
         # each point's run is gathered from a padded block into a
         # C-contiguous (points x run) array; a numpy or BLAS whose stacked dot
         # rounds otherwise than the dot of one row fails here, instead of
         # moving mean curves in their last bits
         rng = np.random.default_rng(3)
-        block = rng.normal(0.0, 1.0, (50, smoothing._SMALL_WINDOW))
+        width = smoothing._SMALL_WINDOW
+        block = rng.normal(0.0, 1.0, (50, width))
         block *= 10.0 ** rng.uniform(-6.0, 6.0, block.shape)
+        ys = rng.normal(0.0, 1.0, block.shape)
         weights = smoothing._kernel_weights(rng.uniform(-4.0, 4.0, block.shape), 0.0, 1.0)
-        for length in range(2, smoothing._SMALL_WINDOW):
+        runs = []
+        for length in range(2, width):
             rows = np.arange(50)[:, None]
-            cols = rng.integers(0, smoothing._SMALL_WINDOW - length + 1, (50, 1)) + np.arange(length)
-            w, d = weights[rows, cols], block[rows, cols]
-            np.testing.assert_array_equal(w.sum(1), [row.sum() for row in w])
-            for v in (d, d * d):
-                np.testing.assert_array_equal(smoothing._row_dots(w, v),
-                                              [row @ col for row, col in zip(w, v)])
+            cols = rng.integers(0, width - length + 1, (50, 1)) + np.arange(length)
+            runs.append((block[rows, cols], ys[rows, cols], weights[rows, cols]))
+        d, y, w = runs[5]
+        runs.append((np.repeat(d[:, :1], d.shape[1], axis=1), y, w))  # one distinct x per row
+        runs.append((d * 1e200, y, w))  # sums that overflow
+        outcomes = set()
+        # as in fit_curve's lock step, a row that _solve_wls rejects may overflow or divide by 0
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for d, y, w in runs:
+                beta0, beta1, regular = smoothing._row_wls(d, y, w)
+                for i, row in enumerate(zip(d, y, w)):
+                    try:
+                        expected = smoothing._solve_wls(*row, 0.0)
+                    except SmoothingError:
+                        assert not regular[i], (d.shape, i)
+                    else:
+                        assert regular[i], (d.shape, i)
+                        assert (beta0[i], beta1[i]) == expected, (d.shape, i)
+                outcomes.update(regular.tolist())
+        assert outcomes == {False, True}
 
 
 class TestMedianInLockStep:
