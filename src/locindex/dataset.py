@@ -69,24 +69,32 @@ class RawScores:
 class NormalizedSample:
     """Columns of marks normalized to the unit interval.
 
-    Every value must be finite and lie in [0, 1]; otherwise ``ValueError``
-    names the column.
+    ``column_names`` gives the column order: it names every key of
+    ``columns`` once, and at least one.  Every value must be finite and lie
+    in [0, 1]; otherwise ``ValueError`` names the column.  The columns are
+    kept as float arrays in a dict of the sample's own, not in the dict
+    passed in.
     """
 
     column_names: tuple[str, ...]
     columns: dict[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        lengths = {len(self.columns[name]) for name in self.column_names}
-        if len(lengths) > 1:
+        names = self.column_names
+        if not names:
+            raise ValueError("a normalized sample needs at least one column")
+        if len(set(names)) != len(names) or set(names) != set(self.columns):
+            raise ValueError(f"column_names {list(names)} must name each column once; "
+                             f"the columns are {list(self.columns)}")
+        columns = {name: np.asarray(self.columns[name], dtype=float) for name in names}
+        if len({len(col) for col in columns.values()}) > 1:
             raise ValueError("all columns must have equal length")
-        for name in self.column_names:
-            col = np.asarray(self.columns[name], dtype=float)
+        for name, col in columns.items():
             if not np.isfinite(col).all():
                 raise ValueError(f"column '{name}' has a non-finite value (nan or inf)")
             if col.size and (col.min() < 0.0 or col.max() > 1.0):
                 raise ValueError(f"column '{name}' has values outside [0, 1]")
-            self.columns[name] = col
+        object.__setattr__(self, "columns", columns)
 
     @property
     def n(self) -> int:

@@ -82,10 +82,11 @@ than ``_SMALL_WINDOW`` rows together, in blocks of ``_BLOCK`` points, for
 either loss, instead of solving each on its own; the time of such a point
 goes to numpy call overhead, not arithmetic.  The windows are the rows of
 (points x window) arrays, padded to the widest, where padding and rows below
-``WEIGHT_FLOOR`` get weight 0.  One overflow guard covers each block: the
-kernel weights of far padding, the slopes at a pivot's x and the sums of a
-point that is handed back may overflow or divide by zero, and none of them
-decides a value.
+``WEIGHT_FLOOR`` get weight 0.  A block's solver returns the values it
+solves and nan at the points it hands back, which the per-point path then
+solves.  One overflow guard covers each block: the kernel weights of far
+padding, the slopes at a pivot's x and the sums of a point that is handed
+back may overflow or divide by zero, and none of them decides a value.
 
 Both losses take least-squares sums from ``_row_wls``, which applies
 ``_solve_wls`` to each row of (points x run) arrays.  Its sums are a row-wise
@@ -576,17 +577,15 @@ def _row_wls(
     return (t0 - s1 * beta1) / s0, beta1, det > 1e-13 * s0 * s2
 
 
-def _mean_lock_step(
-    x: np.ndarray, y: np.ndarray, w: np.ndarray, x0: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def _mean_lock_step(x: np.ndarray, y: np.ndarray, w: np.ndarray, x0: np.ndarray) -> np.ndarray:
     """Quadratic-loss values at the grid points x0 of ``_windows``' arrays:
     ``_solve_wls`` on each point's run of weighted rows, bit for bit.
 
     The points are grouped by the length of their run, and each group's
     runs are gathered into C-contiguous (points x run) arrays and solved by
-    ``_row_wls``.  Returns (solved, values); the module docstring lists the
-    points left unsolved.  One x is tested on its own: a determinant of
-    subnormal sums can pass the determinant test.
+    ``_row_wls``.  Returns the values, nan at the points handed back (the
+    module docstring lists them).  One x is tested on its own: a determinant
+    of subnormal sums can pass the determinant test.
     """
     weighted = w != 0.0
     count = np.count_nonzero(weighted, axis=1)
@@ -595,28 +594,26 @@ def _mean_lock_step(
     at = np.arange(len(x0))
     # the rows are sorted by x, so a run of two or more x starts below its end
     one_run = (count >= 2) & (end - first == count) & (x[at, first] < x[at, end - 1])
-    solved = np.zeros(len(x0), dtype=bool)
-    values = np.empty(len(x0))
+    values = np.full(len(x0), np.nan)
     for length in np.unique(count[one_run]).tolist():
         ids = np.flatnonzero(one_run & (count == length))
         rows, cols = ids[:, None], first[ids, None] + np.arange(length)
-        values[ids], _, solved[ids] = _row_wls(x[rows, cols] - x0[rows], y[rows, cols],
-                                               w[rows, cols])
-    return solved, values
+        beta0, _, regular = _row_wls(x[rows, cols] - x0[rows], y[rows, cols], w[rows, cols])
+        values[ids] = np.where(regular, beta0, np.nan)
+    return values
 
 
 def _lock_step(
     x: np.ndarray, y: np.ndarray, w: np.ndarray, x0: np.ndarray, tau: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Check-loss values at the grid points x0 of ``_windows``' arrays, whose
     windows hold 2 to ``_SMALL_WINDOW`` - 1 rows.
 
     Every point runs the descent of ``_check_loss_line`` at once, on
     (points x window) arrays in which the padding and the rows below
-    ``WEIGHT_FLOOR`` carry weight 0.  Returns (solved, values): a point is
-    solved when its descent ends on the only optimal line, which
-    ``_check_loss_line`` reaches too; the module docstring lists the points
-    left to ``local_linear_fit``.
+    ``WEIGHT_FLOOR`` carry weight 0.  Returns the values of the points whose
+    descent ends on the only optimal line, which ``_check_loss_line`` reaches
+    too, and nan at the others; the module docstring lists them.
     """
     weighted = w > 0.0
     y_scale = 2.0 * np.where(weighted, np.abs(y), 0.0).max(1)
@@ -627,8 +624,7 @@ def _lock_step(
     dx = np.diff(x, axis=1)
     gap = np.where(dx > 0.0, dx, np.inf).min(1)
     ids = np.flatnonzero((x_span < 1e300) & (gap > 1e-300) & (y_scale < 1e300 * gap))
-    solved = np.zeros(len(x0), dtype=bool)
-    values = np.empty(len(x0))
+    values = np.full(len(x0), np.nan)
     # per point: its window and x0, the on-line scales, and the best line so far, its objective
     # and whether it holds a weighted row besides its pivot and partner or a rotation tied
     x, y, w, weighted, x0 = x[ids], y[ids], w[ids], weighted[ids], x0[ids]
@@ -664,12 +660,11 @@ def _lock_step(
         # anchor on the point nearer x0, as local_linear_fit does
         p = np.where((dp > dq) | ((dp == dq) & (xp > xq)), q, p)
         values[ids[done]] = y[done, p] - best_b1[done] * (x[done, p] - x0d)
-        solved[ids[done]] = True
         go = ~stop
         (ids, x, y, w, weighted, x0, y_scale, x_span, k, best_k, best_j, best_b1, best_f,
          more) = (v[go] for v in (ids, x, y, w, weighted, x0, y_scale, x_span, j, best_k, best_j,
                                   best_b1, best_f, more))
-    return solved, values
+    return values
 
 
 def _lock_step_partner(a: np.ndarray, dy: np.ndarray, w: np.ndarray,
@@ -702,16 +697,16 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     x0 is fitted on its window, the slice of the sorted rows with |x - x0|
     <= _REACH * h, found by binary search.  For either loss, the grid
     points whose windows hold fewer than ``_SMALL_WINDOW`` rows are solved
-    together in lock step, and the others one at a time, as are the points
-    the lock step hands back (the module docstring lists them): the mean in
-    closed form on the run of the window's rows that carry kernel weight,
-    the check loss by ``local_linear_fit`` on the window, built once for
-    neighbouring grid points that share it.  The window holds every row with
-    kernel weight, so the curve is ``local_linear_fit`` on the sample stably
-    sorted by x, bit for bit, for both losses, errors included: the first
-    grid point at which ``local_linear_fit`` fails, a window of fewer than
-    two rows among them, raises its ``SmoothingError``.  An x whose range
-    overflows a float raises ``SmoothingError`` before any fit.
+    together in lock step, which leaves nan at the points it hands back (the
+    module docstring lists them).  The points still nan are solved one at a
+    time: the mean in closed form on the run of the window's rows that carry
+    kernel weight, the check loss by ``local_linear_fit`` on the window,
+    built once for neighbouring grid points that share it.  The window holds
+    every row with kernel weight, so the curve is ``local_linear_fit`` on the
+    sample stably sorted by x, bit for bit, for both losses, errors included:
+    the first grid point at which ``local_linear_fit`` fails, a window of
+    fewer than two rows among them, raises its ``SmoothingError``.  An x whose
+    range overflows a float raises ``SmoothingError`` before any fit.
 
     No extrapolation is attempted beyond the data range, and fitted values
     are never clamped here; clamping to [0, 1] is a presentation concern.
@@ -732,9 +727,8 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     grid = np.linspace(float(xs[0]), float(xs[-1]), spec.grid_size)
     los = np.searchsorted(xs, grid - _REACH * h, side="left")
     his = np.searchsorted(xs, grid + _REACH * h, side="right")
-    values = np.empty(spec.grid_size)
+    values = np.full(spec.grid_size, np.nan)
     mean = spec.loss.kind == "quadratic"
-    todo = np.ones(spec.grid_size, dtype=bool)
     small = np.flatnonzero((his - los >= 2) & (his - los < _SMALL_WINDOW))
     # in a block, padding far beyond a window can lie so many bandwidths away that u
     # overflows, slopes at the pivot's x divide by 0, and sums may overflow; none of them
@@ -743,12 +737,9 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
         for start in range(0, len(small), _BLOCK):
             block = small[start:start + _BLOCK]
             x, y, w = _windows(xs, ys, grid[block], los[block], his[block], h)
-            if mean:
-                solved, block_values = _mean_lock_step(x, y, w, grid[block])
-            else:
-                solved, block_values = _lock_step(x, y, w, grid[block], spec.loss.tau)
-            values[block[solved]] = block_values[solved]
-            todo[block[solved]] = False
+            values[block] = (_mean_lock_step(x, y, w, grid[block]) if mean
+                             else _lock_step(x, y, w, grid[block], spec.loss.tau))
+    todo = np.isnan(values)
     bounds, window = None, None
     for i, x0, lo, hi in zip(np.flatnonzero(todo).tolist(), grid[todo].tolist(),
                              los[todo].tolist(), his[todo].tolist()):

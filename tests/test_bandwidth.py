@@ -15,12 +15,18 @@ from locindex import (
     PairedSample,
     dpi_bandwidth,
     fit_curve,
+    jitter,
     median_adjust,
     oversmoothed_bandwidth,
+    pair,
     yu_jones_factor,
 )
 
 from oracles import amise_bandwidth, scipy_yu_jones_factor
+from reference import plug_in_bandwidth
+
+COLUMNS = ("mathematics", "reading", "spelling")
+ORDERED_PAIRS = [(a, b) for a in COLUMNS for b in COLUMNS if a != b]
 
 
 def noisy_quadratic(n: int, sigma: float, seed: int) -> PairedSample:
@@ -235,11 +241,48 @@ class TestDpiBandwidth:
         assert est.diagnostics.reason is None
 
     def test_block_cap_for_52_rows(self, marks_sample):
-        from locindex import jitter, pair
-
         pr = jitter(pair(marks_sample, "mathematics", "reading"), 1e-5, 0)
         est = dpi_bandwidth(pr)
         assert est.diagnostics.block_count in (1, 2)  # Nmax = max(min(52//20, 5), 1)
+
+
+def roadmap_pair(n: int) -> PairedSample:
+    """x ~ U(0, 1), y = clip(0.3 + 0.5x + 0.1 sin 8x + N(0, 0.1^2), 0, 1), seed 0,
+    jittered with sd 1e-5 and seed 0."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 1.0, n)
+    y = np.clip(0.3 + 0.5 * x + 0.1 * np.sin(8.0 * x) + rng.normal(0.0, 0.1, n), 0.0, 1.0)
+    return jitter(PairedSample(x=x, y=y), 1e-5, 0)
+
+
+class TestDpiAgainstReference:
+    # tests/reference.py's plug-in: np.polyfit quartics per block and its own
+    # blocking; the measured gap in h is below 1e-14 on every case here
+
+    @staticmethod
+    def assert_agrees(pr: PairedSample) -> tuple[int, str | None]:
+        est = dpi_bandwidth(pr)
+        h, blocks, reason = plug_in_bandwidth(pr.x, pr.y)
+        assert (est.diagnostics.block_count, est.diagnostics.reason) == (blocks, reason)
+        assert est.value == pytest.approx(h, rel=1e-10, abs=0.0)
+        return blocks, reason
+
+    @pytest.mark.parametrize("x_name,y_name", ORDERED_PAIRS)
+    def test_raw_fixture_pairs(self, marks_sample, x_name, y_name):
+        assert self.assert_agrees(pair(marks_sample, x_name, y_name)) == (1, None)
+
+    @pytest.mark.parametrize("n", [400, 10_000])
+    def test_synthetic_pair_of_two_blocks(self, n):
+        assert self.assert_agrees(roadmap_pair(n)) == (2, None)
+
+    @pytest.mark.parametrize("y, reason", [
+        (lambda x: 2.0 * x + 1.0, "curvature ~ 0"),
+        (lambda x: np.full_like(x, 0.5), "y is constant"),
+        (lambda x: x**4, "residual variance ~ 0"),
+    ])
+    def test_fallbacks(self, y, reason):
+        x = np.linspace(0.0, 1.0, 100)
+        assert self.assert_agrees(PairedSample(x=x, y=y(x))) == (1, reason)
 
 
 class TestBandwidthEstimate:

@@ -300,6 +300,34 @@ class TestNormalizedSample:
         with pytest.raises(ValueError, match="^column 'b' has values outside"):
             NormalizedSample(column_names=("a", "b"), columns=columns)
 
+    def test_column_missing_from_column_names_is_rejected(self):
+        # unlisted, c would skip the range check and reach pair() as it is
+        columns = {"a": np.array([0.1, 0.3, 0.2]), "b": np.array([0.5, 0.1, 0.4]),
+                   "c": np.array([5.0, -3.0, 7.0])}
+        with pytest.raises(ValueError, match=r"^column_names \['a', 'b'\] must name each "
+                                             r"column once; the columns are \['a', 'b', 'c'\]$"):
+            NormalizedSample(column_names=("a", "b"), columns=columns)
+
+    @pytest.mark.parametrize("names", [("a", "b", "c"), ("a", "b", "a")])
+    def test_name_without_its_own_column_is_rejected(self, names):
+        # a ValueError, not the KeyError of looking the missing column up
+        columns = {"a": np.array([0.1, 0.3, 0.2]), "b": np.array([0.5, 0.1, 0.4])}
+        with pytest.raises(ValueError, match="must name each column once"):
+            NormalizedSample(column_names=names, columns=columns)
+
+    def test_no_columns_are_rejected(self):
+        # an empty sample would raise IndexError from .n instead
+        with pytest.raises(ValueError, match="^a normalized sample needs at least one column$"):
+            NormalizedSample(column_names=(), columns={})
+
+    def test_callers_dict_is_left_as_it_was(self):
+        columns = {"a": [0.1, 0.3, 0.2], "b": [0.5, 0.1, 0.4]}
+        sample = NormalizedSample(column_names=("b", "a"), columns=columns)
+        assert columns == {"a": [0.1, 0.3, 0.2], "b": [0.5, 0.1, 0.4]}
+        assert sample.columns is not columns
+        assert list(sample.columns) == ["b", "a"]
+        assert sample.columns["a"].dtype == float and sample.n == 3
+
 
 class TestPairedSample:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -13,6 +13,7 @@ from locindex import (
     dpi_bandwidth,
     fit_curve,
     jitter,
+    loc_matrix,
     local_linear_fit,
     median_adjust,
     pair,
@@ -640,6 +641,31 @@ class TestMedianInLockStep:
         h = median_adjust(dpi_bandwidth(raw))
         fit_curve(raw, FitSpec(loss=LossKind.median(), bandwidth=h, grid_size=200))
         assert len(calls) < 200
+
+    @pytest.mark.parametrize("jitter_sd", [0.0, 1e-5])
+    def test_fixture_points_left_nan_are_those_local_linear_fit_solves(self, marks_sample,
+                                                                       monkeypatch, jitter_sd):
+        # the six median curves of the fixture's loc-matrix: every window holds
+        # under _SMALL_WINDOW rows, so every grid point takes the lock step, and
+        # exactly the points it returns as nan reach local_linear_fit; how many
+        # the raw marks hand back depends on rounding, so the counts are
+        # compared with each other
+        nan_points, calls = [], []
+        lock_step, scalar = smoothing._lock_step, smoothing.local_linear_fit
+
+        def counted_lock_step(*args):
+            values = lock_step(*args)
+            nan_points.append(int(np.isnan(values).sum()))
+            return values
+
+        monkeypatch.setattr(smoothing, "_lock_step", counted_lock_step)
+        monkeypatch.setattr(smoothing, "local_linear_fit",
+                            lambda *a: calls.append(a[1]) or scalar(*a))
+        matrix = loc_matrix(marks_sample, FitSpec(loss=LossKind.median(), grid_size=1000),
+                            jitter_sd=jitter_sd)
+        assert not matrix.failures
+        assert sum(nan_points) == len(calls)
+        assert (len(calls) > 0) == (jitter_sd == 0.0), len(calls)
 
     @pytest.mark.parametrize("x_name,y_name", ORDERED_PAIRS)
     def test_raw_fixture_curves_take_values_of_optimal_lines(self, marks_sample, x_name,
