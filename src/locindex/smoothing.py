@@ -119,12 +119,34 @@ from ``_row_wls`` on the padded windows, 0 where its determinant test fails,
 and the weighted quantile at that slope) only steers the path, and the
 value, anchored as in ``local_linear_fit``, is the same double.  A point
 takes the lock step by its window size alone, and is handed back to
-``local_linear_fit`` on its window when its slopes could overflow, when its
-first objective is not finite, when its best line holds another weighted row
-(tied y, or a copy of the pivot or the partner), or when two lines tie, as
-all lines through the pivot do where the window holds fewer than two
-distinct weighted x.  So ``fit_curve`` raises where ``local_linear_fit``
-does.
+``local_linear_fit`` on its window when its slopes, or the objective of a
+line through two of its weighted rows, could overflow, when its best line
+holds another weighted row (tied y, or a copy of the pivot or the partner),
+or when two lines tie, as all lines through the pivot do where the window
+holds fewer than two distinct weighted x.  So ``fit_curve`` raises where
+``local_linear_fit`` does.
+
+The optimal line is piecewise constant in x0: on the fixture's median
+curves of 1000 grid points, a point's line is its neighbour's at about 19
+steps in 20.  So the check loss takes three passes, each in blocks of
+``_BLOCK`` points.  The lock step solves every ``_STRIDE``-th point and keeps
+the two rows that define its line.  ``_certify`` tries each other point
+against the line of the nearest solved point on its left, then on its right.
+The lock step then solves the points that neither line certifies.  A line is
+certified at a point when it passes through two weighted rows of the window,
+holds no other weighted row, and each of the four one-sided rates of the
+rotations about those two rows exceeds ``_ON_LINE`` times the total weight
+times the span of the weighted x.  The rates come from ``_line_rates``, which
+gives ``_descending_pivot`` its rates too.  Near such a line the objective is
+linear on each of the four cones between those rotations, so it rises in
+every direction: the line is the only optimum.  The margin lies far above a
+rate's rounding, so a rate that is 0 but rounds above it (a flat rotation,
+as tied x makes) does not pass.  The descent reaches the only optimum from
+any start and, with no other row on the line, ends on the same two rows; the
+slope is symmetric in them, so the value, anchored as in
+``local_linear_fit``, is the descent's double.  A line through a third
+weighted row is not certified: the descent may define it by another pair of
+its rows, whose slope and anchor round otherwise.
 
 References
 ----------
@@ -145,6 +167,7 @@ References
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -302,6 +325,13 @@ _SMALL_WINDOW = 64
 # bounds its (points x window) arrays however large the grid.
 _BLOCK = 128
 
+# Of the grid points that the check-loss lock step takes, every _STRIDE-th is
+# solved first, and its line is tried on the points up to the next (_certify).
+# A block's time goes mostly to numpy call overhead, so the fewest blocks win:
+# at 8 the solved points of a 1000-point curve fill one block, and of the
+# fixture's median curves 4 and 32 were slower, 16 about the same.
+_STRIDE = 8
+
 # A bracket of the selection starts this many typical slope spacings wide
 # (the spread of the values over their count) and widens by _WIDEN at each
 # step; after _MAX_WIDENINGS steps every row is sorted instead.
@@ -389,34 +419,54 @@ def _descending_pivot(
     """A point of a line about which a rotation lowers the objective.
 
     The line has residuals r, a = x - x[k] for a point k on it, and the rows
-    with |r| <= on_line lie on it.  Rotating the line about such a row i
-    changes the objective at two one-sided rates, computed here for every i
-    at once from prefix sums.  These rotations span every direction in
-    (b0, b1), so the line is optimal when no rate is negative, and None is
+    with |r| <= on_line lie on it.  Rotating the line about such a row
+    changes the objective at two one-sided rates, which ``_line_rates``
+    gives for every such row at once.  These rotations span every direction
+    in (b0, b1), so the line is optimal when no rate is negative, and None is
     returned.  Otherwise the row with the steepest rate is returned, skipping
     rows whose a is in ``tried``.
     """
-    on = np.flatnonzero(np.abs(r) <= on_line)
+    online = np.abs(r) <= on_line
+    on = np.flatnonzero(online)
     if all(a[i] in tried for i in on):  # typically just the two defining points
         return None
-    g = w * np.where(r > 0.0, tau, tau - 1.0)  # derivative of each row's loss in r
-    g[on] = 0.0
-    g0, g1 = float(g.sum()), float(g @ a)
     on = on[np.argsort(a[on])]
-    ai = a[on]
-    cw = np.cumsum(w[on])
-    cwa = np.cumsum(w[on] * ai)
-    left = ai * cw - cwa  # sum of w_l (a_i - a_l) over rows on the line left of i
-    right = (cwa[-1] - cwa) - ai * (cw[-1] - cw)
-    pull = g1 - ai * g0  # sum of g_l (a_l - a_i) over rows off the line
-    rate = np.minimum((1.0 - tau) * right + tau * left - pull,
-                      tau * right + (1.0 - tau) * left + pull)
+    rate = _line_rates(w, tau, a, r, online, on)
     for i in np.argsort(rate):
         if rate[i] >= 0.0:
             return None
-        if ai[i] not in tried:
+        if a[on[i]] not in tried:
             return int(on[i])
     return None
+
+
+def _line_rates(
+    w: np.ndarray, tau: float, a: np.ndarray, r: np.ndarray, on: np.ndarray,
+    rows: np.ndarray | tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """The smaller one-sided rate of change of the objective as a line is
+    rotated about each of ``rows``, for one line (1-d arrays) or one line per
+    row of (points x window) arrays.
+
+    The line has residuals r, a = x - x[k] for a row k on it, ``on`` marks
+    the rows on it, and ``rows`` indexes them in ``a`` and ``w``, in order
+    of a along the last axis.  Rotating about row i by a slope t moves each
+    r_l by -t (a_l - a_i).  The rows off the line change their loss at their
+    derivative g, and those on it leave it to one side or the other, so the
+    rates come from two sums over the rows off the line and prefix sums over
+    the rows on it.
+    """
+    g = np.where(on, 0.0, w * np.where(r > 0.0, tau, tau - 1.0))  # derivative of loss in r
+    g0 = g.sum(-1, keepdims=True)
+    g1 = np.matmul(g[..., None, :], a[..., :, None])[..., 0]  # a BLAS dot per line
+    ai, wi = a[rows], w[rows]
+    cw = np.cumsum(wi, axis=-1)
+    cwa = np.cumsum(wi * ai, axis=-1)
+    left = ai * cw - cwa  # sum of w_l (a_i - a_l) over rows on the line left of i
+    right = (cwa[..., -1:] - cwa) - ai * (cw[..., -1:] - cw)
+    pull = g1 - ai * g0  # sum of g_l (a_l - a_i) over rows off the line
+    return np.minimum((1.0 - tau) * right + tau * left - pull,
+                      tau * right + (1.0 - tau) * left + pull)
 
 
 # a slope too steep for a float is +-inf, which sorts where the true one
@@ -603,28 +653,62 @@ def _mean_lock_step(x: np.ndarray, y: np.ndarray, w: np.ndarray, x0: np.ndarray)
     return values
 
 
+def _scales(
+    x: np.ndarray, y: np.ndarray, w: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of ``_windows``' arrays: the weighted rows, the scales of the
+    on-line test (2 max |y| and the span of x over the weighted rows), and
+    whether the lock step takes the point.
+
+    The columns hold each window and sorted rows after it, so their smallest
+    positive step in x bounds each nonzero |a| in the window from below.  The
+    lock step takes a point when then every weighted row off the pivot's x
+    has a finite slope and c = w |a| > 0, and every line through two weighted
+    rows has a finite objective, as the first line of ``_check_loss_line``
+    then has.
+    """
+    weighted = w > 0.0
+    at = np.arange(len(w))
+    last = w.shape[1] - 1 - weighted[:, ::-1].argmax(1)
+    x_span = x[at, last] - x[at, weighted.argmax(1)]  # the columns are sorted by x
+    y_scale = 2.0 * np.where(weighted, np.abs(y), 0.0).max(1)
+    dx = np.diff(x, axis=1)
+    gap = np.where(dx > 0.0, dx, np.inf).min(1)
+    # a slope is at most y_scale / gap, and a residual y_scale + that slope times x_span
+    sound = (x_span < 1e300) & (gap > 1e-300) & (y_scale < 1e300 * gap)
+    return weighted, y_scale, x_span, sound & (y_scale * x_span < 1e300 * gap)
+
+
+def _anchored(x: np.ndarray, y: np.ndarray, x0: np.ndarray, b1: np.ndarray, p: np.ndarray,
+              q: np.ndarray) -> np.ndarray:
+    """At each row of ``_windows``' arrays, the value at x0 of the line of
+    slope b1 through columns p and q, anchored on the one nearer x0, as
+    ``local_linear_fit`` anchors it."""
+    at = np.arange(len(x0))
+    xp, xq = x[at, p], x[at, q]
+    dp, dq = np.abs(xp - x0), np.abs(xq - x0)
+    p = np.where((dp > dq) | ((dp == dq) & (xp > xq)), q, p)
+    return y[at, p] - b1 * (x[at, p] - x0)
+
+
 def _lock_step(
     x: np.ndarray, y: np.ndarray, w: np.ndarray, x0: np.ndarray, tau: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Check-loss values at the grid points x0 of ``_windows``' arrays, whose
-    windows hold 2 to ``_SMALL_WINDOW`` - 1 rows.
+    windows hold 2 to ``_SMALL_WINDOW`` - 1 rows, and the columns of the two
+    rows that define each point's line, the smaller first.
 
     Every point runs the descent of ``_check_loss_line`` at once, on
     (points x window) arrays in which the padding and the rows below
     ``WEIGHT_FLOOR`` carry weight 0.  Returns the values of the points whose
     descent ends on the only optimal line, which ``_check_loss_line`` reaches
-    too, and nan at the others; the module docstring lists them.
+    too, and nan and columns -1 at the others; the module docstring lists
+    them.
     """
-    weighted = w > 0.0
-    y_scale = 2.0 * np.where(weighted, np.abs(y), 0.0).max(1)
-    x_span = np.where(weighted, x, -np.inf).max(1) - np.where(weighted, x, np.inf).min(1)
-    # the columns hold each window and sorted rows after it, so their smallest positive
-    # step in x bounds each nonzero |a| in the window from below; where these hold every
-    # weighted row off the pivot's x has a finite slope and c = w |a| > 0
-    dx = np.diff(x, axis=1)
-    gap = np.where(dx > 0.0, dx, np.inf).min(1)
-    ids = np.flatnonzero((x_span < 1e300) & (gap > 1e-300) & (y_scale < 1e300 * gap))
+    weighted, y_scale, x_span, sound = _scales(x, y, w)
+    ids = np.flatnonzero(sound)
     values = np.full(len(x0), np.nan)
+    lines = np.full((len(x0), 2), -1)
     # per point: its window and x0, the on-line scales, and the best line so far, its objective
     # and whether it holds a weighted row besides its pivot and partner or a rotation tied
     x, y, w, weighted, x0 = x[ids], y[ids], w[ids], weighted[ids], x0[ids]
@@ -652,18 +736,87 @@ def _lock_step(
         best_b1, best_f = np.where(better, b1, best_b1), np.where(better, f, best_f)
         more = np.where(better, on.any(1), more) | flat
         stop = ~better | (f == 0.0)
-        # a first objective that is not finite leaves best_f at inf
-        done = np.flatnonzero(stop & ~more & (best_f < np.inf))
-        p, q, x0d = best_k[done], best_j[done], x0[done]
-        xp, xq = x[done, p], x[done, q]
-        dp, dq = np.abs(xp - x0d), np.abs(xq - x0d)
-        # anchor on the point nearer x0, as local_linear_fit does
-        p = np.where((dp > dq) | ((dp == dq) & (xp > xq)), q, p)
-        values[ids[done]] = y[done, p] - best_b1[done] * (x[done, p] - x0d)
+        done = np.flatnonzero(stop & ~more)
+        p, q = best_k[done], best_j[done]
+        values[ids[done]] = _anchored(x[done], y[done], x0[done], best_b1[done], p, q)
+        lines[ids[done]] = np.stack([np.minimum(p, q), np.maximum(p, q)], 1)
         go = ~stop
         (ids, x, y, w, weighted, x0, y_scale, x_span, k, best_k, best_j, best_b1, best_f,
          more) = (v[go] for v in (ids, x, y, w, weighted, x0, y_scale, x_span, j, best_k, best_j,
                                   best_b1, best_f, more))
+    return values, lines
+
+
+def _certify(
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, x0: np.ndarray, tau: float,
+    *candidates: np.ndarray,
+) -> np.ndarray:
+    """Check-loss values at the grid points x0 of ``_windows``' arrays whose
+    only optimal line is one of the ``candidates``, tried in turn, and nan at
+    the others.  Each candidate gives two columns of each window (points x 2,
+    the smaller first); -1, or a column outside the window, gives no line.
+
+    A point is certified against a line when the lock step takes it, both
+    columns are weighted rows of its window, no other weighted row is on the
+    line (the lock step's on-line test), and each rate of ``_line_rates``
+    about the two rows exceeds ``_ON_LINE`` times the total weight times the
+    span of the weighted x, a bound on the terms the rate is summed from.
+    """
+    weighted, y_scale, x_span, sound = _scales(x, y, w)
+    values = np.full(len(x0), np.nan)
+    ids = np.flatnonzero(sound)
+    rows = (x, y, w, weighted, x0, y_scale, x_span)
+    for lines in candidates:
+        x, y, w, weighted, x0, y_scale, x_span = (v[ids] for v in rows)
+        inside = (lines[ids, 0] >= 0) & (lines[ids, 1] < x.shape[1])
+        lines = np.where(inside[:, None], lines[ids], [0, 1])
+        at, p, q = np.arange(len(ids)), lines[:, 0], lines[:, 1]
+        a = x - x[at, p][:, None]
+        dy = y - y[at, p][:, None]
+        b1 = dy[at, q] / a[at, q]  # the slope the descent takes: symmetric in p and q
+        r = dy - b1[:, None] * a
+        on = weighted & (np.abs(r) <= (_ON_LINE * (y_scale + np.abs(b1) * x_span))[:, None])
+        rate = _line_rates(w, tau, a, r, on, (at[:, None], lines))
+        unique = (rate > (_ON_LINE * w.sum(1) * x_span)[:, None]).all(1)
+        certified = inside & on[at, p] & on[at, q] & (on.sum(1) == 2) & unique
+        values[ids] = np.where(certified, _anchored(x, y, x0, b1, p, q), np.nan)
+        ids = ids[~certified]
+    return values
+
+
+def _blocks(points: np.ndarray) -> Iterator[np.ndarray]:
+    """``points`` in runs of at most ``_BLOCK``, the lock step's unit of work."""
+    return (points[start:start + _BLOCK] for start in range(0, len(points), _BLOCK))
+
+
+def _median_lock_step(
+    xs: np.ndarray, ys: np.ndarray, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: float,
+    tau: float,
+) -> np.ndarray:
+    """Check-loss values at the grid points x0 whose windows xs[lo:hi],
+    ys[lo:hi] hold 2 to ``_SMALL_WINDOW`` - 1 rows, nan where handed back.
+
+    Three passes, each in blocks of ``_BLOCK`` points: ``_lock_step`` solves
+    every ``_STRIDE``-th point and keeps its line; ``_certify`` tries each
+    other point against the line of the solved point on its left, then on
+    its right; and ``_lock_step`` solves the points that neither certifies.
+    """
+    values = np.full(len(x0), np.nan)
+    points = np.arange(len(x0))
+    solved, rest = points[::_STRIDE], points[points % _STRIDE > 0]
+    # the two rows of xs that define the line of each solved point, -1 for a point
+    # handed back and, in the last row, for the points after the last solved one
+    lines = np.full((len(solved) + 1, 2), -1)
+    for ids in _blocks(solved):
+        values[ids], cols = _lock_step(*_windows(xs, ys, x0[ids], lo[ids], hi[ids], h), x0[ids],
+                                       tau)
+        lines[ids // _STRIDE] = np.where(cols < 0, -1, cols + lo[ids, None])
+    for ids in _blocks(rest):
+        left, first = ids // _STRIDE, lo[ids, None]
+        values[ids] = _certify(*_windows(xs, ys, x0[ids], lo[ids], hi[ids], h), x0[ids], tau,
+                               lines[left] - first, lines[left + 1] - first)
+    for ids in _blocks(rest[np.isnan(values[rest])]):
+        values[ids] = _lock_step(*_windows(xs, ys, x0[ids], lo[ids], hi[ids], h), x0[ids], tau)[0]
     return values
 
 
@@ -698,15 +851,19 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     <= _REACH * h, found by binary search.  For either loss, the grid
     points whose windows hold fewer than ``_SMALL_WINDOW`` rows are solved
     together in lock step, which leaves nan at the points it hands back (the
-    module docstring lists them).  The points still nan are solved one at a
-    time: the mean in closed form on the run of the window's rows that carry
-    kernel weight, the check loss by ``local_linear_fit`` on the window,
-    built once for neighbouring grid points that share it.  The window holds
-    every row with kernel weight, so the curve is ``local_linear_fit`` on the
-    sample stably sorted by x, bit for bit, for both losses, errors included:
-    the first grid point at which ``local_linear_fit`` fails, a window of
-    fewer than two rows among them, raises its ``SmoothingError``.  An x whose
-    range overflows a float raises ``SmoothingError`` before any fit.
+    module docstring lists them).  The check loss solves every
+    ``_STRIDE``-th such point first, takes the value of a solved neighbour's
+    line at each other point where that line is certified to be the only
+    optimal one, and solves the rest in lock step too.  The points still nan
+    are solved one at a time: the mean in closed form on the run of the
+    window's rows that carry kernel weight, the check loss by
+    ``local_linear_fit`` on the window, built once for neighbouring grid
+    points that share it.  The window holds every row with kernel weight, so
+    the curve is ``local_linear_fit`` on the sample stably sorted by x, bit
+    for bit, for both losses, errors included: the first grid point at which
+    ``local_linear_fit`` fails, a window of fewer than two rows among them,
+    raises its ``SmoothingError``.  An x whose range overflows a float raises
+    ``SmoothingError`` before any fit.
 
     No extrapolation is attempted beyond the data range, and fitted values
     are never clamped here; clamping to [0, 1] is a presentation concern.
@@ -734,11 +891,13 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     # overflows, slopes at the pivot's x divide by 0, and sums may overflow; none of them
     # decides a value, and the per-point path redoes a handed-back point, warnings included
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start in range(0, len(small), _BLOCK):
-            block = small[start:start + _BLOCK]
-            x, y, w = _windows(xs, ys, grid[block], los[block], his[block], h)
-            values[block] = (_mean_lock_step(x, y, w, grid[block]) if mean
-                             else _lock_step(x, y, w, grid[block], spec.loss.tau))
+        if mean:
+            for ids in _blocks(small):
+                values[ids] = _mean_lock_step(*_windows(xs, ys, grid[ids], los[ids], his[ids], h),
+                                              grid[ids])
+        else:
+            values[small] = _median_lock_step(xs, ys, grid[small], los[small], his[small], h,
+                                              spec.loss.tau)
     todo = np.isnan(values)
     bounds, window = None, None
     for i, x0, lo, hi in zip(np.flatnonzero(todo).tolist(), grid[todo].tolist(),

@@ -13,9 +13,9 @@ solver, and a weighted quantile from a plain loop over the sorted rows.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse
 from scipy import stats
-from scipy.optimize import linprog
+
+from reference import check_loss_line
 
 
 def distribution(taus: np.ndarray, x: float) -> float:
@@ -130,31 +130,13 @@ def check_loss_minimum(x, y, x0, bandwidth, tau) -> float:
 def check_loss_lp_minimum(x, y, x0, bandwidth, tau) -> float:
     """Kernel-weighted check loss at the optimum found by linear programming.
 
-    Variables are b0, b1 (free) and the parts u, v >= 0 of each residual,
-    with b0 + b1 (x_i - x0) + u_i - v_i = y_i and cost w_i (tau u_i +
-    (1 - tau) v_i), solved by HiGHS.  The value returned is
-    ``check_loss_value`` at the solver's (b0, b1): the objective of a line,
-    never below the true minimum, and above it by no more than the solver's
+    The value returned is ``check_loss_value`` at the (b0, b1) of
+    ``reference.check_loss_line`` (HiGHS): the objective of a line, never
+    below the true minimum, and above it by no more than the solver's
     tolerance.  Unlike ``check_loss_minimum`` it scales to hundreds of rows.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u = (x - x0) / bandwidth
-    w = np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi)
-    keep = w >= 1e-12
-    m = int(keep.sum())
-    eye = scipy.sparse.identity(m, format="csr")
-    design = scipy.sparse.csr_matrix(np.column_stack([np.ones(m), x[keep] - x0]))
-    res = linprog(
-        np.concatenate([[0.0, 0.0], tau * w[keep], (1.0 - tau) * w[keep]]),
-        A_eq=scipy.sparse.hstack([design, eye, -eye], format="csr"),
-        b_eq=y[keep],
-        bounds=[(None, None)] * 2 + [(0.0, None)] * (2 * m),
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"linprog failed at x0 = {x0}: {res.message}")
-    return check_loss_value(x, y, x0, bandwidth, tau, res.x[0], res.x[1])
+    beta0, beta1 = check_loss_line(x, y, x0, bandwidth, tau)
+    return check_loss_value(x, y, x0, bandwidth, tau, beta0, beta1)
 
 
 def weighted_quantile_row(v, c, cut) -> int:

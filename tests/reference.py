@@ -1,13 +1,16 @@
 """A reference pipeline built from other algorithms than ``locindex``'s.
 
 Each function recomputes one stage from its published definition with
-general-purpose numpy routines, favouring plainness over speed, so that a
-test can compare a whole stage with it instead of with earlier outputs.
+general-purpose numpy and scipy routines, favouring plainness over speed, so
+that a test can compare a whole stage with it instead of with earlier
+outputs.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse
+from scipy.optimize import linprog
 
 
 def plug_in_bandwidth(x: np.ndarray, y: np.ndarray) -> tuple[float, int, str | None]:
@@ -59,3 +62,41 @@ def plug_in_bandwidth(x: np.ndarray, y: np.ndarray) -> tuple[float, int, str | N
         roughness = 1.0 / (2.0 * math.sqrt(math.pi))  # of the normal kernel; mu2 = 1
         return (roughness * sigma2 * support / (n * curvature)) ** 0.2, chosen, None
     return support * n ** -0.2, chosen, reason
+
+
+def check_loss_line(x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float,
+                    tau: float) -> tuple[float, float]:
+    """Local linear check-loss coefficients (b0, b1) at x0 by linear programming.
+
+    Variables are b0, b1 (free) and the parts u, v >= 0 of each residual,
+    with b0 + b1 (x_i - x0) + u_i - v_i = y_i and cost w_i (tau u_i +
+    (1 - tau) v_i) over the rows whose Gaussian kernel weight w_i reaches
+    1e-12, solved by HiGHS.  The coefficients are optimal up to the solver's
+    tolerance.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    u = (x - x0) / bandwidth
+    w = np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi)
+    keep = w >= 1e-12
+    m = int(keep.sum())
+    eye = scipy.sparse.identity(m, format="csr")
+    design = scipy.sparse.csr_matrix(np.column_stack([np.ones(m), x[keep] - x0]))
+    res = linprog(
+        np.concatenate([[0.0, 0.0], tau * w[keep], (1.0 - tau) * w[keep]]),
+        A_eq=scipy.sparse.hstack([design, eye, -eye], format="csr"),
+        b_eq=y[keep],
+        bounds=[(None, None)] * 2 + [(0.0, None)] * (2 * m),
+        method="highs",
+    )
+    if res.status != 0:
+        raise RuntimeError(f"linprog failed at x0 = {x0}: {res.message}")
+    return float(res.x[0]), float(res.x[1])
+
+
+def median_curve(x: np.ndarray, y: np.ndarray, grid: np.ndarray, bandwidth: float,
+                 tau: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+    """The local linear tau-quantile curve on ``grid``: the intercepts (the
+    curve's values) and slopes of ``check_loss_line`` at each grid point."""
+    lines = np.array([check_loss_line(x, y, x0, bandwidth, tau) for x0 in np.asarray(grid)])
+    return lines[:, 0], lines[:, 1]

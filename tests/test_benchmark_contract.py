@@ -77,6 +77,27 @@ def test_fixture_warm_up_solves_its_medians_in_lock_step(perfbench):
     assert names.count("smoothing.local_linear_fit") == 0
 
 
+def test_fixture_workload_certifies_most_of_its_median_grid_points(perfbench, monkeypatch):
+    # at the timed grid of 1000 points the optimal median line is mostly a
+    # neighbour's: the lock step solves every _STRIDE-th point, and the line
+    # of a solved neighbour certified 5,041 of the other 5,250 (measured; the
+    # warm-up's grid of 20 certifies only 18 of its 102); local_linear_fit
+    # solves none of them, so smoothing.local_fit_calls still reads 0
+    _, _, _, workloads = perfbench
+    certify, certified = locindex.smoothing._certify, []
+
+    def counted(*args):
+        values = certify(*args)
+        certified.append(int(np.count_nonzero(~np.isnan(values))))
+        return values
+
+    monkeypatch.setattr(locindex.smoothing, "_certify", counted)
+    names = traced_span_names(perfbench, workloads.FixtureMatrix(0))
+    assert names.count("smoothing.fit_curve") == 12  # 6 ordered pairs x 2 losses
+    assert names.count("smoothing.local_linear_fit") == 0
+    assert sum(certified) >= 4800  # of 6 x 1000 median grid points
+
+
 def test_fixture_warm_up_solves_its_means_in_lock_step(perfbench, monkeypatch):
     # the mean curves too: no fixture grid point takes the per-point
     # _solve_wls, so smoothing.mean_fit_s times the lock step there; the
