@@ -773,8 +773,8 @@ class TestMedianInLockStep:
         assert expected == 0.08999999999999997
 
     def test_line_with_a_flat_rotation_is_not_certified(self):
-        # at tau = 1/2 the rotation about row 0 towards row 3, which shares
-        # row 2's x and weight, has a rate of exactly 0, rounded to 1.4e-17:
+        # at tau = 1/2 the rotation about row 2 towards row 1, which shares
+        # row 0's x and weight, has a rate of exactly 0, rounded to 1.4e-17:
         # the line through rows 0 and 2 is optimal, but so are others, and
         # local_linear_fit ends on one of them, whose value is 0.507, not 0.45
         x = [0.0, 0.0, 0.7, 0.7, 0.7]
