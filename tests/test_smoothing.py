@@ -732,7 +732,9 @@ class TestMedianInLockStep:
                 fit_curve(sample, FitSpec(loss=loss, bandwidth=bandwidth, grid_size=200))
             except SmoothingError:  # a gap in x, found after the lock step's passes
                 pass
-        assert 0 < len(certified) < 200
+        # rarely, every line the lock step finds holds a third row (y rounded
+        # and one window of all rows), and there is no line to certify with
+        assume(certified)
         reference = sorted_by_x(sample)
         for x0, value in certified:
             assert value == local_linear_fit(reference, x0, h, loss)[0], x0
