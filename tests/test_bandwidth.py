@@ -240,6 +240,18 @@ class TestDpiBandwidth:
         assert not est.diagnostics.fallback
         assert est.diagnostics.reason is None
 
+    def test_blocks_of_fewer_than_five_distinct_x_keep_the_minimum_norm_quartic(self):
+        # such a block has no unique quartic, and lstsq's minimum-norm one
+        # decides h; pinned bit for bit, with the block counts 5, 5, 4 and 1
+        rng = np.random.default_rng(1)
+        cases = [(3, 100, 5, 0.369642783275148), (4, 100, 5, 0.3903223672008321),
+                 (6, 200, 4, 0.1713895885200645), (2, 40, 1, 0.19523295466255178)]
+        for k, n, blocks, h in cases:
+            x = rng.integers(0, k, n) / (k - 1)
+            y = np.clip(0.3 + 0.4 * x + rng.normal(0.0, 0.1, n), 0.0, 1.0)
+            est = dpi_bandwidth(PairedSample(x=x, y=y))
+            assert (est.diagnostics.block_count, est.value) == (blocks, h)
+
     def test_block_cap_for_52_rows(self, marks_sample):
         pr = jitter(pair(marks_sample, "mathematics", "reading"), 1e-5, 0)
         est = dpi_bandwidth(pr)
