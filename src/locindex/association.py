@@ -6,6 +6,10 @@ on.  Tied data should be passed through ``dataset.jitter`` first; the rank
 operations raise ``TiesError`` otherwise rather than silently mid-ranking.
 The LOC pipeline fits tied data exactly and needs no tie-free sample.
 
+A sample is ranked once: ``empirical_ranks`` keeps its ``Ranks`` on the
+sample, whose arrays cannot change, and Spearman's coefficient, both zetas,
+the finite-population I and the rank step function all read them.
+
 The bridge: sorting the pairs by x and reading off the y ranks r_1..r_n
 yields the rank step function t -> r_i / n on ((i-1)/n, i/n].  Its LOC index
 equals the finite-population quantity I = (1/(2 n^3)) sum (i - r_i)^2, which
@@ -145,11 +149,20 @@ def _dense_ranks(values: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray
 
 
 def empirical_ranks(sample: PairedSample) -> Ranks:
-    """Empirical cdf evaluations and induced y ranks for a tie-free sample."""
-    rx, x_order = _dense_ranks(sample.x, "x")
-    ry, _ = _dense_ranks(sample.y, "y")
-    n = sample.n
-    return Ranks(fx=rx / n, gy=ry / n, induced=ry[x_order])
+    """Empirical cdf evaluations and induced y ranks for a tie-free sample.
+
+    The sample is ranked the first time it is asked for, and the ``Ranks``,
+    whose arrays are read-only, are kept on it for every later call.
+    """
+    if sample._ranks is None:
+        rx, x_order = _dense_ranks(sample.x, "x")
+        ry, _ = _dense_ranks(sample.y, "y")
+        n = sample.n
+        ranks = Ranks(fx=rx / n, gy=ry / n, induced=ry[x_order])
+        for values in (ranks.fx, ranks.gy, ranks.induced):
+            values.flags.writeable = False
+        object.__setattr__(sample, "_ranks", ranks)
+    return sample._ranks
 
 
 def spearman(sample: PairedSample) -> float:
@@ -183,11 +196,21 @@ def finite_population_I(sample: PairedSample) -> float:
     This is the empirical version of E[(F(X) - G(Y))^2] / 2; it vanishes
     exactly for co-monotone data.  Computed in integer arithmetic.
     """
-    ranks = empirical_ranks(sample)
     n = sample.n
-    i = np.arange(1, n + 1, dtype=np.int64)
-    num = int(np.sum((i - ranks.induced) ** 2))
-    return num / (2.0 * n**3)
+    return _squared_rank_gaps(empirical_ranks(sample).induced) / (2.0 * n**3)
+
+
+def _squared_rank_gaps(induced: np.ndarray) -> int:
+    """sum (i - r_i)^2 over a permutation r of 1..n, exactly.
+
+    The sum reaches n (n^2 - 1) / 3 on a reversed sample, beyond int64 from
+    n of about 3.03e6, so it is taken in int64 over runs short enough that
+    no partial sum can overflow, and the runs are added as Python ints.
+    """
+    n = len(induced)
+    gaps = np.arange(1, n + 1, dtype=np.int64) - induced
+    run = max(1, np.iinfo(np.int64).max // max(1, (n - 1) ** 2))
+    return sum(int(part @ part) for part in np.split(gaps, range(run, n, run)))
 
 
 def rank_step_function(sample: PairedSample) -> np.ndarray:

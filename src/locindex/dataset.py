@@ -11,7 +11,7 @@ deliberately not interchangeable.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -101,6 +101,21 @@ class NormalizedSample:
         return len(self.columns[self.column_names[0]])
 
 
+def _read_only(values: object) -> np.ndarray:
+    """``values`` as a float array that nothing can write through.
+
+    An array that is read-only, and whose base is a read-only array too, is
+    taken as it is (a slice of such an array among them); anything else is
+    copied, and the copy made read-only.
+    """
+    array = np.asarray(values, dtype=float)
+    base = array if array.base is None else array.base
+    if array.flags.writeable or not isinstance(base, np.ndarray) or base.flags.writeable:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class PairedSample:
     """An ordered scatterplot: x explains, y responds.
@@ -108,14 +123,22 @@ class PairedSample:
     ``pair(A, B)`` and ``pair(B, A)`` are different objects with different
     meanings; none of the downstream machinery treats them symmetrically.
     Both coordinates must be finite: a nan or inf raises ``ValueError``.
+
+    x and y are read-only float arrays, so a sample cannot change once it is
+    built.  An input is copied unless it and its base are read-only already;
+    ``jitter`` and ``smoothing.fit_curve`` pass arrays that they own and
+    made read-only, so their samples share them.  That a sample cannot
+    change is what lets ``association.empirical_ranks`` rank it once and
+    keep the result in ``_ranks``.
     """
 
     x: np.ndarray
     y: np.ndarray
+    _ranks: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        x = _read_only(self.x)
+        y = _read_only(self.y)
         if x.ndim != 1 or y.ndim != 1 or len(x) != len(y):
             raise ValueError("x and y must be 1-d vectors of equal length")
         if len(x) < 2:
@@ -244,7 +267,7 @@ def pair(sample: NormalizedSample, x_name: str, y_name: str) -> PairedSample:
             raise ValueError(
                 f"unknown column '{name}'; available: {', '.join(sample.column_names)}"
             )
-    return PairedSample(x=sample.columns[x_name].copy(), y=sample.columns[y_name].copy())
+    return PairedSample(x=sample.columns[x_name], y=sample.columns[y_name])
 
 
 def jitter(sample: PairedSample, sd: float, seed: int) -> PairedSample:
@@ -266,6 +289,7 @@ def jitter(sample: PairedSample, sd: float, seed: int) -> PairedSample:
     rng = np.random.default_rng(seed)
     x = sample.x + rng.normal(0.0, sd, size=sample.n)
     y = sample.y + rng.normal(0.0, sd, size=sample.n)
+    x.flags.writeable = y.flags.writeable = False  # the sample takes them uncopied
     return PairedSample(x=x, y=y)
 
 

@@ -881,6 +881,7 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     if not math.isfinite(float(xs[-1]) - float(xs[0])):  # the grid's step would overflow
         raise SmoothingError(f"x spans more than the float range: {xs[0]} to {xs[-1]}")
     ys = sample.y[order]
+    xs.flags.writeable = ys.flags.writeable = False  # window samples share them uncopied
     grid = np.linspace(float(xs[0]), float(xs[-1]), spec.grid_size)
     los = np.searchsorted(xs, grid - _REACH * h, side="left")
     his = np.searchsorted(xs, grid + _REACH * h, side="right")

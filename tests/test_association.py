@@ -26,6 +26,7 @@ from locindex import (
     rank_step_function,
     spearman,
 )
+from locindex.association import _squared_rank_gaps
 from scipy import integrate
 
 from oracles import (
@@ -92,6 +93,25 @@ class TestEmpiricalRanks:
         pr = PairedSample(x=np.array([0.2, 0.4, 0.9]), y=np.array([0.5, 0.1, 0.5]))
         with pytest.raises(TiesError):
             empirical_ranks(pr)
+
+    def test_a_sample_is_ranked_once(self, monkeypatch):
+        import locindex.association as A
+
+        calls = []
+        dense_ranks = A._dense_ranks
+        monkeypatch.setattr(A, "_dense_ranks", lambda *a: calls.append(a[1]) or dense_ranks(*a))
+        rng = np.random.default_rng(5)
+        x, y = random_tie_free_sample(rng, 30)
+        pr = PairedSample(x=x, y=y)
+        spearman(pr)
+        liebscher_zeta(pr, PsiFunction.quadratic())
+        liebscher_zeta(pr, PsiFunction.absolute())
+        finite_population_I(pr)
+        rank_step_function(pr)
+        assert calls == ["x", "y"]
+        ranks = empirical_ranks(pr)
+        assert empirical_ranks(pr) is ranks
+        assert not any(v.flags.writeable for v in (ranks.fx, ranks.gy, ranks.induced))
 
     def test_fx_is_a_permutation_of_grid(self):
         rng = np.random.default_rng(2)
@@ -205,6 +225,19 @@ class TestFinitePopulationI:
     def test_comonotone_is_zero(self):
         x = np.linspace(0.1, 0.9, 25)
         assert finite_population_I(PairedSample(x=x, y=np.sqrt(x))) == 0.0
+
+    def test_reversed_sample_is_one_sixth_up_to_the_n_cubed_term(self):
+        n = 1000
+        x = np.linspace(0.0, 1.0, n)
+        assert finite_population_I(PairedSample(x=x, y=-x)) == (n * (n * n - 1) // 3) / (2.0 * n**3)
+
+    def test_reversed_ranks_beyond_the_int64_range(self):
+        # sum (i - r_i)^2 = n (n^2 - 1) / 3 exceeds 2^63 - 1 from n of about
+        # 3.03e6; one int64 sum wrapped to a negative I at n = 3.1e6
+        n = 3_100_000
+        total = _squared_rank_gaps(np.arange(n, 0, -1))
+        assert total == n * (n * n - 1) // 3 > np.iinfo(np.int64).max
+        assert total / (2.0 * n**3) == pytest.approx(1 / 6, rel=1e-12)
 
     def test_invariant_under_increasing_transforms(self):
         rng = np.random.default_rng(7)

@@ -182,3 +182,45 @@ def test_median_curve_in_large_windows_passes_verification(perfbench):
     assert check.ok, check.problems
     assert check.points == verification.POINTS_PER_FIT
     assert check.worst <= 1e-12
+
+
+def test_no_plug_in_block_of_the_workloads_calls_lstsq(perfbench, monkeypatch):
+    # every block of every workload's pair is fitted from its Gram matrix:
+    # lstsq, which blocks of fewer than five distinct x keep, is never
+    # reached, so the Gram solve's gain shows on the timed traffic
+    _, _, _, workloads = perfbench
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plug-in block called np.linalg.lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    fits = []
+    dpi = locindex.association.dpi_bandwidth
+    monkeypatch.setattr(locindex.association, "dpi_bandwidth",
+                        lambda sample: fits.append(sample.n) or dpi(sample))
+    workload = workloads.warm_up_copy(workloads.FixtureMatrix(0))
+    inputs = workload.build(workload.generate())
+    ops = workload.ops(inputs, workload.run(inputs))
+    assert fits == [52] * 12  # 6 ordered pairs x 2 losses, as at the timed grid
+    assert all(op.problem is None for op in ops)
+    for name in ("pair-both-1e4", "pair-mean-1e5"):
+        workload = workloads.make(name, 0)
+        jittered = locindex.jitter(workload.build(workload.generate()), workloads.JITTER_SD,
+                                   workload.seed)
+        assert not dpi(jittered).diagnostics.fallback
+
+
+def test_pair_workload_ranks_its_jittered_sample_once(perfbench, monkeypatch):
+    # the five rank quantities of a repetition share one Ranks: two
+    # _dense_ranks calls, for x and for y
+    _, _, _, workloads = perfbench
+    calls = []
+    dense_ranks = locindex.association._dense_ranks
+    monkeypatch.setattr(locindex.association, "_dense_ranks",
+                        lambda *a: calls.append(a[1]) or dense_ranks(*a))
+    workload = workloads.warm_up_copy(workloads.make("pair-mean-1e5", 0))
+    inputs = workload.build(workload.generate())
+    for repetition in range(1, 4):
+        ops = workload.run(inputs)
+        assert all(op.problem is None for op in ops)
+        assert calls == ["x", "y"] * repetition

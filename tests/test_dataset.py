@@ -186,6 +186,12 @@ class TestJitter:
         assert (out.x == sample.x + rng.normal(0.0, 1e-5, size=5)).all()
         assert (out.y == sample.y + rng.normal(0.0, 1e-5, size=5)).all()
 
+    def test_the_jittered_sample_owns_its_arrays_uncopied(self):
+        out = jitter(self._tied_sample(), 1e-5, seed=2)
+        assert out.x.flags.owndata and not out.x.flags.writeable
+        assert out.y.flags.owndata and not out.y.flags.writeable
+        assert PairedSample(x=out.x, y=out.y).x is out.x
+
     def test_an_sd_too_small_to_move_a_value_keeps_the_tie(self):
         # 1e-320 is far below the spacing of floats near 0.2, so the draw
         # leaves x as it is; one draw is taken, never a retry
@@ -351,6 +357,34 @@ class TestPairedSample:
         big = np.finfo(float).max
         sample = PairedSample(x=np.array([-big, big]), y=np.array([5e-324, 0.0]))
         assert sample.n == 2
+
+    def test_arrays_are_read_only(self):
+        sample = PairedSample(x=[0.1, 0.3, 0.2], y=[0.5, 0.1, 0.4])
+        for values in (sample.x, sample.y):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.9
+
+    def test_a_writeable_input_is_copied(self):
+        x, y = np.array([0.1, 0.3, 0.2]), np.array([0.5, 0.1, 0.4])
+        sample = PairedSample(x=x, y=y)
+        x[0] = y[0] = 0.9
+        assert sample.x.tolist() == [0.1, 0.3, 0.2]
+        assert sample.y.tolist() == [0.5, 0.1, 0.4]
+
+    def test_read_only_arrays_and_their_slices_are_shared(self):
+        x, y = np.array([0.0, 0.2, 0.4, 0.6, 0.8]), np.array([0.9, 0.7, 0.8, 0.1, 0.2])
+        x.flags.writeable = y.flags.writeable = False
+        assert PairedSample(x=x, y=y).x is x
+        window = PairedSample(x=x[1:4], y=y[1:4])
+        assert window.x.base is x and window.y.base is y
+
+    def test_a_read_only_view_of_a_writeable_array_is_copied(self):
+        x, y = np.linspace(0.0, 1.0, 6), np.linspace(1.0, 0.0, 6)
+        view = x[:]
+        view.flags.writeable = False
+        sample = PairedSample(x=view, y=y)
+        x[0] = 0.5  # writes through the view, not into the sample
+        assert sample.x[0] == 0.0 and not np.shares_memory(sample.x, x)
 
 
 class TestRawScores:

@@ -500,6 +500,23 @@ class TestFitCurve:
         x0 = np.linspace(0.0, 1.0, 101)[i]
         assert np.sum(np.abs(x - x0) <= smoothing._REACH * h.value) < 2
 
+    def test_large_median_windows_are_views_of_the_sorted_sample(self, monkeypatch):
+        # the sorted arrays are read-only, so a window's sample shares them
+        # instead of copying its rows at every grid point
+        rng = np.random.default_rng(4)
+        x, y = random_tie_free_sample(rng, 300)
+        windows = []
+        scalar = smoothing.local_linear_fit
+        monkeypatch.setattr(smoothing, "local_linear_fit",
+                            lambda *a: windows.append(a[0]) or scalar(*a))
+        h = BandwidthEstimate(value=0.05, method="fixed")  # every window is a large one
+        fit_curve(PairedSample(x=x, y=y), FitSpec(loss=LossKind.median(), bandwidth=h,
+                                                  grid_size=30))
+        assert len(windows) == 30 and len({id(w) for w in windows}) > 1
+        sorted_x, sorted_y = windows[0].x.base, windows[0].y.base
+        assert sorted_x is not None and sorted_y is not None
+        assert all(w.x.base is sorted_x and w.y.base is sorted_y for w in windows)
+
 
 def assert_raises_local_fits_first_error(sample: PairedSample, loss: LossKind,
                                          h: BandwidthEstimate, grid_size: int) -> tuple[int, str]:
