@@ -253,6 +253,20 @@ class TestDpiBandwidth:
             est = dpi_bandwidth(PairedSample(x=x, y=y))
             assert (est.diagnostics.block_count, est.value) == (blocks, h)
 
+    def test_jittered_blocks_of_fewer_than_five_levels_of_x_keep_lstsq(self):
+        # the same data jittered: every x is distinct, but a block of fewer
+        # than five clusters has a Gram matrix singular to working precision,
+        # where a plain solve raises LinAlgError; h as lstsq gave it before
+        rng = np.random.default_rng(1)
+        cases = [(3, 100, 0.005361621729970533), (4, 100, 0.0041946269426979925),
+                 (6, 200, 0.1090417578147092), (2, 40, 4.2090387584476285e-05)]
+        for k, n, h in cases:
+            x = rng.integers(0, k, n) / (k - 1)
+            y = np.clip(0.3 + 0.4 * x + rng.normal(0.0, 0.1, n), 0.0, 1.0)
+            est = dpi_bandwidth(jitter(PairedSample(x=x, y=y), 1e-5, 0))
+            assert est.diagnostics.block_count == 1
+            assert est.value == pytest.approx(h, rel=1e-12, abs=0.0)
+
     def test_block_cap_for_52_rows(self, marks_sample):
         pr = jitter(pair(marks_sample, "mathematics", "reading"), 1e-5, 0)
         est = dpi_bandwidth(pr)

@@ -10,6 +10,7 @@ from locindex import (
     PairedSample,
     ParseError,
     RawScores,
+    dataset,
     histogram,
     jitter,
     load_csv,
@@ -186,11 +187,21 @@ class TestJitter:
         assert (out.x == sample.x + rng.normal(0.0, 1e-5, size=5)).all()
         assert (out.y == sample.y + rng.normal(0.0, 1e-5, size=5)).all()
 
-    def test_the_jittered_sample_owns_its_arrays_uncopied(self):
-        out = jitter(self._tied_sample(), 1e-5, seed=2)
+    def test_the_jittered_sample_takes_its_arrays_uncopied(self, monkeypatch):
+        sample = self._tied_sample()
+        copied = []
+        read_only = dataset._read_only
+
+        def spy(values):
+            array = read_only(values)
+            copied.append(array is not values)
+            return array
+
+        monkeypatch.setattr(dataset, "_read_only", spy)
+        out = jitter(sample, 1e-5, seed=2)
+        assert copied == [False, False]
         assert out.x.flags.owndata and not out.x.flags.writeable
         assert out.y.flags.owndata and not out.y.flags.writeable
-        assert PairedSample(x=out.x, y=out.y).x is out.x
 
     def test_an_sd_too_small_to_move_a_value_keeps_the_tie(self):
         # 1e-320 is far below the spacing of floats near 0.2, so the draw
