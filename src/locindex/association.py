@@ -76,7 +76,9 @@ class Ranks:
 
     ``fx[i] = rank(x_i)/n`` and ``gy[i] = rank(y_i)/n`` in original row
     order; ``induced[i]`` is n times the empirical y-cdf at the y value paired
-    with the i-th smallest x, a permutation of 1..n.
+    with the i-th smallest x, a permutation of 1..n.  The arrays are
+    read-only, because ``empirical_ranks`` hands one ``Ranks`` to every
+    caller that asks about the same sample.
     """
 
     fx: np.ndarray
