@@ -10,18 +10,16 @@ variance entering the asymptotically optimal bandwidth
 
 The block count is picked by Mallows' Cp over N = 1..Nmax with
 Nmax = max(min(floor(n/20), 5), 1), the published defaults of the procedure.
-
-Each block's quartic solves its 5 x 5 normal equations, on x scaled to
-[-1, 1] and refined once from the explicit residuals, whose sum of squares
-is the RSS; the curvature is a quadratic form in the Gram matrix's moments.
-Its curvature is as close to a long-double solve as ``np.linalg.lstsq``'s
-(within 6e-14 relative on the ROADMAP's synthetic pair), at a quarter of
-lstsq's time at n = 1e5.  A block whose Gram matrix is singular or nearly
-so, every block of fewer than five distinct x among them, keeps lstsq and
-its minimum-norm quartic, so its h is what it was before (see
-``_blocked_quartic``).
 The conditional-median bandwidth multiplies the mean-based estimate by the
 Yu-Jones factor {tau(1-tau) / phi(PHI^-1(tau))^2}^(1/5).
+
+Each block's quartic comes from its 5 x 5 normal equations on x scaled to
+[-1, 1], refined once from the explicit residuals.  Its curvature is as
+close to a long-double solve as ``np.linalg.lstsq``'s (within 6e-14
+relative on the ROADMAP's synthetic pair), in about a quarter of lstsq's
+time at n = 1e5.  A block whose Gram matrix is singular or nearly so, every
+block of fewer than five distinct x among them, keeps lstsq and its
+minimum-norm quartic (see ``_blocked_quartic``).
 
 References
 ----------
