@@ -1,15 +1,22 @@
 """Global bandwidth selection for local linear smoothing.
 
-The conditional-mean bandwidth is the direct plug-in estimate built from
-blocked quartic fits: the data are split into N blocks by the ordered x
-values, an ordinary quartic polynomial is fitted per block, and the fits
-supply the curvature functional integral(h''(x)^2 f(x) dx) and the residual
-variance entering the asymptotically optimal bandwidth
+The conditional-mean bandwidth is a one-stage blocked-quartic plug-in: the
+data are split into N blocks by the ordered x values, an ordinary quartic
+polynomial is fitted per block, and the fits' curvature functional
+theta22 = integral(h''(x)^2 f(x) dx) and residual variance sigma^2 go
+straight into the asymptotically optimal (AMISE) bandwidth
 
     b = [ R(K) * sigma^2 * |support| / (n * mu2(K)^2 * theta22) ]^(1/5).
 
+This is not the direct plug-in of Ruppert, Sheather & Wand [1], which uses
+the blocked quartic fits only to set pilot bandwidths and estimates theta22
+and sigma^2 again by local polynomial fits at those pilots.
+
 The block count is picked by Mallows' Cp over N = 1..Nmax with
-Nmax = max(min(floor(n/20), 5), 1), the published defaults of the procedure.
+Nmax = max(min(floor(d/20), 5), 1), where d is the number of distinct x.
+That is this repository's reading of the cap in [1], which gives each block
+about 20 design points: repeated x add rows but no design points, and
+blocks cut among them fit their quartics to clusters of repeated rows.
 The conditional-median bandwidth multiplies the mean-based estimate by the
 Yu-Jones factor {tau(1-tau) / phi(PHI^-1(tau))^2}^(1/5).
 
@@ -181,15 +188,20 @@ def _blocked_quartic(xs: np.ndarray, ys: np.ndarray, n_blocks: int) -> tuple[flo
 
 
 def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:
-    """Direct plug-in bandwidth for the conditional-mean local linear fit.
+    """One-stage blocked-quartic plug-in bandwidth for the conditional-mean
+    local linear fit.
 
-    Needs at least 20 observations (the blocked quartic fits are meaningless
-    below that) and a non-degenerate x.  When the estimated curvature
-    functional collapses (linear data) or the residual variance is zero
-    (interpolating fits, e.g. noiseless polynomial data), the plug-in formula
-    degenerates; the estimate then falls back to ``oversmoothed_bandwidth``
-    and says so, with the reason, in the diagnostics and in a warning of the
-    ``locindex.bandwidth`` logger, once per fallback.
+    The blocked quartics' theta22 and sigma^2 enter the AMISE formula
+    directly (the module docstring says how this differs from Ruppert,
+    Sheather & Wand's direct plug-in), over 1 to max(min(d // 20, 5), 1)
+    blocks for d distinct x.  Needs at least 20 observations (the blocked
+    quartic fits are meaningless below that) and a non-degenerate x.  When
+    the estimated curvature functional collapses (linear data) or the
+    residual variance is zero (interpolating fits, e.g. noiseless polynomial
+    data), the plug-in formula degenerates; the estimate then falls back to
+    ``oversmoothed_bandwidth`` and says so, with the reason, in the
+    diagnostics and in a warning of the ``locindex.bandwidth`` logger, once
+    per fallback.
 
     Rounding never gives an exact zero, so both quantities are compared with
     floors relative to the amplitude of y, which keeps the fallback decision
@@ -222,7 +234,8 @@ def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:
     # instead, which keeps the blocking invariant under row permutation.
     order = np.argsort(x)
     xs = x[order]
-    if np.any(xs[1:] == xs[:-1]):
+    distinct = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))
+    if distinct < n:
         order = np.lexsort((y, x))
         xs = x[order]
     ys = y[order]
@@ -234,7 +247,7 @@ def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:
     except (OverflowError, ZeroDivisionError):
         raise BandwidthError(f"sample out of the plug-in's float range (ptp(x) = "
                              f"{support:.3g}, ptp(y) = {amplitude:.3g})") from None
-    n_max = max(min(n // 20, 5), 1)
+    n_max = max(min(distinct // 20, 5), 1)
     fits = {N: _blocked_quartic(xs, ys, N) for N in range(1, n_max + 1)}
     denom = fits[n_max][0] / (n - 5 * n_max)
     if amplitude > 0.0 and denom > variance_floor:

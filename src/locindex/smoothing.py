@@ -75,7 +75,17 @@ unsorted sample, the mean can differ in the last bits, because its sums add
 the rows in another order, and on tied data the check-loss descent can reach
 another of several optimal lines.  On tie-free data the check-loss optimum
 is unique and the value depends on the line only, so there the median curve
-equals ``local_linear_fit`` on the unsorted sample too.
+equals ``local_linear_fit`` on the unsorted sample too.  Every such identity
+holds within one BLAS configuration: a dot product's rounding can depend on
+the number of threads BLAS runs it on, which for OpenBLAS 0.3.31 on two
+cores changes the bits of dots longer than 10,000 rows, so a mean curve whose
+windows are that long can differ between a pinned and an unpinned process.
+
+The per-point path calls the C routines that numpy's Python wrappers forward
+to (``np.add.reduce`` for ``sum``, the ``argsort``, ``cumsum``,
+``searchsorted`` and ``nonzero`` methods, ``np.minimum.reduce`` and the like),
+which give the same doubles without the wrappers' call overhead; at n = 1e4 a
+grid point's descent makes dozens of such calls on a few thousand rows.
 
 Lock step.  ``fit_curve`` solves all grid points whose windows hold fewer
 than ``_SMALL_WINDOW`` rows together, in blocks of ``_BLOCK`` points, for
@@ -278,12 +288,19 @@ def _kernel_weights(x: np.ndarray, x0: float, bandwidth: float) -> np.ndarray:
 
 
 def _solve_wls(d: np.ndarray, y: np.ndarray, w: np.ndarray, x0: float) -> tuple[float, float]:
-    """Closed-form 2-parameter weighted least squares on the design (1, d)."""
-    s0 = float(w.sum())
+    """Closed-form 2-parameter weighted least squares on the design (1, d).
+
+    The sums are a pairwise sum and BLAS dots, d y reusing the buffer of
+    d d.  Their doubles, and so the coefficients, hold within one BLAS
+    configuration: with OpenBLAS, a dot of more than 10,000 rows can round
+    otherwise when it runs on more threads.
+    """
+    s0 = float(np.add.reduce(w))
     s1 = float(w @ d)
-    s2 = float(w @ (d * d))
+    dd = d * d
+    s2 = float(w @ dd)
     t0 = float(w @ y)
-    t1 = float(w @ (d * y))
+    t1 = float(w @ np.multiply(d, y, out=dd))
     det = s0 * s2 - s1 * s1
     if not det > 1e-13 * s0 * s2:  # s0 * s2 >= 0; a nan from overflowing sums fails too
         raise SmoothingError(f"singular weighted design at x0 = {x0}")
@@ -369,7 +386,7 @@ def _select(v: np.ndarray, c: np.ndarray, cut: float, guess: float, spread: floa
             at_lo_mask = v <= lo
             at_lo = float(np.dot(c, at_lo_mask))
         else:
-            inside = np.flatnonzero(at_hi_mask > at_lo_mask)
+            inside = (at_hi_mask > at_lo_mask).nonzero()[0]
             return _sorted_select(v, c, cut, inside, at_lo)
         step *= _WIDEN
     return _sorted_select(v, c, cut, np.arange(len(v)), 0.0)
@@ -379,11 +396,13 @@ def _sorted_select(v: np.ndarray, c: np.ndarray, cut: float, rows: np.ndarray,
                    below: float) -> int:
     """``_select`` among ``rows``, which hold every row whose running weight
     can reach ``cut``; the rows of smaller v weigh ``below``."""
-    order = rows[np.argsort(v[rows], kind="stable")]
+    order = rows[v[rows].argsort(kind="stable")]
     c_order = c[order]
-    pos = int(np.searchsorted(below + np.cumsum(c_order), cut))
+    running = c_order.cumsum()
+    running += below
+    pos = int(running.searchsorted(cut))
     if pos == len(order):  # cut above the total weight by rounding
-        pos = int(np.flatnonzero(c_order)[-1])
+        pos = int(c_order.nonzero()[0][-1])
     return int(order[pos])
 
 
@@ -399,17 +418,40 @@ def _rotate(
     ``guess`` is a slope near the best one and ``spread`` about the weighted
     sum of absolute residuals of the line through k of that slope; they only
     steer ``_select``.
+
+    c = w |a|, the cut, the residuals r = dy - b1 a and the objective
+    sum_i w_i max(tau r_i, (tau - 1) r_i) are those formulas' doubles for
+    every input, taken with fewer passes over the rows.  c and r are built
+    in place.  The cut's weighted count of the rows with a < 0 is skipped
+    when its factor 1 - 2 tau is exactly 0 (tau = 1/2), since 0 times a
+    finite count adds nothing; an infinite total still takes it, as 0 times
+    an infinite count is nan.  At tau = 1/2 each max(r_i / 2, -r_i / 2) is
+    |r_i| / 2, the same rounding of the same magnitude, so the objective is
+    w @ (|r| / 2).  Halving w @ |r| instead would need normal-range numbers,
+    for which halving is exact: a subnormal term rounds otherwise, and the
+    doubled sum can overflow where the objective does not.
     """
     a = x - x[k]
     dy = y - y[k]
-    c = w * np.abs(a)  # 0 where a = 0, whose slope is inf or nan
-    total = float(c.sum())
-    cut = tau * total + (1.0 - 2.0 * tau) * float(np.dot(c, a < 0.0))
+    c = np.abs(a)
+    c *= w  # 0 where a = 0, whose slope is inf or nan
+    total = float(np.add.reduce(c))
+    cut = tau * total
+    skew = 1.0 - 2.0 * tau
+    if skew or total == math.inf:
+        cut += skew * float(np.dot(c, a < 0.0))
     slopes = dy / a
     j = _select(slopes, c, cut, guess, spread / total)
     b1 = float(slopes[j])
-    r = dy - b1 * a
-    return int(j), b1, float(w @ np.maximum(tau * r, (tau - 1.0) * r)), r, a
+    r = np.multiply(a, b1, out=slopes)  # the slopes are spent
+    np.subtract(dy, r, out=r)
+    if tau == 0.5:
+        loss = np.abs(r)
+        loss *= 0.5
+    else:
+        loss = np.maximum(tau * r, (tau - 1.0) * r)
+    f = float(w @ loss)
+    return int(j), b1, f, r, a
 
 
 def _descending_pivot(
@@ -427,12 +469,12 @@ def _descending_pivot(
     rows whose a is in ``tried``.
     """
     online = np.abs(r) <= on_line
-    on = np.flatnonzero(online)
+    on = online.nonzero()[0]
     if all(a[i] in tried for i in on):  # typically just the two defining points
         return None
-    on = on[np.argsort(a[on])]
+    on = on[a[on].argsort()]
     rate = _line_rates(w, tau, a, r, online, on)
-    for i in np.argsort(rate):
+    for i in rate.argsort():
         if rate[i] >= 0.0:
             return None
         if a[on[i]] not in tried:
@@ -473,16 +515,16 @@ def _line_rates(
 # belongs; a line whose objective overflows is never a descent
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _check_loss_line(
-    x: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float, x0: float,
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float, x0: float, x_span: float,
 ) -> tuple[int, int, float]:
     """Pivoting descent from ``_start``'s pivot to an optimal line: (p, q, slope).
 
     ``x``, ``y`` and ``w`` hold the weighted rows only, and at least two
-    distinct values of ``x``.
+    distinct values of ``x``; ``x_span`` is max(x) - min(x), which
+    ``local_linear_fit`` has taken already, and scales the on-line test.
     """
     k, guess, spread = _start(x - x0, y, w, tau, x0)
-    y_scale = 2.0 * float(np.abs(y).max())
-    x_span = float(x.max() - x.min())
+    y_scale = 2.0 * float(np.maximum.reduce(np.abs(y)))
     best_f = math.inf
     while True:
         j, b1, f, r, a = _rotate(x, y, w, tau, k, guess, spread)
@@ -515,16 +557,19 @@ def _start(
     the optimum; this one is usually on or next to the optimal line.
     Returns the pivot, the slope and the weighted sum of absolute deviations
     of y - slope * d from their weighted mean, which steer the first
-    rotation's selection.
+    rotation's selection.  y - slope * d and its deviations are built in
+    place, with the doubles of those formulas.
     """
     try:
         slope = _solve_wls(d, y, w, x0)[1]
     except SmoothingError:  # a nearly singular design: slope 0 starts as well
         slope = 0.0
-    v = y - slope * d
-    total = float(w.sum())
+    v = np.multiply(d, slope)
+    np.subtract(y, v, out=v)
+    total = float(np.add.reduce(w))
     mean = float(w @ v) / total
-    spread = float(w @ np.abs(v - mean))
+    dev = v - mean
+    spread = float(w @ np.abs(dev, out=dev))
     return _select(v, w, tau * total, mean, spread / total), slope, spread
 
 
@@ -549,17 +594,22 @@ def local_linear_fit(
 
     Raises SmoothingError when fewer than two distinct x values carry kernel
     weight at x0, when quadratic loss has a singular (or overflowing) design,
-    and when the check-loss objective overflows.
+    and when the check-loss objective overflows.  The span of the weighted
+    x, from one min and one max, tests the first and scales the descent's
+    on-line test.
     """
     if not bandwidth > 0:  # nan too
         raise ValueError("bandwidth must be > 0")
     x, y, w = _weighted_rows(sample.x, sample.y, x0, bandwidth)
-    if not x.size or x.min() == x.max():
+    if not x.size:
+        raise _too_few(x0)
+    x_span = float(np.maximum.reduce(x) - np.minimum.reduce(x))
+    if x_span == 0.0:
         raise _too_few(x0)
     if loss.kind == "quadratic":
         return _solve_wls(x - x0, y, w, x0)
 
-    p, q, b1 = _check_loss_line(x, y, w, loss.tau, x0)
+    p, q, b1 = _check_loss_line(x, y, w, loss.tau, x0, x_span)
     # anchor on the point nearer x0: the value then depends on the line only
     if (abs(x[p] - x0), x[p]) > (abs(x[q] - x0), x[q]):
         p = q
@@ -586,9 +636,9 @@ def _weighted_rows(
     weighted = w != 0.0
     first = int(weighted.argmax())
     end = first + int(np.count_nonzero(weighted))
-    if weighted[first:end].all():
+    if np.logical_and.reduce(weighted[first:end]):
         return x[first:end], y[first:end], w[first:end]
-    rows = np.flatnonzero(weighted)
+    rows = weighted.nonzero()[0]
     return x[rows], y[rows], w[rows]
 
 

@@ -14,23 +14,26 @@ from scipy.optimize import linprog
 
 
 def plug_in_bandwidth(x: np.ndarray, y: np.ndarray) -> tuple[float, int, str | None]:
-    """The direct plug-in bandwidth of Ruppert, Sheather and Wand (1995).
+    """The one-stage blocked-quartic plug-in bandwidth.
 
+    The blocked quartics' curvature and residual variance go straight into
+    the AMISE formula; Ruppert, Sheather and Wand's (1995) direct plug-in
+    would use the blocked fits only to set pilot bandwidths.
     Returns (h, block count, fallback reason or None).  The rows are ordered
     by (x, y) and cut into N blocks of consecutive rows, the first n mod N
     blocks one row longer.  A quartic is fitted to each block by
     ``np.polyfit`` on x centred at the block's mean, for N = 1..Nmax with
-    Nmax = max(min(n // 20, 5), 1), and N is chosen by Mallows' Cp.  The
-    floors on the residual variance and the curvature, the fallback to
-    ptp(x) n^(-1/5) and the normal kernel's constants are those that
-    ``locindex.dpi_bandwidth`` documents.
+    Nmax = max(min(d // 20, 5), 1), d the number of distinct x, and N is
+    chosen by Mallows' Cp.  The floors on the residual variance and the
+    curvature, the fallback to ptp(x) n^(-1/5) and the normal kernel's
+    constants are those that ``locindex.dpi_bandwidth`` documents.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(x)
     order = np.lexsort((y, x))
     xs, ys = x[order], y[order]
-    n_max = max(min(n // 20, 5), 1)
+    n_max = max(min(len(np.unique(x)) // 20, 5), 1)
     fits = {}  # N -> (residual sum of squares, mean squared second derivative)
     for blocks in range(1, n_max + 1):
         sizes = [n // blocks + (b < n % blocks) for b in range(blocks)]

@@ -15,6 +15,7 @@ from locindex import (
     PairedSample,
     dpi_bandwidth,
     fit_curve,
+    fit_pair,
     jitter,
     median_adjust,
     oversmoothed_bandwidth,
@@ -243,10 +244,10 @@ class TestDpiBandwidth:
 
     def test_blocks_of_fewer_than_five_distinct_x_keep_the_minimum_norm_quartic(self):
         # such a block has no unique quartic, and lstsq's minimum-norm one
-        # decides h; pinned bit for bit, with the block counts 5, 5, 4 and 1
+        # decides h; pinned bit for bit.  2 to 6 distinct x cap the blocks at one
         rng = np.random.default_rng(1)
-        cases = [(3, 100, 5, 0.369642783275148), (4, 100, 5, 0.3903223672008321),
-                 (6, 200, 4, 0.1713895885200645), (2, 40, 1, 0.19523295466255178)]
+        cases = [(3, 100, 1, 0.19640403174376286), (4, 100, 1, 0.1661698514365813),
+                 (6, 200, 1, 0.10904619348887401), (2, 40, 1, 0.19523295466255178)]
         for k, n, blocks, h in cases:
             x = rng.integers(0, k, n) / (k - 1)
             y = np.clip(0.3 + 0.4 * x + rng.normal(0.0, 0.1, n), 0.0, 1.0)
@@ -266,6 +267,23 @@ class TestDpiBandwidth:
             est = dpi_bandwidth(jitter(PairedSample(x=x, y=y), 1e-5, 0))
             assert est.diagnostics.block_count == 1
             assert est.value == pytest.approx(h, rel=1e-12, abs=0.0)
+
+    def test_block_cap_counts_distinct_x(self, marks_sample):
+        # a bootstrap resample of the fixture's spelling -> reading rows holds 20
+        # distinct x in 52 rows; capped by n, Cp took 2 blocks whose quartics fit
+        # clusters of repeated rows (curvature 1.47e6, h = 0.0053), and both
+        # curves failed with fewer than 2 distinct x in a window near x = 0.74
+        rng = np.random.default_rng(1)
+        for _ in range(33):
+            idx = rng.integers(0, 52, 52)
+        full = pair(marks_sample, "spelling", "reading")
+        pr = PairedSample(x=full.x[idx], y=full.y[idx])
+        assert len(np.unique(pr.x)) == 20
+        est = dpi_bandwidth(pr)
+        assert (est.diagnostics.block_count, est.value) == (1, 0.026116804251646204)
+        for loss in (LossKind.quadratic(), LossKind.median()):
+            fit = fit_pair(pr, FitSpec(loss=loss), jitter_sd=0.0)
+            assert fit.error is None and fit.loc >= 0.0
 
     def test_block_cap_for_52_rows(self, marks_sample):
         pr = jitter(pair(marks_sample, "mathematics", "reading"), 1e-5, 0)

@@ -200,6 +200,68 @@ class TestSelect:
         assert row == expected
 
 
+class TestRotate:
+    @staticmethod
+    def formula_rotate(x, y, w, tau, k, guess, spread):
+        # _rotate's formulas as written before its passes were cut: c = w |a|,
+        # a masked dot in the cut and the check loss as a max of two lines
+        a = x - x[k]
+        dy = y - y[k]
+        c = w * np.abs(a)
+        total = float(c.sum())
+        cut = tau * total + (1.0 - 2.0 * tau) * float(np.dot(c, a < 0.0))
+        slopes = dy / a
+        j = smoothing._select(slopes, c, cut, guess, spread / total)
+        b1 = float(slopes[j])
+        r = dy - b1 * a
+        return int(j), b1, float(w @ np.maximum(tau * r, (tau - 1.0) * r)), r, a
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(64, 600),
+        tied=st.booleans(),
+        tau=st.sampled_from(TAUS),
+        h=st.sampled_from((0.05, 0.2, 1.0)),
+        where=st.floats(0.0, 1.0),
+        spread=st.sampled_from((0.0, 1e-3, 1.0, 1e3)),
+        data=st.data(),
+    )
+    def test_equals_the_formulas(self, seed, n, tied, tau, h, where, spread, data):
+        # the windows local_linear_fit takes one point at a time: 64 rows or more
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.0, 1.0, n)
+        y = 0.3 + 0.5 * x + 0.1 * np.sin(8.0 * x) + rng.normal(0.0, 0.1, n)
+        if tied:  # equal x, and equal slopes through the pivot
+            x, y = np.round(x, 2), np.round(y, 1)
+        w = smoothing._kernel_weights(x, where, h)
+        x, y, w = x[w > 0.0], y[w > 0.0], w[w > 0.0]
+        assume(len(x) >= smoothing._SMALL_WINDOW and np.ptp(x) > 0.0)
+        k = data.draw(st.integers(0, len(x) - 1))
+        guess = data.draw(st.floats(-3.0, 3.0))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a = 0 at the pivot's x
+            j, b1, f, r, a = smoothing._rotate(x, y, w, tau, k, guess, spread)
+            j0, b10, f0, r0, a0 = self.formula_rotate(x, y, w, tau, k, guess, spread)
+        assert (j, b1, f) == (j0, b10, f0)
+        assert np.array_equal(r, r0) and np.array_equal(a, a0)
+
+    @pytest.mark.parametrize("x_scale,y_scale", [
+        (1e307, 1e307),  # c sums to inf, and so does the weight of a < 0
+        (1.0, 1e-310),  # subnormal residuals, whose halves round
+    ])
+    def test_equals_the_formulas_at_the_ends_of_the_float_range(self, x_scale, y_scale):
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-1.0, 1.0, 200) * x_scale
+        y = rng.normal(0.0, 1.0, 200) * y_scale
+        w = rng.uniform(0.01, 0.4, 200)
+        for k in (0, 1, 2):
+            with np.errstate(all="ignore"):
+                got = smoothing._rotate(x, y, w, 0.5, k, 0.0, 1.0)
+                want = self.formula_rotate(x, y, w, 0.5, k, 0.0, 1.0)
+            assert got[:3] == want[:3] or np.isnan(got[2]) and np.isnan(want[2])
+            assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
+
+
 class TestLocalLinearFit:
     def test_mean_with_huge_bandwidth_is_global_least_squares(self):
         rng = np.random.default_rng(7)
