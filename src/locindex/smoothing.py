@@ -65,6 +65,7 @@ which numpy's default sort gives; only tied x needs a stable sort.  The
 kernel falls away from x0 on both sides, so the weighted rows of a window
 are one contiguous run.  A window of ``_SMALL_WINDOW`` rows or more is
 solved on views of that run, the mean by ``_solve_wls`` and the check loss
+by a descent warm-started from the line of the grid point before (below) or
 by ``local_linear_fit`` on the window; smaller windows are solved in lock
 step (below), for both losses.  Either way the weighted rows reach the
 solvers in the order of the sorted sample, and ``fit_curve`` is
@@ -158,6 +159,29 @@ slope is symmetric in them, so the value, anchored as in
 weighted row is not certified: the descent may define it by another pair of
 its rows, whose slope and anchor round otherwise.
 
+Warm start.  Grid points whose windows hold ``_SMALL_WINDOW`` rows or more
+are solved one at a time, and there too a point's optimal line is often its
+neighbour's or a rotation away from it.  So on tie-free x each such point
+starts its descent from the line of the grid point before it, given by the
+x of its two rows, when both carry weight at the point.  The warm descent
+tests each line it reaches before it rotates: it takes ``_line_rates``
+about the rows on the line, stops when no rate is negative, and otherwise
+rotates about the row of the steepest.  It keeps the line it stops on only
+when ``_certify``'s rule proves it the only optimum: two weighted rows on
+it, and each rate above ``_rate_margin``, which is ``_ON_LINE`` times the
+total weight times the span of the weighted x up to 1024 rows and grows
+with the count of weighted rows above, so that it bounds a rate's rounding
+on a window of any size.  The value is then the descent's double, anchored
+as ``local_linear_fit`` anchors it, for the reasons above.  A point whose
+line fails the rule, the first grid point, and every point on tied x call
+``local_linear_fit`` on the window, as do samples whose slopes or objectives
+could overflow (``_scales``' bounds over the whole sample), where
+``local_linear_fit`` may raise.  The next point starts from the two
+weighted rows on the line ``local_linear_fit`` returns, when exactly two
+lie on it.  At n = 1e4 (windows of about 3,900 rows) 999 of 1000 grid
+points keep their warm line, after 0.8 to 1.0 rotations on average against
+3.6 from ``_start``.
+
 References
 ----------
 .. [1] Fan, J. (1992). "Design-adaptive nonparametric regression."
@@ -179,6 +203,8 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -200,6 +226,8 @@ __all__ = [
 WEIGHT_FLOOR = 1e-12
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+_Real = float | np.ndarray  # a float, or an array of them taken elementwise
 
 # |u| at which the kernel falls to WEIGHT_FLOOR (about 7.31), padded by 1% so
 # that no rounding of (x - x0) / h leaves a weighted row outside a window
@@ -334,8 +362,8 @@ _ON_LINE = 2.0**-40
 # losses.  ``fit_curve`` solves the grid points whose windows hold fewer rows
 # than this together, in lock step (``_mean_lock_step`` for the mean,
 # ``_lock_step`` for the check loss), where a point's time goes to numpy call
-# overhead; larger windows take ``_solve_wls`` (mean) or ``local_linear_fit``
-# and its selection (check loss), one grid point at a time.
+# overhead; larger windows take ``_solve_wls`` (mean) or the selection's
+# descent (check loss), warm-started on tie-free x, one grid point at a time.
 _SMALL_WINDOW = 64
 
 # The lock step takes this many grid points at a time, for either loss, which
@@ -348,6 +376,11 @@ _BLOCK = 128
 # at 8 the solved points of a 1000-point curve fill one block, and of the
 # fixture's median curves 4 and 32 were slower, 16 about the same.
 _STRIDE = 8
+
+# ``_line_rates`` takes the rates about at most this many rows on one line in
+# Python floats, and more in numpy: on a window of 4,000 rows the two cost the
+# same at about 12 rows, 22 and 30 us at 2 rows, 81 and 32 us at 64.
+_FLOAT_ROWS = 8
 
 # A bracket of the selection starts this many typical slope spacings wide
 # (the spread of the values over their count) and widens by _WIDEN at each
@@ -443,15 +476,25 @@ def _rotate(
     slopes = dy / a
     j = _select(slopes, c, cut, guess, spread / total)
     b1 = float(slopes[j])
-    r = np.multiply(a, b1, out=slopes)  # the slopes are spent
+    f, r = _objective(w, tau, a, dy, b1, out=slopes)  # the slopes are spent
+    return int(j), b1, f, r, a
+
+
+def _objective(
+    w: np.ndarray, tau: float, a: np.ndarray, dy: np.ndarray, b1: float,
+    out: np.ndarray | None = None,
+) -> tuple[float, np.ndarray]:
+    """The objective and the residuals r = dy - b1 a, built in ``out`` when
+    given, of the line of slope b1 through a row k, where a = x - x[k] and
+    dy = y - y[k]; ``_rotate`` says why the objective is taken as it is."""
+    r = np.multiply(a, b1, out=out)
     np.subtract(dy, r, out=r)
     if tau == 0.5:
         loss = np.abs(r)
         loss *= 0.5
     else:
         loss = np.maximum(tau * r, (tau - 1.0) * r)
-    f = float(w @ loss)
-    return int(j), b1, f, r, a
+    return float(w @ loss), r
 
 
 def _descending_pivot(
@@ -482,6 +525,35 @@ def _descending_pivot(
     return None
 
 
+def _rates_on_line(
+    w: np.ndarray, tau: float, a: np.ndarray, r: np.ndarray, on_line: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a line (|r| <= on_line), in order of a, and the rates of
+    ``_line_rates`` about them."""
+    online = np.abs(r) <= on_line
+    on = online.nonzero()[0]
+    on = on[a[on].argsort()]
+    return on, _line_rates(w, tau, a, r, online, on)
+
+
+def _rate_margin(total: _Real, x_span: _Real, count: int) -> _Real:
+    """A bound above the rounding of each rate of ``_line_rates`` on a line
+    through count weighted rows of total weight ``total`` whose x span
+    ``x_span``: a rate above it is positive, and one that is 0 rounds below it.
+
+    Each rate is summed from the rows' terms w_l (a_l - a_i) times tau or
+    1 - tau, of magnitude at most w_l x_span: a sum and a dot over the rows
+    off the line, prefix sums over those on it, and a few products.  With
+    u = 2**-53, a sum of n terms rounds by at most about (n - 1) u times the
+    sum of their magnitudes, so a rate by at most about (4 count + 20) u
+    total x_span.  ``_ON_LINE`` = 8192 u bounds that up to count = 2043, and
+    count 2**-50 = 8 count u from count = 5 on; the margin is the larger of
+    the two, so it holds on a window of any size.  Below 1024 rows it is
+    ``_ON_LINE`` total x_span, as ``_certify`` has always taken it.
+    """
+    return max(_ON_LINE, count * 2.0**-50) * total * x_span
+
+
 def _line_rates(
     w: np.ndarray, tau: float, a: np.ndarray, r: np.ndarray, on: np.ndarray,
     rows: np.ndarray | tuple[np.ndarray, np.ndarray],
@@ -497,18 +569,41 @@ def _line_rates(
     derivative g, and those on it leave it to one side or the other, so the
     rates come from two sums over the rows off the line and prefix sums over
     the rows on it.
+
+    The doubles are those of the formulas as written, taken at less cost:
+    g = w (tau - 1{r <= 0}), 0 on the line, is the products w tau and
+    w (tau - 1) picked by an ``np.where`` of arrays, not of scalars, and the
+    prefix sums are running sums in row order either way.  One line has
+    typically two rows on it, and up to ``_FLOAT_ROWS`` the rest of the
+    arithmetic costs less in Python floats than in numpy calls on arrays
+    that short.
     """
-    g = np.where(on, 0.0, w * np.where(r > 0.0, tau, tau - 1.0))  # derivative of loss in r
-    g0 = g.sum(-1, keepdims=True)
+    g = np.where(r > 0.0, w * tau, w * (tau - 1.0))  # derivative of loss in r
+    g[on] = 0.0
+    g0 = np.add.reduce(g, -1, keepdims=True)
     g1 = np.matmul(g[..., None, :], a[..., :, None])[..., 0]  # a BLAS dot per line
+    if a.ndim == 1 and len(rows) <= _FLOAT_ROWS:
+        ai, wi = a[rows].tolist(), w[rows].tolist()
+        cw, cwa = list(accumulate(wi)), list(accumulate(map(mul, wi, ai)))
+        g0, g1 = float(g0[0]), float(g1[0])
+        rates = [_rotation_rates(tau, *row, cw[-1], cwa[-1], g0, g1) for row in zip(ai, cw, cwa)]
+        return np.array(rates).min(1)
     ai, wi = a[rows], w[rows]
-    cw = np.cumsum(wi, axis=-1)
-    cwa = np.cumsum(wi * ai, axis=-1)
+    cw, cwa = wi.cumsum(-1), (wi * ai).cumsum(-1)
+    return np.minimum(*_rotation_rates(tau, ai, cw, cwa, cw[..., -1:], cwa[..., -1:], g0, g1))
+
+
+def _rotation_rates(
+    tau: float, ai: _Real, cw: _Real, cwa: _Real, sw: _Real, swa: _Real, g0: _Real, g1: _Real,
+) -> tuple[_Real, _Real]:
+    """``_line_rates``' two one-sided rates of the rotation about a row on
+    the line at a_i, from the running sums cw of w and cwa of w a over the
+    rows on the line up to it, their totals sw and swa, and the sums g0 of g
+    and g1 of g a; floats or arrays alike."""
     left = ai * cw - cwa  # sum of w_l (a_i - a_l) over rows on the line left of i
-    right = (cwa[..., -1:] - cwa) - ai * (cw[..., -1:] - cw)
+    right = (swa - cwa) - ai * (sw - cw)
     pull = g1 - ai * g0  # sum of g_l (a_l - a_i) over rows off the line
-    return np.minimum((1.0 - tau) * right + tau * left - pull,
-                      tau * right + (1.0 - tau) * left + pull)
+    return (1.0 - tau) * right + tau * left - pull, tau * right + (1.0 - tau) * left + pull
 
 
 # a slope too steep for a float is +-inf, which sorts where the true one
@@ -516,27 +611,53 @@ def _line_rates(
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _check_loss_line(
     x: np.ndarray, y: np.ndarray, w: np.ndarray, tau: float, x0: float, x_span: float,
-) -> tuple[int, int, float]:
-    """Pivoting descent from ``_start``'s pivot to an optimal line: (p, q, slope).
+    start: tuple[int, int] | None = None,
+) -> tuple[int, int, float] | None:
+    """Pivoting descent to an optimal line: (p, q, slope).
 
     ``x``, ``y`` and ``w`` hold the weighted rows only, and at least two
     distinct values of ``x``; ``x_span`` is max(x) - min(x), which
     ``local_linear_fit`` has taken already, and scales the on-line test.
+
+    The descent starts from ``_start``'s pivot or, a warm start, from the
+    line through the two rows ``start``, taken as if a rotation about the
+    first had found the second.  A warm start tests each line it reaches
+    before it rotates: it takes the rates of ``_line_rates`` about the rows on
+    the line, stops when none is negative (the line is optimal) and
+    otherwise rotates about the steepest.  It returns the line it ends on
+    only when ``_certify``'s rule proves that line the only optimal one: two
+    weighted rows on it, and each rate above ``_rate_margin``.  Otherwise it
+    returns None, as soon as it finds an optimal line that fails the rule.
     """
-    k, guess, spread = _start(x - x0, y, w, tau, x0)
     y_scale = 2.0 * float(np.maximum.reduce(np.abs(y)))
-    best_f = math.inf
+    best_f, found = math.inf, None
+    if start is None:
+        k, guess, spread = _start(x - x0, y, w, tau, x0)
+    else:
+        k, j = start
+        a = x - x[k]
+        dy = y - y[k]
+        b1 = float(dy[j] / a[j])  # the slope the descent takes: symmetric in k and j
+        found = (j, b1, *_objective(w, tau, a, dy, b1), a)  # stands in for a first rotation
+        margin = _rate_margin(float(np.add.reduce(w)), x_span, len(w))
     while True:
-        j, b1, f, r, a = _rotate(x, y, w, tau, k, guess, spread)
+        j, b1, f, r, a = found or _rotate(x, y, w, tau, k, guess, spread)
+        found = None
         if f < best_f:
             best, best_f = (k, j, b1), f
+            line = (a, r, _ON_LINE * (y_scale + abs(b1) * x_span))
             if f == 0.0:
                 break
-            line = (a, r, _ON_LINE * (y_scale + abs(b1) * x_span))
             tried = [0.0]  # a of the pivot itself: the line is best through k
             # every later pivot is on this line: its slope guesses the next
             # rotation's, and 2f (exact at tau = 1/2) sizes the bracket
             k, guess, spread = j, b1, 2.0 * f
+            if start is not None:  # a warm start tests the line first
+                on, rate = _rates_on_line(w, tau, *line)
+                steepest = int(rate.argmin())
+                if rate[steepest] >= 0.0:
+                    return best if len(on) == 2 and rate[steepest] > margin else None
+                k = int(on[steepest])
             continue
         if best_f == math.inf:  # the first line's objective is inf or nan
             raise SmoothingError("check-loss objective overflows")
@@ -544,6 +665,10 @@ def _check_loss_line(
         k = _descending_pivot(w, tau, *line, tried)
         if k is None:
             break
+    if start is not None:
+        on, rate = _rates_on_line(w, tau, *line)
+        if len(on) != 2 or not rate.min() > margin:
+            return None
     return best
 
 
@@ -610,10 +735,15 @@ def local_linear_fit(
         return _solve_wls(x - x0, y, w, x0)
 
     p, q, b1 = _check_loss_line(x, y, w, loss.tau, x0, x_span)
-    # anchor on the point nearer x0: the value then depends on the line only
+    return _anchored_value(x, y, x0, p, q, b1), b1
+
+
+def _anchored_value(x: np.ndarray, y: np.ndarray, x0: float, p: int, q: int, b1: float) -> float:
+    """The value at x0 of the line of slope b1 through rows p and q, anchored
+    on the one nearer x0: the value then depends on the line only."""
     if (abs(x[p] - x0), x[p]) > (abs(x[q] - x0), x[q]):
         p = q
-    return float(y[p] - b1 * (x[p] - x0)), b1
+    return float(y[p] - b1 * (x[p] - x0))
 
 
 def _too_few(x0: float) -> SmoothingError:
@@ -640,6 +770,41 @@ def _weighted_rows(
         return x[first:end], y[first:end], w[first:end]
     rows = weighted.nonzero()[0]
     return x[rows], y[rows], w[rows]
+
+
+def _warm_fit(
+    x: np.ndarray, y: np.ndarray, w: np.ndarray, x0: float, tau: float,
+    seed: tuple[float, float] | None,
+) -> tuple[float, tuple[float, float]] | None:
+    """``local_linear_fit``'s check-loss value at x0 from a warm start, and
+    the x of the two rows of its line; None where it is not certified.
+
+    ``x``, ``y`` and ``w`` are the weighted rows of a window of the sorted
+    sample, on tie-free x, and ``seed`` holds the x of the two rows that
+    define the line of the grid point before; there is no start when one of
+    them carries no weight at x0.
+    """
+    if seed is None or not x.size:
+        return None
+    rows = np.minimum(x.searchsorted(seed), len(x) - 1)
+    p, q = rows.tolist()
+    if x[p] != seed[0] or x[q] != seed[1]:
+        return None
+    line = _check_loss_line(x, y, w, tau, x0, float(x[-1] - x[0]), (p, q))
+    if line is None:
+        return None
+    p, q, b1 = line
+    return _anchored_value(x, y, x0, p, q, b1), (float(x[p]), float(x[q]))
+
+
+def _rows_on_line(x: np.ndarray, y: np.ndarray, x0: float, b0: float,
+                  b1: float) -> tuple[float, float] | None:
+    """The x of the two rows of x-sorted (x, y) on the line b0 + b1 (x - x0),
+    by the descent's on-line test, or None unless exactly two are on it."""
+    r = y - (b0 + b1 * (x - x0))
+    scale = 2.0 * float(np.maximum.reduce(np.abs(y))) + abs(b1) * float(x[-1] - x[0])
+    on = (np.abs(r) <= _ON_LINE * scale).nonzero()[0]
+    return (float(x[on[0]]), float(x[on[1]])) if len(on) == 2 else None
 
 
 def _windows(
@@ -827,7 +992,7 @@ def _certify(
         r = dy - b1[:, None] * a
         on = weighted & (np.abs(r) <= (_ON_LINE * (y_scale + np.abs(b1) * x_span))[:, None])
         rate = _line_rates(w, tau, a, r, on, (at[:, None], lines))
-        unique = (rate > (_ON_LINE * w.sum(1) * x_span)[:, None]).all(1)
+        unique = (rate > _rate_margin(w.sum(1), x_span, w.shape[1])[:, None]).all(1)
         certified = inside & on[at, p] & on[at, q] & (on.sum(1) == 2) & unique
         values[ids] = np.where(certified, _anchored(x, y, x0, b1, p, q), np.nan)
         ids = ids[~certified]
@@ -906,8 +1071,11 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     line at each other point where that line is certified to be the only
     optimal one, and solves the rest in lock step too.  The points still nan
     are solved one at a time: the mean in closed form on the run of the
-    window's rows that carry kernel weight, the check loss by
-    ``local_linear_fit`` on the window, built once for neighbouring grid
+    window's rows that carry kernel weight, the check loss, on tie-free x
+    and windows of ``_SMALL_WINDOW`` rows or more, by a descent that starts
+    from the line of the grid point before and is kept only where
+    ``_certify``'s rule proves its line the only optimal one, and otherwise
+    by ``local_linear_fit`` on the window, built once for neighbouring grid
     points that share it.  The window holds every row with kernel weight, so
     the curve is ``local_linear_fit`` on the sample stably sorted by x, bit
     for bit, for both losses, errors included: the first grid point at which
@@ -925,7 +1093,8 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     h = spec.bandwidth.value
     order = np.argsort(sample.x)
     xs = sample.x[order]
-    if np.any(xs[1:] == xs[:-1]):  # tied x: only a stable sort keeps the row order
+    tied = bool(np.any(xs[1:] == xs[:-1]))
+    if tied:  # only a stable sort keeps the row order
         order = np.argsort(sample.x, kind="stable")
         xs = sample.x[order]
     if not math.isfinite(float(xs[-1]) - float(xs[0])):  # the grid's step would overflow
@@ -949,7 +1118,13 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
         else:
             values[small] = _median_lock_step(xs, ys, grid[small], los[small], his[small], h,
                                               spec.loss.tau)
+        # large median windows start from the line of the grid point before them, on
+        # tie-free x whose slopes and objectives cannot overflow (_scales' bounds, which
+        # overflow themselves where they fail)
+        warm = not (mean or tied) and bool(_scales(xs[None], ys[None],
+                                                   np.ones((1, len(xs))))[3][0])
     todo = np.isnan(values)
+    seed = None  # the x of the two weighted rows that define that line
     bounds, window = None, None
     for i, x0, lo, hi in zip(np.flatnonzero(todo).tolist(), grid[todo].tolist(),
                              los[todo].tolist(), his[todo].tolist()):
@@ -962,9 +1137,18 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
                     raise _too_few(x0)
                 values[i] = _solve_wls(x - x0, y, w, x0)[0]
                 continue
+            rows = None
+            if warm and hi - lo >= _SMALL_WINDOW:
+                rows = _weighted_rows(xs[lo:hi], ys[lo:hi], x0, h)
+                fit = _warm_fit(*rows, x0, spec.loss.tau, seed)
+                if fit is not None:
+                    values[i], seed = fit
+                    continue
             if (lo, hi) != bounds:
                 bounds, window = (lo, hi), PairedSample(x=xs[lo:hi], y=ys[lo:hi])
-            values[i], _ = local_linear_fit(window, x0, h, spec.loss)
+            values[i], b1 = local_linear_fit(window, x0, h, spec.loss)
+            if rows is not None:
+                seed = _rows_on_line(*rows[:2], x0, values[i], b1)
         except SmoothingError as exc:
             raise SmoothingError(f"grid point {i}: {exc}") from exc
     return FittedCurve(grid=grid, values=values, spec=spec)

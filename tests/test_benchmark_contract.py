@@ -145,10 +145,13 @@ def test_pair_workloads_take_no_lock_step_at_full_size(perfbench, name, seed):
         assert windows.min() >= locindex.smoothing._SMALL_WINDOW, (loss, windows.min())
 
 
-def test_median_curve_in_large_windows_calls_local_linear_fit_per_grid_point(perfbench):
-    # the warm-up pair at n = 400 has windows of 119-283 rows, all on the
-    # selection path, which takes one local_linear_fit call per grid point:
-    # what smoothing.local_fit_calls counts there
+def test_median_curve_in_large_windows_calls_local_linear_fit_where_no_warm_start_holds(
+        perfbench, monkeypatch):
+    # the warm-up pair at n = 400 has windows of 119-283 rows on tie-free x,
+    # all on the per-point path: every grid point starts from the line of the
+    # one before it, and takes a local_linear_fit call only where that warm
+    # start is not certified, at the first grid point at least, which has no
+    # line to start from.  smoothing.local_fit_calls counts those cold calls
     _, _, _, workloads = perfbench
     workload = workloads.warm_up_copy(workloads.make("pair-both-1e4", 0))
     jittered = locindex.jitter(workload.build(workload.generate()), workloads.JITTER_SD,
@@ -158,9 +161,15 @@ def test_median_curve_in_large_windows_calls_local_linear_fit_per_grid_point(per
     windows = np.sum(np.abs(jittered.x[None, :] - grid[:, None])
                      <= locindex.smoothing._REACH * h, axis=1)
     assert windows.min() >= locindex.smoothing._SMALL_WINDOW
+    warm_fit, warm = locindex.smoothing._warm_fit, []
+    monkeypatch.setattr(locindex.smoothing, "_warm_fit",
+                        lambda *a: warm.append(warm_fit(*a)) or warm[-1])
     names = traced_span_names(perfbench, workload)
     assert names.count("smoothing.fit_curve") == 2
-    assert names.count("smoothing.local_linear_fit") == workload.grid
+    assert len(warm) == workload.grid
+    cold = sum(fit is None for fit in warm)
+    assert warm[0] is None and cold < workload.grid // 4
+    assert names.count("smoothing.local_linear_fit") == cold
 
 
 def test_median_curve_in_large_windows_passes_verification(perfbench):

@@ -562,21 +562,30 @@ class TestFitCurve:
         x0 = np.linspace(0.0, 1.0, 101)[i]
         assert np.sum(np.abs(x - x0) <= smoothing._REACH * h.value) < 2
 
-    def test_large_median_windows_are_views_of_the_sorted_sample(self, monkeypatch):
-        # the sorted arrays are read-only, so a window's sample shares them
-        # instead of copying its rows at every grid point
+    @pytest.mark.parametrize("rounded", [False, True])
+    def test_large_median_windows_are_views_of_the_sorted_sample(self, monkeypatch, rounded):
+        # the sorted arrays are read-only, so the rows that each descent takes,
+        # warm-started or in local_linear_fit's sample, share them instead of
+        # copying the window's rows at every grid point; x rounded to 1/1000
+        # has ties, on which every point takes local_linear_fit
         rng = np.random.default_rng(4)
         x, y = random_tie_free_sample(rng, 300)
-        windows = []
-        scalar = smoothing.local_linear_fit
+        if rounded:
+            x = np.round(x, 3)
+        descents, windows = [], []
+        line, scalar = smoothing._check_loss_line, smoothing.local_linear_fit
+        monkeypatch.setattr(smoothing, "_check_loss_line",
+                            lambda *a: descents.append(a[:2]) or line(*a))
         monkeypatch.setattr(smoothing, "local_linear_fit",
                             lambda *a: windows.append(a[0]) or scalar(*a))
         h = BandwidthEstimate(value=0.05, method="fixed")  # every window is a large one
         fit_curve(PairedSample(x=x, y=y), FitSpec(loss=LossKind.median(), bandwidth=h,
                                                   grid_size=30))
-        assert len(windows) == 30 and len({id(w) for w in windows}) > 1
-        sorted_x, sorted_y = windows[0].x.base, windows[0].y.base
-        assert sorted_x is not None and sorted_y is not None
+        assert len(descents) >= 30 and len({id(wx) for wx, _ in descents}) > 1
+        assert (len(windows) == 30) == rounded and 0 < len(windows) <= 30
+        sorted_x, sorted_y = descents[0][0].base, descents[0][1].base
+        assert sorted_x is not None and sorted_y is not None and sorted_x is not x
+        assert all(wx.base is sorted_x and wy.base is sorted_y for wx, wy in descents)
         assert all(w.x.base is sorted_x and w.y.base is sorted_y for w in windows)
 
 
@@ -729,11 +738,13 @@ class TestMedianInLockStep:
                                                                        monkeypatch, jitter_sd):
         # the six median curves of the fixture's loc-matrix: every window holds
         # under _SMALL_WINDOW rows, so every grid point takes the lock step, and
-        # exactly the points it returns as nan reach local_linear_fit; how many
-        # the raw marks hand back depends on rounding, so the counts are
-        # compared with each other
-        nan_points, calls = [], []
+        # exactly the points it returns as nan reach the per-point path, one
+        # descent each.  A window that small takes no warm start, so each of
+        # them is a local_linear_fit call; how many the raw marks hand back
+        # depends on rounding, so the counts are compared with each other
+        nan_points, calls, descents, warm = [], [], [], []
         lock_step, scalar = smoothing._lock_step, smoothing.local_linear_fit
+        line, warm_fit = smoothing._check_loss_line, smoothing._warm_fit
 
         def counted_lock_step(*args):
             values, lines = lock_step(*args)
@@ -743,10 +754,14 @@ class TestMedianInLockStep:
         monkeypatch.setattr(smoothing, "_lock_step", counted_lock_step)
         monkeypatch.setattr(smoothing, "local_linear_fit",
                             lambda *a: calls.append(a[1]) or scalar(*a))
+        monkeypatch.setattr(smoothing, "_check_loss_line",
+                            lambda *a: descents.append(a[4]) or line(*a))
+        monkeypatch.setattr(smoothing, "_warm_fit", lambda *a: warm.append(a[3]) or warm_fit(*a))
         matrix = loc_matrix(marks_sample, FitSpec(loss=LossKind.median(), grid_size=1000),
                             jitter_sd=jitter_sd)
         assert not matrix.failures
-        assert sum(nan_points) == len(calls)
+        assert sum(nan_points) == len(descents) == len(calls)
+        assert warm == []
         assert (len(calls) > 0) == (jitter_sd == 0.0), len(calls)
 
     @pytest.mark.parametrize("x_name,y_name", ORDERED_PAIRS)
@@ -916,6 +931,156 @@ class TestMedianInLockStep:
         assert message == "check-loss objective overflows"
 
 
+def synthetic_pair(n: int, seed: int) -> PairedSample:
+    # the benchmark's pair, jittered as loc_matrix jitters: tie-free x
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, n)
+    y = np.clip(0.3 + 0.5 * x + 0.1 * np.sin(8.0 * x) + rng.normal(0.0, 0.1, n), 0.0, 1.0)
+    return jitter(PairedSample(x=x, y=y), 1e-5, seed)
+
+
+def window_sizes(sample: PairedSample, grid: np.ndarray, h: float) -> np.ndarray:
+    xs = np.sort(sample.x)
+    reach = smoothing._REACH * h
+    return np.searchsorted(xs, grid + reach, side="right") - np.searchsorted(xs, grid - reach)
+
+
+class TestWarmStart:
+    # on tie-free x, a grid point whose window holds _SMALL_WINDOW rows or
+    # more starts its descent from the line of the grid point before it, and
+    # keeps the result only where _certify's rule proves it the only optimal
+    # line; the curve is still local_linear_fit on the stably x-sorted sample
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(100, 400),
+        seed=st.integers(0, 2**32 - 1),
+        tau=st.sampled_from(TAUS),
+        h=st.sampled_from((0.1, 0.2, 0.5)),
+        kind=st.sampled_from(("tie-free", "y rounded", "x rounded")),
+    )
+    def test_equals_local_fit_at_every_grid_point(self, n, seed, tau, h, kind):
+        # y rounded to multiples of 1/20 puts a third weighted row on some
+        # optimal lines, which the warm start leaves to local_linear_fit; x
+        # rounded to 1/50 has ties, on which every point takes local_linear_fit
+        rng = np.random.default_rng(seed)
+        x, y = random_tie_free_sample(rng, n)
+        if kind == "y rounded":
+            y = np.round(y * 20.0) / 20.0
+        elif kind == "x rounded":
+            x = np.round(x * 50.0) / 50.0
+        sample = PairedSample(x=x, y=y)
+        grid = np.linspace(x.min(), x.max(), 60)
+        assume(window_sizes(sample, grid, h).min() >= smoothing._SMALL_WINDOW)
+        loss = LossKind(kind="quantile", tau=tau)
+        curve = fit_curve(sample, FitSpec(loss=loss, bandwidth=BandwidthEstimate(
+            value=h, method="fixed"), grid_size=60))
+        reference = sorted_by_x(sample)
+        for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
+            assert value == local_linear_fit(reference, x0, h, loss)[0], x0
+
+    def test_off_optimum_local_linear_fit_reaches_every_value(self, monkeypatch):
+        # perfbench's median check moves local_linear_fit's intercept off the
+        # optimum and expects every sampled value of the curve to move with it:
+        # a line through no observation seeds no warm start, so every grid
+        # point after a cold one is cold too
+        sample = synthetic_pair(1000, 3)
+        h = median_adjust(dpi_bandwidth(sample))
+        spec = FitSpec(loss=LossKind.median(), bandwidth=h, grid_size=100)
+        assert window_sizes(sample, np.linspace(sample.x.min(), sample.x.max(), 100),
+                            h.value).min() >= smoothing._SMALL_WINDOW
+        curve = fit_curve(sample, spec)
+        scalar = smoothing.local_linear_fit
+
+        def moved(window, x0, bandwidth, loss):
+            b0, b1 = scalar(window, x0, bandwidth, loss)
+            return b0 + 0.05, b1
+
+        monkeypatch.setattr(smoothing, "local_linear_fit", moved)
+        shifted = fit_curve(sample, spec)
+        np.testing.assert_array_equal(shifted.values, curve.values + 0.05)
+
+    def test_window_of_more_than_20000_rows_equals_local_fit(self, monkeypatch):
+        # a rate summed over this many rows can round by more than _ON_LINE
+        # times the total weight and span, so _rate_margin grows with the count
+        sample = synthetic_pair(40_000, 5)
+        h = 0.075
+        grid = np.linspace(sample.x.min(), sample.x.max(), 60)
+        sizes = window_sizes(sample, grid, h)
+        assert sizes.min() > 20_000
+        assert smoothing._rate_margin(1.0, 1.0, int(sizes.min())) > smoothing._ON_LINE
+        calls = []
+        scalar = smoothing.local_linear_fit
+        monkeypatch.setattr(smoothing, "local_linear_fit",
+                            lambda *a: calls.append(a[1]) or scalar(*a))
+        loss = LossKind.median()
+        curve = fit_curve(sample, FitSpec(loss=loss, bandwidth=BandwidthEstimate(
+            value=h, method="fixed"), grid_size=60))
+        assert 1 <= len(calls) < 10  # the first grid point has no line to start from
+        reference = sorted_by_x(sample)
+        for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
+            assert value == scalar(reference, x0, h, loss)[0], x0
+
+    def test_rate_margin_grows_with_the_count_above_1024_rows(self):
+        assert smoothing._rate_margin(3.0, 0.5, 1024) == smoothing._ON_LINE * 3.0 * 0.5
+        assert smoothing._rate_margin(3.0, 0.5, 63) == smoothing._ON_LINE * 3.0 * 0.5
+        assert smoothing._rate_margin(3.0, 0.5, 4096) == 4 * smoothing._ON_LINE * 3.0 * 0.5
+
+    @staticmethod
+    def formula_rates(w, tau, a, r, on, rows):
+        # _line_rates as written before its cost was cut
+        g = np.where(on, 0.0, w * np.where(r > 0.0, tau, tau - 1.0))
+        g0 = g.sum(-1, keepdims=True)
+        g1 = np.matmul(g[..., None, :], a[..., :, None])[..., 0]
+        ai, wi = a[rows], w[rows]
+        cw = np.cumsum(wi, axis=-1)
+        cwa = np.cumsum(wi * ai, axis=-1)
+        left = ai * cw - cwa
+        right = (cwa[..., -1:] - cwa) - ai * (cw[..., -1:] - cw)
+        pull = g1 - ai * g0
+        return np.minimum((1.0 - tau) * right + tau * left - pull,
+                          tau * right + (1.0 - tau) * left + pull)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 300),
+        tau=st.sampled_from((*TAUS, 0.25)),
+        points=st.sampled_from((None, 1, 7)),
+        odd=st.sampled_from(("none", "nan", "inf")),
+    )
+    def test_line_rates_equal_the_formulas(self, seed, n, tau, points, odd):
+        # one line (points None: 1-d arrays, with one to 20 rows on it, in
+        # Python floats up to smoothing._FLOAT_ROWS) or one line per row of
+        # (points x window) arrays with two rows each, as _certify passes
+        # them; residuals that are nan or +-inf only choose a side, and the
+        # rates stay finite
+        rng = np.random.default_rng(seed)
+        shape = (n,) if points is None else (points, n)
+        a = np.sort(rng.normal(0.0, 1.0, shape) * 10.0 ** rng.uniform(-3.0, 3.0), axis=-1)
+        w = smoothing._kernel_weights(rng.uniform(-4.0, 4.0, shape), 0.0, 1.0)
+        r = rng.normal(0.0, 1.0, shape)
+        r[rng.uniform(0.0, 1.0, shape) < 0.1] = 0.0
+        if odd != "none":
+            r[rng.uniform(0.0, 1.0, shape) < 0.2] = np.nan if odd == "nan" else np.inf
+            r[rng.uniform(0.0, 1.0, shape) < 0.1] = -np.inf
+        if points is None:
+            rows = np.sort(rng.choice(n, min(n, int(rng.integers(1, 21))), replace=False))
+            on = np.zeros(n, dtype=bool)
+            on[rows] = True
+        else:
+            assume(n >= 2)
+            lines = np.sort(np.array([rng.choice(n, 2, replace=False) for _ in range(points)]),
+                            axis=1)
+            on = rng.uniform(0.0, 1.0, shape) < 0.05
+            on[np.arange(points)[:, None], lines] = True
+            rows = (np.arange(points)[:, None], lines)
+        got = smoothing._line_rates(w, tau, a, r, on, rows)
+        want = self.formula_rates(w, tau, a, r, on, rows)
+        assert got.shape == want.shape and np.isfinite(want).all()
+        assert (got == want).all()
+
+
 class TestMedianAgainstReference:
     def test_fixture_median_curves_reach_the_linear_programming_optimum(self, marks_sample):
         # the six jittered median curves of loc-matrix (seed 0) at grid 60,
@@ -938,6 +1103,22 @@ class TestMedianAgainstReference:
                     optimum = check_loss_objective(sample, x0, h.value, 0.5, b0, b1)
                     fitted = check_loss_objective(sample, x0, h.value, 0.5, value, b1)
                     assert abs(fitted - optimum) <= 1e-13 * optimum, (x_name, y_name, x0)
+
+    def test_large_window_median_curve_reaches_the_linear_programming_optimum(self):
+        # the benchmark's pair at n = 1000 has windows of 103 rows and more, so
+        # every grid point but the first starts from its neighbour's line.
+        # Relative gaps measured -3.4e-16 to 4.3e-16, and the values were within
+        # 1.2e-16 of the reference intercepts
+        sample = synthetic_pair(1000, 2)
+        h = median_adjust(dpi_bandwidth(sample))
+        curve = fit_curve(sample, FitSpec(loss=LossKind.median(), bandwidth=h, grid_size=40))
+        assert window_sizes(sample, curve.grid, h.value).min() >= smoothing._SMALL_WINDOW
+        intercepts, slopes = median_curve(sample.x, sample.y, curve.grid, h.value)
+        for x0, value, b0, b1 in zip(curve.grid.tolist(), curve.values.tolist(),
+                                     intercepts.tolist(), slopes.tolist()):
+            optimum = check_loss_objective(sample, x0, h.value, 0.5, b0, b1)
+            fitted = check_loss_objective(sample, x0, h.value, 0.5, value, b1)
+            assert abs(fitted - optimum) <= 1e-13 * optimum, x0
 
 
 def _curve(grid, values, grid_size):
