@@ -132,14 +132,17 @@ def pearson(sample: PairedSample) -> float:
     return float(dx @ dy) / math.sqrt(vx * vy)
 
 
-def _dense_ranks(values: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
-    """Ranks 1..n of tie-free values, and the order that sorts them.
+def _dense_ranks(values: np.ndarray, label: str,
+                 order: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks 1..n of tie-free values, and the order that sorts them, taken
+    here unless given (a sample's ``x_order``).
 
     Tie-free values have one sorted order, so numpy's default sort, which
     need not be stable, gives it.  Ties raise ``TiesError``: equal values end
     up adjacent under any sort, so the check after it finds them.
     """
-    order = np.argsort(values)
+    if order is None:
+        order = np.argsort(values)
     ordered = values[order]
     if np.any(ordered[1:] == ordered[:-1]):
         raise TiesError(
@@ -157,7 +160,7 @@ def empirical_ranks(sample: PairedSample) -> Ranks:
     whose arrays are read-only, are kept on it for every later call.
     """
     if sample._ranks is None:
-        rx, x_order = _dense_ranks(sample.x, "x")
+        rx, x_order = _dense_ranks(sample.x, "x", sample.x_order)
         ry, _ = _dense_ranks(sample.y, "y")
         n = sample.n
         ranks = Ranks(fx=rx / n, gy=ry / n, induced=ry[x_order])

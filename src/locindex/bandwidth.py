@@ -230,9 +230,9 @@ def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:
         raise BandwidthError("x is degenerate (all values equal)")
 
     # Blocks are cut from the sample in order of x.  Tie-free x has one such
-    # order, which numpy's default sort gives; tied x is sorted by (x, y)
-    # instead, which keeps the blocking invariant under row permutation.
-    order = np.argsort(x)
+    # order, the sample's x_order; tied x is sorted by (x, y) instead, which
+    # keeps the blocking invariant under row permutation.
+    order = sample.x_order
     xs = x[order]
     distinct = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))
     if distinct < n:

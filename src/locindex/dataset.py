@@ -129,12 +129,13 @@ class PairedSample:
     ``jitter`` and ``smoothing.fit_curve`` pass arrays that they own and
     made read-only, so their samples share them.  That a sample cannot
     change is what lets ``association.empirical_ranks`` rank it once and
-    keep the result in ``_ranks``.
+    keep the result in ``_ranks``, and ``x_order`` sort x once.
     """
 
     x: np.ndarray
     y: np.ndarray
     _ranks: object = field(default=None, init=False, repr=False, compare=False)
+    _x_order: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x = _read_only(self.x)
@@ -152,6 +153,21 @@ class PairedSample:
     @property
     def n(self) -> int:
         return len(self.x)
+
+    @property
+    def x_order(self) -> np.ndarray:
+        """The order that sorts x, by numpy's default sort, taken the first
+        time it is asked for and kept read-only.
+
+        Tie-free x has one sorted order, which this is; among tied x it need
+        not be the row order.  The ranks, the plug-in bandwidth and the
+        curve fits share it, and re-sort only where x has ties.
+        """
+        if self._x_order is None:
+            order = np.argsort(self.x)
+            order.flags.writeable = False
+            object.__setattr__(self, "_x_order", order)
+        return self._x_order
 
 
 @dataclass(frozen=True)

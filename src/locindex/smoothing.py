@@ -55,20 +55,22 @@ from the two observations that define the final line, anchored on the one
 nearer x0.  The fitted value is therefore a function of the sample, x0,
 the bandwidth and the loss alone.
 
-Both losses are solved on the rows whose kernel weight reaches
-``WEIGHT_FLOOR``; the others carry weight zero.  Those rows lie within about
-7.31 bandwidths of x0, so ``fit_curve`` sorts the sample by x once per
-curve, rows of equal x in their input order, and fits each grid point on its
-window: the slice of the sorted rows within ``_REACH`` (that distance plus
-1%) of x0, found by binary search [5].  Tie-free x has one sorted order,
-which numpy's default sort gives; only tied x needs a stable sort.  The
-kernel falls away from x0 on both sides, so the weighted rows of a window
-are one contiguous run.  A window of ``_SMALL_WINDOW`` rows or more is
-solved on views of that run, the mean by ``_solve_wls`` and the check loss
-by a descent warm-started from the line of the grid point before (below) or
-by ``local_linear_fit`` on the window; smaller windows are solved in lock
-step (below), for both losses.  Either way the weighted rows reach the
-solvers in the order of the sorted sample, and ``fit_curve`` is
+Both losses are solved on the rows within ``_RADIUS`` (about 7.31)
+bandwidths of x0, |x - x0| <= _RADIUS h, where the kernel weight is at least
+``WEIGHT_FLOOR``; the others carry weight zero.  So ``fit_curve`` sorts the
+sample by x once per curve, rows of equal x in their input order, and fits
+each grid point on its window: the slice of the sorted rows within
+``_REACH`` (the radius plus 1%) of x0, found by binary search [5].  Tie-free
+x has one sorted order, which numpy's default sort gives; the sample keeps
+it as its ``x_order``, which the ranks and the plug-in bandwidth share, and
+only tied x needs a stable sort.  On a sorted window the offsets d = x - x0
+are sorted too, so the weighted rows are one contiguous run by construction,
+found by two binary searches on d.  A window of ``_SMALL_WINDOW`` rows or
+more is solved on views of that run, the mean by ``_solve_wls`` and the
+check loss by a descent warm-started from the line of the grid point before
+(below) or by ``local_linear_fit`` on the window; smaller windows are solved
+in lock step (below), for both losses.  Either way the weighted rows reach
+the solvers in the order of the sorted sample, and ``fit_curve`` is
 ``local_linear_fit`` on the sample stably sorted by x at each grid point,
 bit for bit.  On tie-free x that sorted sample, and so the curve, does not
 depend on the order of the input rows.  Against ``local_linear_fit`` on the
@@ -82,6 +84,18 @@ the number of threads BLAS runs it on, which for OpenBLAS 0.3.31 on two
 cores changes the bits of dots longer than 10,000 rows, so a mean curve whose
 windows are that long can differ between a pinned and an unpinned process.
 
+On the per-point path the kernel is evaluated once per grid point, on the
+weighted run only (``_gaussian``).  The mean takes it as
+exp(d d (-1 / (2 h h))) (1 / sqrt(2 pi)): no division per row, and the
+squared offsets d d are those its least-squares sums take.  That rounds
+otherwise than the textbook exp(-u u / 2) / sqrt(2 pi) of u = d / h, by at
+most about 7e-15 relative (measured), and moves a mean curve by about 1e-15
+relative.  The check loss keeps the textbook form: on tied data its descent
+can reach one of several optimal lines, and the weights' last bits steer
+which; its time goes to the descent, not the kernel.  Bandwidths outside
+``_SQUARED_OFFSETS`` (1e-150, 1e150), where h h or d d leaves the normal
+floats, take the textbook form for the mean too.
+
 The per-point path calls the C routines that numpy's Python wrappers forward
 to (``np.add.reduce`` for ``sum``, the ``argsort``, ``cumsum``,
 ``searchsorted`` and ``nonzero`` methods, ``np.minimum.reduce`` and the like),
@@ -92,8 +106,8 @@ Lock step.  ``fit_curve`` solves all grid points whose windows hold fewer
 than ``_SMALL_WINDOW`` rows together, in blocks of ``_BLOCK`` points, for
 either loss, instead of solving each on its own; the time of such a point
 goes to numpy call overhead, not arithmetic.  The windows are the rows of
-(points x window) arrays, padded to the widest, where padding and rows below
-``WEIGHT_FLOOR`` get weight 0.  A block's solver returns the values it
+(points x window) arrays, padded to the widest, where padding and rows beyond
+the radius get weight 0.  A block's solver returns the values it
 solves and nan at the points it hands back, which the per-point path then
 solves.  One overflow guard covers each block: the kernel weights of far
 padding, the slopes at a pivot's x and the sums of a point that is handed
@@ -107,8 +121,8 @@ determinant test and the coefficients are the same doubles.  Padded rows
 would not give them, since a dot's rounding depends on its length.  The mean
 groups the points by the length of their run of weighted rows and gathers
 each group's runs into such arrays, one row per point.  A point is handed
-back to the per-point path when its weighted rows are not one run, when
-they are fewer than two or share one x, or when its design fails
+back to the per-point path when its weighted rows are fewer than two or
+share one x, or when its design fails
 ``_solve_wls``'s determinant test; that path raises where
 ``local_linear_fit`` does.
 
@@ -226,12 +240,21 @@ __all__ = [
 WEIGHT_FLOOR = 1e-12
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_INV_SQRT_2PI = 1.0 / _SQRT_2PI
 
 _Real = float | np.ndarray  # a float, or an array of them taken elementwise
 
-# |u| at which the kernel falls to WEIGHT_FLOOR (about 7.31), padded by 1% so
-# that no rounding of (x - x0) / h leaves a weighted row outside a window
-_REACH = 1.01 * math.sqrt(-2.0 * math.log(WEIGHT_FLOOR * _SQRT_2PI))
+# |x - x0| / h at which the kernel falls to WEIGHT_FLOOR, about 7.31; a row
+# carries weight when |x - x0| <= _RADIUS h
+_RADIUS = math.sqrt(-2.0 * math.log(WEIGHT_FLOOR * _SQRT_2PI))
+
+# the radius padded by 1%, so that no rounding of x - x0 or of _RADIUS h leaves
+# a weighted row outside a window
+_REACH = 1.01 * _RADIUS
+
+# the bandwidths for which ``_gaussian`` takes the weights from d * d: inside,
+# h * h and 1 / (2 h * h) are normal floats, and so is d * d at the radius
+_SQUARED_OFFSETS = (1e-150, 1e150)
 
 
 class SmoothingError(ValueError):
@@ -302,30 +325,63 @@ class FittedCurve:
         object.__setattr__(self, "values", values)
 
 
-def _kernel_weights(x: np.ndarray, x0: float, bandwidth: float) -> np.ndarray:
-    # exp(-0.5 * u * u) / sqrt(2 pi) with u = (x - x0) / h, computed in place
-    # in the formula's order of operations, so the doubles are the formula's
-    u = x - x0
-    u /= bandwidth
+def _gaussian(d: np.ndarray, bandwidth: float,
+              squared: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The Gaussian kernel at the offsets d = x - x0, with no floor: the
+    weights, and d * d when they were taken from it (else None).
+
+    The quadratic loss (``squared``) takes the weights as
+    exp(d d (-1 / (2 h h))) (1 / sqrt(2 pi)), with both constants taken once:
+    a product per row before ``exp`` and one after, and the d d that its
+    least-squares sums take too.  That needs h in ``_SQUARED_OFFSETS``:
+    below it h h is subnormal or 0 and 1 / (2 h h) overflows, above it d d
+    overflows at the radius.  Everywhere else the weights are the textbook
+    exp(-u u / 2) / sqrt(2 pi) with u = d / h, in that order of operations.
+    The check loss keeps those: on tied data several lines can be optimal,
+    and the weights' last bits steer which one the descent reaches.  Both
+    forms are built in place.
+    """
+    if squared and _SQUARED_OFFSETS[0] < bandwidth < _SQUARED_OFFSETS[1]:
+        dd = np.square(d)  # the doubles of d * d; one operand runs twice as fast
+        w = dd * (-0.5 / (bandwidth * bandwidth))
+        np.exp(w, out=w)
+        w *= _INV_SQRT_2PI
+        return w, dd
+    u = d / bandwidth
     w = -0.5 * u
     w *= u
     np.exp(w, out=w)
     w /= _SQRT_2PI
-    w[w < WEIGHT_FLOOR] = 0.0
+    return w, None
+
+
+def _kernel_weights(x: np.ndarray, x0: _Real, bandwidth: float,
+                    squared: bool = False) -> np.ndarray:
+    """The kernel weights of rows x at x0 (arrays broadcast): ``_gaussian``
+    of d = x - x0, of the form ``squared`` chooses, where |d| <= _RADIUS h,
+    and 0 beyond.  For rows that need not be one run of a sorted window: the
+    lock step's padded windows and ``check_loss_objective``'s sample."""
+    d = x - x0
+    w = _gaussian(d, bandwidth, squared)[0]
+    w[np.abs(d) > _RADIUS * bandwidth] = 0.0
     return w
 
 
-def _solve_wls(d: np.ndarray, y: np.ndarray, w: np.ndarray, x0: float) -> tuple[float, float]:
+def _solve_wls(d: np.ndarray, y: np.ndarray, w: np.ndarray, x0: float,
+               dd: np.ndarray | None = None) -> tuple[float, float]:
     """Closed-form 2-parameter weighted least squares on the design (1, d).
 
-    The sums are a pairwise sum and BLAS dots, d y reusing the buffer of
-    d d.  Their doubles, and so the coefficients, hold within one BLAS
-    configuration: with OpenBLAS, a dot of more than 10,000 rows can round
-    otherwise when it runs on more threads.
+    ``dd``, when given, is d * d, as ``_gaussian`` returns it, and is
+    overwritten; otherwise it is taken here.  The sums are a pairwise sum
+    and BLAS dots, d y reusing the buffer of d d.  Their doubles, and so the
+    coefficients, hold within one BLAS configuration: with OpenBLAS, a dot
+    of more than 10,000 rows can round otherwise when it runs on more
+    threads.
     """
     s0 = float(np.add.reduce(w))
     s1 = float(w @ d)
-    dd = d * d
+    if dd is None:
+        dd = np.square(d)
     s2 = float(w @ dd)
     t0 = float(w @ y)
     t1 = float(w @ np.multiply(d, y, out=dd))
@@ -725,14 +781,15 @@ def local_linear_fit(
     """
     if not bandwidth > 0:  # nan too
         raise ValueError("bandwidth must be > 0")
-    x, y, w = _weighted_rows(sample.x, sample.y, x0, bandwidth)
+    mean = loss.kind == "quadratic"
+    x, y, w, d, dd = _weighted_rows(sample.x, sample.y, x0, bandwidth, mean)
     if not x.size:
         raise _too_few(x0)
     x_span = float(np.maximum.reduce(x) - np.minimum.reduce(x))
     if x_span == 0.0:
         raise _too_few(x0)
-    if loss.kind == "quadratic":
-        return _solve_wls(x - x0, y, w, x0)
+    if mean:
+        return _solve_wls(d, y, w, x0, dd)
 
     p, q, b1 = _check_loss_line(x, y, w, loss.tau, x0, x_span)
     return _anchored_value(x, y, x0, p, q, b1), b1
@@ -753,23 +810,43 @@ def _too_few(x0: float) -> SmoothingError:
 
 
 def _weighted_rows(
-    x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of (x, y) that carry kernel weight at x0, in row order, and
-    their weights.
+    x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float, squared: bool,
+    sorted_x: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The rows of (x, y) that carry kernel weight at x0, in row order: x,
+    y, their weights, d = x - x0 and d * d (None where ``_gaussian`` does not
+    take it; ``squared`` chooses its form).
 
-    On rows sorted by x the kernel falls away from x0 on both sides, so these
-    rows are one contiguous run, returned as views; rows that are not one
-    run, in any order or where rounding breaks it, are gathered instead.
+    A row carries weight when |d| <= _RADIUS h.  On rows sorted by x
+    (``sorted_x``) d is sorted too, so these rows are one run by
+    construction, found by two binary searches on d.  In any other order
+    they are a mask of d, returned as views when they are one run and
+    gathered otherwise.
     """
-    w = _kernel_weights(x, x0, bandwidth)
-    weighted = w != 0.0
-    first = int(weighted.argmax())
-    end = first + int(np.count_nonzero(weighted))
-    if np.logical_and.reduce(weighted[first:end]):
-        return x[first:end], y[first:end], w[first:end]
-    rows = weighted.nonzero()[0]
-    return x[rows], y[rows], w[rows]
+    d = x - x0
+    radius = _RADIUS * bandwidth
+    if sorted_x:
+        rows = slice(int(d.searchsorted(-radius, "left")), int(d.searchsorted(radius, "right")))
+    else:
+        weighted = np.abs(d) <= radius
+        first = int(weighted.argmax())
+        end = first + int(np.count_nonzero(weighted))
+        whole = np.logical_and.reduce(weighted[first:end])
+        rows = slice(first, end) if whole else weighted.nonzero()[0]
+    d = d[rows]
+    w, dd = _gaussian(d, bandwidth, squared)
+    return x[rows], y[rows], w, d, dd
+
+
+def _window_mean(x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float) -> float:
+    """``local_linear_fit``'s quadratic-loss value at x0 on the window (x, y)
+    of the sorted sample: ``_solve_wls`` on the weighted run, with the
+    offsets and squared offsets that the kernel took.  Its arrays die with
+    the call, so no grid point holds them while the next one is fitted."""
+    x, y, w, d, dd = _weighted_rows(x, y, x0, bandwidth, squared=True, sorted_x=True)
+    if not x.size or x[0] == x[-1]:  # sorted: x[0] is the least x
+        raise _too_few(x0)
+    return _solve_wls(d, y, w, x0, dd)[0]
 
 
 def _warm_fit(
@@ -809,15 +886,16 @@ def _rows_on_line(x: np.ndarray, y: np.ndarray, x0: float, b0: float,
 
 def _windows(
     xs: np.ndarray, ys: np.ndarray, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: float,
+    squared: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The windows xs[lo:hi], ys[lo:hi] of an x-sorted sample at the grid
     points x0 as the rows of (points x window) arrays, padded to the widest
-    with the sorted rows that follow: x, y and the kernel weights, 0 on the
-    padding."""
+    with the sorted rows that follow: x, y and the kernel weights (of the
+    form ``squared`` chooses), 0 on the padding."""
     col = np.arange(int((hi - lo).max()))
     rows = np.minimum(lo[:, None] + col, len(xs) - 1)
     x, y = xs[rows], ys[rows]
-    w = _kernel_weights(x, x0[:, None], h)
+    w = _kernel_weights(x, x0[:, None], h, squared)
     w[col >= (hi - lo)[:, None]] = 0.0
     return x, y, w
 
@@ -852,16 +930,15 @@ def _mean_lock_step(x: np.ndarray, y: np.ndarray, w: np.ndarray, x0: np.ndarray)
     module docstring lists them).  One x is tested on its own: a determinant
     of subnormal sums can pass the determinant test.
     """
-    weighted = w != 0.0
+    weighted = w != 0.0  # the rows within the radius: one run of each sorted window
     count = np.count_nonzero(weighted, axis=1)
     first = weighted.argmax(1)
-    end = weighted.shape[1] - weighted[:, ::-1].argmax(1)  # after the last weighted row
     at = np.arange(len(x0))
     # the rows are sorted by x, so a run of two or more x starts below its end
-    one_run = (count >= 2) & (end - first == count) & (x[at, first] < x[at, end - 1])
+    solvable = (count >= 2) & (x[at, first] < x[at, first + count - 1])
     values = np.full(len(x0), np.nan)
-    for length in np.unique(count[one_run]).tolist():
-        ids = np.flatnonzero(one_run & (count == length))
+    for length in np.unique(count[solvable]).tolist():
+        ids = np.flatnonzero(solvable & (count == length))
         rows, cols = ids[:, None], first[ids, None] + np.arange(length)
         beta0, _, regular = _row_wls(x[rows, cols] - x0[rows], y[rows, cols], w[rows, cols])
         values[ids] = np.where(regular, beta0, np.nan)
@@ -914,8 +991,8 @@ def _lock_step(
     rows that define each point's line, the smaller first.
 
     Every point runs the descent of ``_check_loss_line`` at once, on
-    (points x window) arrays in which the padding and the rows below
-    ``WEIGHT_FLOOR`` carry weight 0.  Returns the values of the points whose
+    (points x window) arrays in which the padding and the rows beyond the
+    radius carry weight 0.  Returns the values of the points whose
     descent ends on the only optimal line, which ``_check_loss_line`` reaches
     too, and nan and columns -1 at the others; the module docstring lists
     them.
@@ -1060,22 +1137,24 @@ def _row_quantiles(v: np.ndarray, c: np.ndarray,
 def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     """Evaluate the local fit on an equispaced grid over [min(x), max(x)].
 
-    The sample is sorted by x once per curve, rows of equal x in their input
-    order (a stable sort, needed only when x has ties), and each grid point
-    x0 is fitted on its window, the slice of the sorted rows with |x - x0|
-    <= _REACH * h, found by binary search.  For either loss, the grid
-    points whose windows hold fewer than ``_SMALL_WINDOW`` rows are solved
-    together in lock step, which leaves nan at the points it hands back (the
-    module docstring lists them).  The check loss solves every
-    ``_STRIDE``-th such point first, takes the value of a solved neighbour's
-    line at each other point where that line is certified to be the only
-    optimal one, and solves the rest in lock step too.  The points still nan
-    are solved one at a time: the mean in closed form on the run of the
-    window's rows that carry kernel weight, the check loss, on tie-free x
-    and windows of ``_SMALL_WINDOW`` rows or more, by a descent that starts
-    from the line of the grid point before and is kept only where
-    ``_certify``'s rule proves its line the only optimal one, and otherwise
-    by ``local_linear_fit`` on the window, built once for neighbouring grid
+    The sample is sorted by x once per curve, from its ``x_order``, rows of
+    equal x in their input order (a stable sort, needed only when x has
+    ties), and each grid point x0 is fitted on its window, the slice of the
+    sorted rows with |x - x0| <= _REACH * h, found by binary search.  For
+    either loss, the grid points whose windows hold fewer than
+    ``_SMALL_WINDOW`` rows are solved together in lock step, which leaves
+    nan at the points it hands back (the module docstring lists them).  The
+    check loss solves every ``_STRIDE``-th such point first, takes the value
+    of a solved neighbour's line at each other point where that line is
+    certified to be the only optimal one, and solves the rest in lock step
+    too.  The points still nan are solved one at a time: the mean in closed
+    form on the run of the window's rows within the kernel's radius, found
+    by two binary searches on d = x - x0, with weights taken from the d * d
+    that its sums reuse; the check loss, on tie-free x and windows of
+    ``_SMALL_WINDOW`` rows or more, by a descent that starts from the line
+    of the grid point before and is kept only where ``_certify``'s rule
+    proves its line the only optimal one, and otherwise by
+    ``local_linear_fit`` on the window, built once for neighbouring grid
     points that share it.  The window holds every row with kernel weight, so
     the curve is ``local_linear_fit`` on the sample stably sorted by x, bit
     for bit, for both losses, errors included: the first grid point at which
@@ -1091,7 +1170,7 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     if spec.bandwidth is None:
         raise ValueError("spec.bandwidth must be set before fitting")
     h = spec.bandwidth.value
-    order = np.argsort(sample.x)
+    order = sample.x_order
     xs = sample.x[order]
     tied = bool(np.any(xs[1:] == xs[:-1]))
     if tied:  # only a stable sort keeps the row order
@@ -1107,14 +1186,14 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     values = np.full(spec.grid_size, np.nan)
     mean = spec.loss.kind == "quadratic"
     small = np.flatnonzero((his - los >= 2) & (his - los < _SMALL_WINDOW))
-    # in a block, padding far beyond a window can lie so many bandwidths away that u
-    # overflows, slopes at the pivot's x divide by 0, and sums may overflow; none of them
+    # in a block, padding far beyond a window can lie so many bandwidths away that u or
+    # d * d overflows, slopes at the pivot's x divide by 0, and sums may overflow; none of them
     # decides a value, and the per-point path redoes a handed-back point, warnings included
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if mean:
             for ids in _blocks(small):
-                values[ids] = _mean_lock_step(*_windows(xs, ys, grid[ids], los[ids], his[ids], h),
-                                              grid[ids])
+                values[ids] = _mean_lock_step(*_windows(xs, ys, grid[ids], los[ids], his[ids], h,
+                                                        True), grid[ids])
         else:
             values[small] = _median_lock_step(xs, ys, grid[small], los[small], his[small], h,
                                               spec.loss.tau)
@@ -1132,14 +1211,12 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
             if hi - lo < 2:  # a PairedSample needs two rows, and so does the fit
                 raise _too_few(x0)
             if mean:
-                x, y, w = _weighted_rows(xs[lo:hi], ys[lo:hi], x0, h)
-                if not x.size or x[0] == x[-1]:  # sorted: x[0] is the least x
-                    raise _too_few(x0)
-                values[i] = _solve_wls(x - x0, y, w, x0)[0]
+                values[i] = _window_mean(xs[lo:hi], ys[lo:hi], x0, h)
                 continue
             rows = None
             if warm and hi - lo >= _SMALL_WINDOW:
-                rows = _weighted_rows(xs[lo:hi], ys[lo:hi], x0, h)
+                rows = _weighted_rows(xs[lo:hi], ys[lo:hi], x0, h, squared=False,
+                                      sorted_x=True)[:3]
                 fit = _warm_fit(*rows, x0, spec.loss.tau, seed)
                 if fit is not None:
                     values[i], seed = fit

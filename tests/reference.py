@@ -67,6 +67,28 @@ def plug_in_bandwidth(x: np.ndarray, y: np.ndarray) -> tuple[float, int, str | N
     return support * n ** -0.2, chosen, reason
 
 
+def mean_curve(x: np.ndarray, y: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
+    """The local linear mean curve on ``grid``: at each grid point x0, the
+    intercept of the weighted least-squares line in x - x0, by ``lstsq``.
+
+    The weights are the Gaussian kernel exp(-u^2 / 2) / sqrt(2 pi) of
+    u = (x - x0) / h, on the rows whose weight reaches 1e-12, and the
+    problem is solved as ordinary least squares on the rows scaled by the
+    square roots of their weights.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    values = []
+    for x0 in np.asarray(grid, dtype=float).tolist():
+        u = (x - x0) / bandwidth
+        w = np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi)
+        keep = w >= 1e-12
+        root = np.sqrt(w[keep])
+        design = np.column_stack([root, root * (x[keep] - x0)])
+        values.append(np.linalg.lstsq(design, root * y[keep], rcond=None)[0][0])
+    return np.array(values)
+
+
 def check_loss_line(x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float,
                     tau: float) -> tuple[float, float]:
     """Local linear check-loss coefficients (b0, b1) at x0 by linear programming.

@@ -233,3 +233,23 @@ def test_pair_workload_ranks_its_jittered_sample_once(perfbench, monkeypatch):
         ops = workload.run(inputs)
         assert all(op.problem is None for op in ops)
         assert calls == ["x", "y"] * repetition
+
+
+def test_pair_workload_sorts_its_jittered_x_once(perfbench, monkeypatch):
+    # the ranks, the plug-in and the mean curve of a repetition share the
+    # jittered sample's x_order: one argsort of x, where each took its own
+    _, _, _, workloads = perfbench
+    workload = workloads.warm_up_copy(workloads.make("pair-mean-1e5", 0))
+    inputs = workload.build(workload.generate())
+    x = locindex.jitter(inputs, workloads.JITTER_SD, workload.seed).x
+    sorted_x = []
+    argsort = np.argsort
+
+    def counted(a, *args, **kwargs):
+        sorted_x.append(np.array_equal(a, x))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    ops = workload.run(inputs)
+    assert all(op.problem is None for op in ops)
+    assert sorted_x.count(True) == 1

@@ -397,6 +397,17 @@ class TestPairedSample:
         x[0] = 0.5  # writes through the view, not into the sample
         assert sample.x[0] == 0.0 and not np.shares_memory(sample.x, x)
 
+    def test_x_order_sorts_x_once_and_is_read_only(self, monkeypatch):
+        sample = PairedSample(x=[0.4, 0.1, 0.3, 0.2], y=[0.5, 0.1, 0.4, 0.2])
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, *args: calls.append(1) or argsort(a, *args))
+        order = sample.x_order
+        assert order.tolist() == [1, 3, 2, 0]
+        assert sample.x_order is order and calls == [1]
+        with pytest.raises(ValueError, match="read-only"):
+            order[0] = 0
+
 
 class TestRawScores:
     @pytest.mark.parametrize("names, rows, max_items, message", [

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -31,7 +33,7 @@ from oracles import (
     random_tie_free_sample,
     weighted_quantile_row,
 )
-from reference import median_curve
+from reference import mean_curve, median_curve
 
 TAUS = (0.1, 0.5, 0.9)
 COLUMNS = ("mathematics", "reading", "spelling")
@@ -323,7 +325,23 @@ class TestLocalLinearFit:
             local_linear_fit(sample, x0, 0.1, loss)
 
 
+def mean_kernel(x: np.ndarray, x0, h: float) -> np.ndarray:
+    # the quadratic loss's kernel as smoothing._gaussian takes it for h in
+    # _SQUARED_OFFSETS, exp(d d (-1 / (2 h h))) (1 / sqrt(2 pi)), with the
+    # rows beyond _RADIUS bandwidths at 0
+    d = x - x0
+    w = np.exp(d * d * (-0.5 / (h * h))) * (1.0 / np.sqrt(2.0 * np.pi))
+    w[np.abs(d) > smoothing._RADIUS * h] = 0.0
+    return w
+
+
 class TestKernelWeights:
+    # the mean's weights are mean_kernel's doubles; the check loss keeps the
+    # textbook exp(-u u / 2) / sqrt(2 pi) of oracles.kernel_weights.  Against
+    # long double the mean's rounded by at most 6.2e-15 relative on these
+    # windows and the textbook form by 5.0e-15; the two forms differed by at
+    # most 7.4e-15 and had the same zero sets (measured)
+
     @pytest.mark.parametrize("n", [52, 1_000, 25_000, 100_000])
     def test_equal_to_the_kernel_formula_on_windows(self, n):
         rng = np.random.default_rng(n)
@@ -333,8 +351,12 @@ class TestKernelWeights:
                 lo, hi = np.searchsorted(xs, [x0 - smoothing._REACH * h,
                                               x0 + smoothing._REACH * h])
                 window = xs[lo:hi]
-                np.testing.assert_array_equal(smoothing._kernel_weights(window, x0, h),
-                                              kernel_weights(window, x0, h))
+                mean = smoothing._kernel_weights(window, x0, h, True)
+                textbook = kernel_weights(window, x0, h)
+                np.testing.assert_array_equal(mean, mean_kernel(window, x0, h))
+                np.testing.assert_array_equal(smoothing._kernel_weights(window, x0, h), textbook)
+                np.testing.assert_array_equal(mean == 0.0, textbook == 0.0)
+                np.testing.assert_allclose(mean, textbook, rtol=1e-14, atol=0.0)
 
     def test_equal_to_the_kernel_formula_on_the_rows_of_a_lock_step_block(self):
         # the lock step weighs many windows at once, each row of a
@@ -342,9 +364,20 @@ class TestKernelWeights:
         rng = np.random.default_rng(4)
         xs = np.sort(rng.uniform(0.0, 1.0, 52))
         x0 = rng.uniform(0.0, 1.0, 300)
-        weights = smoothing._kernel_weights(np.broadcast_to(xs, (300, 52)), x0[:, None], 0.05)
-        for row, point in zip(weights, x0.tolist()):
+        block = np.broadcast_to(xs, (300, 52))
+        mean = smoothing._kernel_weights(block, x0[:, None], 0.05, True)
+        textbook = smoothing._kernel_weights(block, x0[:, None], 0.05)
+        for mean_row, row, point in zip(mean, textbook, x0.tolist()):
+            np.testing.assert_array_equal(mean_row, mean_kernel(xs, point, 0.05))
             np.testing.assert_array_equal(row, kernel_weights(xs, point, 0.05))
+
+    @pytest.mark.parametrize("h", [1e-320, 1e-160, 1e160, 1e199])
+    def test_bandwidths_beyond_the_squared_range_take_the_textbook_form(self, h):
+        # there h * h is 0 or subnormal, or d * d overflows at the radius
+        assert not smoothing._SQUARED_OFFSETS[0] < h < smoothing._SQUARED_OFFSETS[1]
+        x = np.linspace(-8.0, 8.0, 161) * h
+        np.testing.assert_array_equal(smoothing._kernel_weights(x, 0.0, h, True),
+                                      kernel_weights(x, 0.0, h))
 
 
 def sorted_by_x(pr: PairedSample) -> PairedSample:
@@ -515,29 +548,121 @@ class TestFitCurve:
         with pytest.raises(SmoothingError, match="x spans more than the float range"):
             fit_curve(sample, spec)
 
-    def test_mean_gathers_weighted_rows_around_a_zero_weight_row(self, monkeypatch):
-        # the kernel falls away from x0, so the weighted rows of a window are
-        # one run in x order; should rounding ever zero a row inside it, the
-        # mean fits the weighted rows alone, as local_linear_fit does
-        x = np.linspace(0.0, 1.0, 41)
-        sample = PairedSample(x=x, y=np.sin(3.0 * x))
-        kernel = smoothing._kernel_weights
+    def test_weighted_rows_of_each_window_are_those_within_the_radius(self, monkeypatch):
+        # a row carries weight at x0 when |x - x0| <= _RADIUS h; rows are
+        # placed on the last float inside that bound and the first outside it,
+        # on both sides of three grid points, and the per-point mean, the warm
+        # median and the lock step's windows see exactly the rows inside
+        h = 0.03
+        radius = smoothing._RADIUS * h
+        rng = np.random.default_rng(2)
+        grid = np.linspace(0.0, 1.0, 21)
+        edges = [radius_edges(x0, radius) for x0 in grid[[5, 10, 15]].tolist()]
+        x = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 400), np.ravel(edges)]))
+        y = np.sin(5.0 * x) + rng.normal(0.0, 0.1, len(x))
+        sample = PairedSample(x=x, y=y)
+        assert window_sizes(sample, grid, h).min() >= smoothing._SMALL_WINDOW
+        inside = {x0: np.abs(x - x0) <= radius for x0 in grid.tolist()}
+        for x0, (left_in, left_out, right_in, right_out) in zip(grid[[5, 10, 15]].tolist(), edges):
+            rows = x[inside[x0]]
+            assert (rows[0], rows[-1]) == (left_in, right_in)
+            assert left_out < rows[0] and right_out > rows[-1]
+        offsets, warm_rows = {}, {}
+        solve, warm_fit = smoothing._solve_wls, smoothing._warm_fit
 
-        def holed(xw, x0, h):
-            w = kernel(xw, x0, h)
-            w[xw == 0.5] = 0.0
-            return w
+        def spy_solve(d, y, w, x0, *dd):
+            offsets[x0] = d.copy()
+            return solve(d, y, w, x0, *dd)
 
-        rows = []
-        solve = smoothing._solve_wls
-        monkeypatch.setattr(smoothing, "_kernel_weights", holed)
-        monkeypatch.setattr(smoothing, "_solve_wls", lambda d, *a: rows.append(len(d)) or solve(d, *a))
+        def spy_warm_fit(x, y, w, x0, *rest):
+            warm_rows[x0] = x
+            return warm_fit(x, y, w, x0, *rest)
+
+        monkeypatch.setattr(smoothing, "_solve_wls", spy_solve)
+        monkeypatch.setattr(smoothing, "_warm_fit", spy_warm_fit)
+        bandwidth = BandwidthEstimate(value=h, method="fixed")
+        fit_curve(sample, FitSpec(loss=LossKind.quadratic(), bandwidth=bandwidth, grid_size=21))
+        assert set(offsets) == set(inside)
+        for x0, rows in inside.items():
+            np.testing.assert_array_equal(offsets[x0], (x - x0)[rows])
+        fit_curve(sample, FitSpec(loss=LossKind.median(), bandwidth=bandwidth, grid_size=21))
+        assert set(warm_rows) == set(inside)
+        for x0, rows in inside.items():
+            np.testing.assert_array_equal(warm_rows[x0], x[rows])
+        lo = np.searchsorted(x, grid - smoothing._REACH * h)
+        hi = np.searchsorted(x, grid + smoothing._REACH * h, side="right")
+        for squared in (False, True):
+            xw, _, w = smoothing._windows(x, y, grid, lo, hi, h, squared)
+            in_window = np.arange(xw.shape[1]) < (hi - lo)[:, None]
+            np.testing.assert_array_equal(w != 0.0,
+                                          in_window & (np.abs(xw - grid[:, None]) <= radius))
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_local_linear_fit_gathers_the_weighted_rows_of_an_unsorted_sample(self, loss):
+        # in random row order the rows within the radius are not one run; they
+        # are gathered in row order, as if the sample held them alone
+        rng = np.random.default_rng(9)
+        x, y = random_tie_free_sample(rng, 200)
+        sample = PairedSample(x=x, y=y)
+        h = 0.05
+        for x0 in (0.1, 0.5, 0.93):
+            rows = np.flatnonzero(np.abs(x - x0) <= smoothing._RADIUS * h)
+            assert rows[-1] - rows[0] + 1 > len(rows) >= 20
+            alone = PairedSample(x=x[rows], y=y[rows])
+            assert local_linear_fit(sample, x0, h, loss) == local_linear_fit(alone, x0, h, loss)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(100, 400),
+        seed=st.integers(0, 2**32 - 1),
+        h=st.sampled_from((0.1, 0.2, 0.5)),
+        rounded=st.booleans(),
+    )
+    def test_large_mean_windows_equal_local_fit_at_every_grid_point(self, n, seed, h, rounded):
+        # windows of _SMALL_WINDOW rows or more take the per-point mean, whose
+        # weights and least-squares sums share the squared offsets; x
+        # rounded to 1/50 has ties, which take the stable sort
+        rng = np.random.default_rng(seed)
+        x, y = random_tie_free_sample(rng, n)
+        if rounded:
+            x = np.round(x * 50.0) / 50.0
+        sample = PairedSample(x=x, y=y)
+        grid = np.linspace(x.min(), x.max(), 60)
+        assume(window_sizes(sample, grid, h).min() >= smoothing._SMALL_WINDOW)
         loss = LossKind.quadratic()
-        h = BandwidthEstimate(value=0.2, method="fixed")  # every row has weight
-        curve = fit_curve(sample, FitSpec(loss=loss, bandwidth=h, grid_size=30))
-        assert rows == [40] * 30
-        for x0, value in zip(curve.grid, curve.values):
-            assert value == local_linear_fit(sample, float(x0), h.value, loss)[0]
+        curve = fit_curve(sample, FitSpec(loss=loss, bandwidth=BandwidthEstimate(
+            value=h, method="fixed"), grid_size=60))
+        reference = sorted_by_x(sample)
+        for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
+            assert value == local_linear_fit(reference, x0, h, loss)[0], x0
+
+    # sha256 (first 16 hex digits) of each curve's values, or its error, at
+    # bandwidths outside smoothing._SQUARED_OFFSETS, as they were before the
+    # mean took its weights from the squared offsets
+    @pytest.mark.parametrize("h, mean, median", [
+        (1e-320, "grid point 0: singular weighted design at x0 = 2.8e-322",
+         "grid point 0: check-loss objective overflows"),
+        (1e-160, "b2a54cb5b4b94bf1", "7d6265f03a523124"),
+        (1e160, "grid point 0: singular weighted design at x0 = 2.82703218662006e+158",
+         "bfd8e3e97cfe3606"),
+        (1e199, "grid point 0: singular weighted design at x0 = 2.8270321866200603e+197",
+         "546b7fef478fb9cc"),
+    ])
+    def test_extreme_bandwidths_keep_their_curves(self, h, mean, median):
+        rng = np.random.default_rng(12)
+        sample = PairedSample(x=rng.uniform(0.0, 1.0, 40) * (10.0 * h),
+                              y=rng.uniform(0.0, 1.0, 40))
+        for loss, expected in zip(LOSSES, (mean, median)):
+            spec = FitSpec(loss=loss, bandwidth=BandwidthEstimate(value=h, method="fixed"),
+                           grid_size=20)
+            try:
+                # d * d overflows in the least-squares sums at h = 1e160 and up
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values = fit_curve(sample, spec).values
+            except SmoothingError as exc:
+                assert str(exc) == expected
+            else:
+                assert hashlib.sha256(values.tobytes()).hexdigest()[:16] == expected
 
     @pytest.mark.parametrize("n, bandwidth, message", [
         (3, BandwidthEstimate(value=0.5, method="fixed"),
@@ -587,6 +712,22 @@ class TestFitCurve:
         assert sorted_x is not None and sorted_y is not None and sorted_x is not x
         assert all(wx.base is sorted_x and wy.base is sorted_y for wx, wy in descents)
         assert all(w.x.base is sorted_x and w.y.base is sorted_y for w in windows)
+
+
+def radius_edges(x0: float, radius: float) -> tuple[float, float, float, float]:
+    """The floats at the radius of x0: the least x with x - x0 >= -radius, the
+    float below it, the greatest x with x - x0 <= radius, the float above it."""
+    def last_inside(start: float, inside, outward: float) -> float:
+        x = start
+        while not inside(x):
+            x = np.nextafter(x, -outward)
+        while inside(np.nextafter(x, outward)):
+            x = np.nextafter(x, outward)
+        return float(x)
+
+    left = last_inside(x0 - radius, lambda v: v - x0 >= -radius, -np.inf)
+    right = last_inside(x0 + radius, lambda v: v - x0 <= radius, np.inf)
+    return left, float(np.nextafter(left, -np.inf)), right, float(np.nextafter(right, np.inf))
 
 
 def assert_raises_local_fits_first_error(sample: PairedSample, loss: LossKind,
@@ -1079,6 +1220,75 @@ class TestWarmStart:
         want = self.formula_rates(w, tau, a, r, on, rows)
         assert got.shape == want.shape and np.isfinite(want).all()
         assert (got == want).all()
+
+
+class TestMeanAgainstReference:
+    # tests/reference.py's mean curve: weighted lstsq on the full sample with
+    # the textbook kernel at each grid point, against the closed form on the
+    # squared offsets
+
+    def test_fixture_mean_curves_equal_weighted_least_squares(self, marks_sample):
+        # the six pairs jittered as loc-matrix jitters them (seed 0) and raw,
+        # at grid 60 and 100: relative gaps measured at most 1.7e-15 (2.0e-15
+        # with the textbook kernel's weights)
+        columns = marks_sample.column_names
+        for i, x_name in enumerate(columns):
+            for j, y_name in enumerate(columns):
+                if i == j:
+                    continue
+                raw = pair(marks_sample, x_name, y_name)
+                for sample in (raw, jitter(raw, 1e-5, pair_seed(0, i, j))):
+                    h = dpi_bandwidth(sample)
+                    for grid in (60, 100):
+                        assert_mean_curve_is_least_squares(sample, h, grid, 4e-15)
+
+    @pytest.mark.parametrize("n", [1_000, 10_000])
+    @pytest.mark.parametrize("grid", [60, 100])
+    def test_synthetic_mean_curves_equal_weighted_least_squares(self, n, grid):
+        # windows of hundreds to thousands of rows, all on the per-point path:
+        # relative gaps measured at most 1.6e-15 over seeds 0-2
+        sample = synthetic_pair(n, 0)
+        assert_mean_curve_is_least_squares(sample, dpi_bandwidth(sample), grid, 4e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(4, 300),
+        seed=st.integers(0, 2**32 - 1),
+        h=st.sampled_from((0.02, 0.05, 0.1, 0.3)),
+        rounded=st.booleans(),
+    )
+    def test_mean_curve_equals_weighted_least_squares_on_random_samples(self, n, seed, h,
+                                                                        rounded):
+        # lock-step and per-point windows, x rounded to 1/20 for ties.  A
+        # 2 x 2 solve rounds by about eps times the condition s0 s2 / det of
+        # its sums; over 600 random samples the gap was at most 5.5 eps times
+        # that (with y in [0, 1]), and the bound is 32
+        rng = np.random.default_rng(seed)
+        x, y = random_tie_free_sample(rng, n)
+        if rounded:
+            x = np.round(x * 20.0) / 20.0
+        assume(x.min() < x.max())
+        sample = PairedSample(x=x, y=y)
+        try:
+            curve = fit_curve(sample, FitSpec(loss=LossKind.quadratic(), bandwidth=(
+                BandwidthEstimate(value=h, method="fixed")), grid_size=60))
+        except SmoothingError:
+            assume(False)
+        reference = mean_curve(x, y, curve.grid, h)
+        for x0, value, expected in zip(curve.grid.tolist(), curve.values.tolist(),
+                                       reference.tolist()):
+            w = kernel_weights(x, x0, h)
+            d = x - x0
+            s0, s1, s2 = w.sum(), w @ d, w @ (d * d)
+            condition = s0 * s2 / (s0 * s2 - s1 * s1)
+            assert abs(value - expected) <= 32 * np.finfo(float).eps * condition, x0
+
+
+def assert_mean_curve_is_least_squares(sample: PairedSample, h: BandwidthEstimate, grid: int,
+                                       relative: float) -> None:
+    curve = fit_curve(sample, FitSpec(loss=LossKind.quadratic(), bandwidth=h, grid_size=grid))
+    reference = mean_curve(sample.x, sample.y, curve.grid, h.value)
+    np.testing.assert_allclose(curve.values, reference, rtol=relative, atol=0.0)
 
 
 class TestMedianAgainstReference:
