@@ -229,15 +229,11 @@ def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:
     if support == 0.0:
         raise BandwidthError("x is degenerate (all values equal)")
 
-    # Blocks are cut from the sample in order of x.  Tie-free x has one such
-    # order, the sample's x_order; tied x is sorted by (x, y) instead, which
-    # keeps the blocking invariant under row permutation.
+    # Blocks are cut from the sample in its x_order, by (x, y), so the
+    # blocking does not depend on the order of the input rows.
     order = sample.x_order
     xs = x[order]
     distinct = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))
-    if distinct < n:
-        order = np.lexsort((y, x))
-        xs = x[order]
     ys = y[order]
 
     amplitude = float(np.ptp(y))

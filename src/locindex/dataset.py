@@ -156,15 +156,21 @@ class PairedSample:
 
     @property
     def x_order(self) -> np.ndarray:
-        """The order that sorts x, by numpy's default sort, taken the first
-        time it is asked for and kept read-only.
+        """The order that sorts the rows by (x, y), taken the first time it
+        is asked for and kept read-only.
 
-        Tie-free x has one sorted order, which this is; among tied x it need
-        not be the row order.  The ranks, the plug-in bandwidth and the
-        curve fits share it, and re-sort only where x has ties.
+        Tie-free x has one sorted order, which numpy's default sort of x
+        gives.  On tied x that sort need not keep any order among the ties,
+        so the rows are sorted by (x, y) instead (``np.lexsort``); rows
+        equal in both are equal rows.  Either way the sorted sample is a
+        function of the multiset of rows, not of their input order.  The
+        ranks, the plug-in bandwidth and the curve fits share it.
         """
         if self._x_order is None:
             order = np.argsort(self.x)
+            xs = self.x[order]
+            if np.any(xs[1:] == xs[:-1]):
+                order = np.lexsort((self.y, self.x))
             order.flags.writeable = False
             object.__setattr__(self, "_x_order", order)
         return self._x_order

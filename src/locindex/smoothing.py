@@ -58,43 +58,38 @@ the bandwidth and the loss alone.
 Both losses are solved on the rows within ``_RADIUS`` (about 7.31)
 bandwidths of x0, |x - x0| <= _RADIUS h, where the kernel weight is at least
 ``WEIGHT_FLOOR``; the others carry weight zero.  So ``fit_curve`` sorts the
-sample by x once per curve, rows of equal x in their input order, and fits
-each grid point on its window: the slice of the sorted rows within
-``_REACH`` (the radius plus 1%) of x0, found by binary search [5].  Tie-free
-x has one sorted order, which numpy's default sort gives; the sample keeps
-it as its ``x_order``, which the ranks and the plug-in bandwidth share, and
-only tied x needs a stable sort.  On a sorted window the offsets d = x - x0
-are sorted too, so the weighted rows are one contiguous run by construction,
-found by two binary searches on d.  A window of ``_SMALL_WINDOW`` rows or
-more is solved on views of that run, the mean by ``_solve_wls`` and the
-check loss by a descent warm-started from the line of the grid point before
-(below) or by ``local_linear_fit`` on the window; smaller windows are solved
-in lock step (below), for both losses.  Either way the weighted rows reach
-the solvers in the order of the sorted sample, and ``fit_curve`` is
-``local_linear_fit`` on the sample stably sorted by x at each grid point,
-bit for bit.  On tie-free x that sorted sample, and so the curve, does not
-depend on the order of the input rows.  Against ``local_linear_fit`` on the
-unsorted sample, the mean can differ in the last bits, because its sums add
-the rows in another order, and on tied data the check-loss descent can reach
-another of several optimal lines.  On tie-free data the check-loss optimum
-is unique and the value depends on the line only, so there the median curve
-equals ``local_linear_fit`` on the unsorted sample too.  Every such identity
-holds within one BLAS configuration: a dot product's rounding can depend on
-the number of threads BLAS runs it on, which for OpenBLAS 0.3.31 on two
-cores changes the bits of dots longer than 10,000 rows, so a mean curve whose
+sample once per curve, by its ``x_order``, and fits each grid point on its
+window: the slice of the sorted rows within ``_REACH`` (the radius plus 1%)
+of x0, found by binary search [5].  That order, by (x, y), is the one tie
+order, which the ranks and the plug-in bandwidth share.  On a sorted window the offsets d = x - x0 are sorted too, so the
+weighted rows are one contiguous run by construction, found by two binary
+searches on d.  A window of ``_SMALL_WINDOW`` rows or more is solved on
+views of that run, the mean by ``_solve_wls`` and the check loss by a
+descent warm-started from the line of the grid point before (below) or by
+``local_linear_fit`` on the window; smaller windows are solved in lock step
+(below), for both losses.  Either way the weighted rows reach the solvers in
+the order of the sorted sample, and ``fit_curve`` is ``local_linear_fit`` on
+the sample sorted by (x, y) at each grid point, bit for bit.  That sorted
+sample is a function of the multiset of rows, so the curve does not depend
+on the order of the input rows, tied data included.  Against ``local_linear_fit`` on the unsorted sample,
+the mean can differ in the last bits, because its sums add the rows in
+another order, and on tied data the check-loss descent can reach another of
+several optimal lines.  On tie-free data the check-loss optimum is unique
+and the value depends on the line only, so there the median curve equals
+``local_linear_fit`` on the unsorted sample too.  Every such identity holds
+within one BLAS configuration: a dot product's rounding can depend on the
+number of threads BLAS runs it on, which for OpenBLAS 0.3.31 on two cores
+changes the bits of dots longer than 10,000 rows, so a mean curve whose
 windows are that long can differ between a pinned and an unpinned process.
 
-On the per-point path the kernel is evaluated once per grid point, on the
-weighted run only (``_gaussian``).  The mean takes it as
-exp(d d (-1 / (2 h h))) (1 / sqrt(2 pi)): no division per row, and the
-squared offsets d d are those its least-squares sums take.  That rounds
+The kernel has one form for every caller and either loss (``_gaussian``):
+exp(d d (-1 / (2 h h))) (1 / sqrt(2 pi)), no division per row, and d d are
+the squared offsets the least-squares sums take.  On the per-point path it
+is evaluated once per grid point, on the weighted run only.  It rounds
 otherwise than the textbook exp(-u u / 2) / sqrt(2 pi) of u = d / h, by at
-most about 7e-15 relative (measured), and moves a mean curve by about 1e-15
-relative.  The check loss keeps the textbook form: on tied data its descent
-can reach one of several optimal lines, and the weights' last bits steer
-which; its time goes to the descent, not the kernel.  Bandwidths outside
+most about 7e-15 relative (measured), and only bandwidths outside
 ``_SQUARED_OFFSETS`` (1e-150, 1e150), where h h or d d leaves the normal
-floats, take the textbook form for the mean too.
+floats, take the textbook form.
 
 The per-point path calls the C routines that numpy's Python wrappers forward
 to (``np.add.reduce`` for ``sum``, the ``argsort``, ``cumsum``,
@@ -325,23 +320,20 @@ class FittedCurve:
         object.__setattr__(self, "values", values)
 
 
-def _gaussian(d: np.ndarray, bandwidth: float,
-              squared: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _gaussian(d: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarray | None]:
     """The Gaussian kernel at the offsets d = x - x0, with no floor: the
     weights, and d * d when they were taken from it (else None).
 
-    The quadratic loss (``squared``) takes the weights as
+    Every caller, for either loss, takes the weights as
     exp(d d (-1 / (2 h h))) (1 / sqrt(2 pi)), with both constants taken once:
-    a product per row before ``exp`` and one after, and the d d that its
+    a product per row before ``exp`` and one after, and the d d that the
     least-squares sums take too.  That needs h in ``_SQUARED_OFFSETS``:
     below it h h is subnormal or 0 and 1 / (2 h h) overflows, above it d d
-    overflows at the radius.  Everywhere else the weights are the textbook
-    exp(-u u / 2) / sqrt(2 pi) with u = d / h, in that order of operations.
-    The check loss keeps those: on tied data several lines can be optimal,
-    and the weights' last bits steer which one the descent reaches.  Both
-    forms are built in place.
+    overflows at the radius.  There, and only there, the weights are the
+    textbook exp(-u u / 2) / sqrt(2 pi) with u = d / h, in that order of
+    operations.  Both forms are built in place.
     """
-    if squared and _SQUARED_OFFSETS[0] < bandwidth < _SQUARED_OFFSETS[1]:
+    if _SQUARED_OFFSETS[0] < bandwidth < _SQUARED_OFFSETS[1]:
         dd = np.square(d)  # the doubles of d * d; one operand runs twice as fast
         w = dd * (-0.5 / (bandwidth * bandwidth))
         np.exp(w, out=w)
@@ -355,14 +347,13 @@ def _gaussian(d: np.ndarray, bandwidth: float,
     return w, None
 
 
-def _kernel_weights(x: np.ndarray, x0: _Real, bandwidth: float,
-                    squared: bool = False) -> np.ndarray:
+def _kernel_weights(x: np.ndarray, x0: _Real, bandwidth: float) -> np.ndarray:
     """The kernel weights of rows x at x0 (arrays broadcast): ``_gaussian``
-    of d = x - x0, of the form ``squared`` chooses, where |d| <= _RADIUS h,
-    and 0 beyond.  For rows that need not be one run of a sorted window: the
-    lock step's padded windows and ``check_loss_objective``'s sample."""
+    of d = x - x0 where |d| <= _RADIUS h, and 0 beyond.  For rows that need
+    not be one run of a sorted window: the lock step's padded windows and
+    ``check_loss_objective``'s sample."""
     d = x - x0
-    w = _gaussian(d, bandwidth, squared)[0]
+    w = _gaussian(d, bandwidth)[0]
     w[np.abs(d) > _RADIUS * bandwidth] = 0.0
     return w
 
@@ -412,6 +403,14 @@ def check_loss_objective(
 # from.  Counting a near point or tie costs a little time, never the optimum;
 # exactly collinear points and exact ties of tied data sit many orders below.
 _ON_LINE = 2.0**-40
+
+
+def _on_line_bound(y_scale: _Real, b1: _Real, x_span: _Real) -> _Real:
+    """The largest |residual| of a row on a line of slope b1: ``_ON_LINE``
+    times the magnitude the residuals are computed from, y_scale (2 max |y|
+    over the rows) plus |b1| times the span x_span of their x; floats or
+    arrays alike."""
+    return _ON_LINE * (y_scale + abs(b1) * x_span)
 
 
 # The one threshold between the lock step and the per-point path, for both
@@ -701,7 +700,7 @@ def _check_loss_line(
         found = None
         if f < best_f:
             best, best_f = (k, j, b1), f
-            line = (a, r, _ON_LINE * (y_scale + abs(b1) * x_span))
+            line = (a, r, _on_line_bound(y_scale, b1, x_span))
             if f == 0.0:
                 break
             tried = [0.0]  # a of the pivot itself: the line is best through k
@@ -771,7 +770,8 @@ def local_linear_fit(
     (tied data), the one the descent reaches first is returned; the result
     is a function of (sample, x0, bandwidth, loss) alone.  Both losses see
     only the rows that carry kernel weight, in row order, so rows without
-    weight can be left out of ``sample`` without changing a bit.
+    weight can be left out of ``sample`` without changing a bit.  On the
+    sample sorted by (x, y) its values are ``fit_curve``'s.
 
     Raises SmoothingError when fewer than two distinct x values carry kernel
     weight at x0, when quadratic loss has a singular (or overflowing) design,
@@ -781,14 +781,13 @@ def local_linear_fit(
     """
     if not bandwidth > 0:  # nan too
         raise ValueError("bandwidth must be > 0")
-    mean = loss.kind == "quadratic"
-    x, y, w, d, dd = _weighted_rows(sample.x, sample.y, x0, bandwidth, mean)
+    x, y, w, d, dd = _weighted_rows(sample.x, sample.y, x0, bandwidth)
     if not x.size:
         raise _too_few(x0)
     x_span = float(np.maximum.reduce(x) - np.minimum.reduce(x))
     if x_span == 0.0:
         raise _too_few(x0)
-    if mean:
+    if loss.kind == "quadratic":
         return _solve_wls(d, y, w, x0, dd)
 
     p, q, b1 = _check_loss_line(x, y, w, loss.tau, x0, x_span)
@@ -810,12 +809,11 @@ def _too_few(x0: float) -> SmoothingError:
 
 
 def _weighted_rows(
-    x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float, squared: bool,
-    sorted_x: bool = False,
+    x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float, sorted_x: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """The rows of (x, y) that carry kernel weight at x0, in row order: x,
     y, their weights, d = x - x0 and d * d (None where ``_gaussian`` does not
-    take it; ``squared`` chooses its form).
+    take it, for h outside ``_SQUARED_OFFSETS``).
 
     A row carries weight when |d| <= _RADIUS h.  On rows sorted by x
     (``sorted_x``) d is sorted too, so these rows are one run by
@@ -834,7 +832,7 @@ def _weighted_rows(
         whole = np.logical_and.reduce(weighted[first:end])
         rows = slice(first, end) if whole else weighted.nonzero()[0]
     d = d[rows]
-    w, dd = _gaussian(d, bandwidth, squared)
+    w, dd = _gaussian(d, bandwidth)
     return x[rows], y[rows], w, d, dd
 
 
@@ -843,7 +841,7 @@ def _window_mean(x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float) -> f
     of the sorted sample: ``_solve_wls`` on the weighted run, with the
     offsets and squared offsets that the kernel took.  Its arrays die with
     the call, so no grid point holds them while the next one is fitted."""
-    x, y, w, d, dd = _weighted_rows(x, y, x0, bandwidth, squared=True, sorted_x=True)
+    x, y, w, d, dd = _weighted_rows(x, y, x0, bandwidth, sorted_x=True)
     if not x.size or x[0] == x[-1]:  # sorted: x[0] is the least x
         raise _too_few(x0)
     return _solve_wls(d, y, w, x0, dd)[0]
@@ -879,23 +877,22 @@ def _rows_on_line(x: np.ndarray, y: np.ndarray, x0: float, b0: float,
     """The x of the two rows of x-sorted (x, y) on the line b0 + b1 (x - x0),
     by the descent's on-line test, or None unless exactly two are on it."""
     r = y - (b0 + b1 * (x - x0))
-    scale = 2.0 * float(np.maximum.reduce(np.abs(y))) + abs(b1) * float(x[-1] - x[0])
-    on = (np.abs(r) <= _ON_LINE * scale).nonzero()[0]
+    bound = _on_line_bound(2.0 * float(np.maximum.reduce(np.abs(y))), b1, float(x[-1] - x[0]))
+    on = (np.abs(r) <= bound).nonzero()[0]
     return (float(x[on[0]]), float(x[on[1]])) if len(on) == 2 else None
 
 
 def _windows(
     xs: np.ndarray, ys: np.ndarray, x0: np.ndarray, lo: np.ndarray, hi: np.ndarray, h: float,
-    squared: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The windows xs[lo:hi], ys[lo:hi] of an x-sorted sample at the grid
     points x0 as the rows of (points x window) arrays, padded to the widest
-    with the sorted rows that follow: x, y and the kernel weights (of the
-    form ``squared`` chooses), 0 on the padding."""
+    with the sorted rows that follow: x, y and the kernel weights, 0 on the
+    padding."""
     col = np.arange(int((hi - lo).max()))
     rows = np.minimum(lo[:, None] + col, len(xs) - 1)
     x, y = xs[rows], ys[rows]
-    w = _kernel_weights(x, x0[:, None], h, squared)
+    w = _kernel_weights(x, x0[:, None], h)
     w[col >= (hi - lo)[:, None]] = 0.0
     return x, y, w
 
@@ -1021,7 +1018,7 @@ def _lock_step(
         b1 = dy[at, j] / a[at, j]
         r = dy - b1[:, None] * a
         f = np.where(weighted, w * np.maximum(tau * r, (tau - 1.0) * r), 0.0).sum(1)
-        on = weighted & (np.abs(r) <= (_ON_LINE * (y_scale + np.abs(b1) * x_span))[:, None])
+        on = weighted & (np.abs(r) <= _on_line_bound(y_scale, b1, x_span)[:, None])
         on[at, k] = on[at, j] = False
         better = f < best_f
         best_k, best_j = np.where(better, k, best_k), np.where(better, j, best_j)
@@ -1067,7 +1064,7 @@ def _certify(
         dy = y - y[at, p][:, None]
         b1 = dy[at, q] / a[at, q]  # the slope the descent takes: symmetric in p and q
         r = dy - b1[:, None] * a
-        on = weighted & (np.abs(r) <= (_ON_LINE * (y_scale + np.abs(b1) * x_span))[:, None])
+        on = weighted & (np.abs(r) <= _on_line_bound(y_scale, b1, x_span)[:, None])
         rate = _line_rates(w, tau, a, r, on, (at[:, None], lines))
         unique = (rate > _rate_margin(w.sum(1), x_span, w.shape[1])[:, None]).all(1)
         certified = inside & on[at, p] & on[at, q] & (on.sum(1) == 2) & unique
@@ -1137,11 +1134,10 @@ def _row_quantiles(v: np.ndarray, c: np.ndarray,
 def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     """Evaluate the local fit on an equispaced grid over [min(x), max(x)].
 
-    The sample is sorted by x once per curve, from its ``x_order``, rows of
-    equal x in their input order (a stable sort, needed only when x has
-    ties), and each grid point x0 is fitted on its window, the slice of the
-    sorted rows with |x - x0| <= _REACH * h, found by binary search.  For
-    either loss, the grid points whose windows hold fewer than
+    The sample is sorted once per curve, by its ``x_order`` (by x, and by
+    (x, y) where x has ties), and each grid point x0 is fitted on its window,
+    the slice of the sorted rows with |x - x0| <= _REACH * h, found by binary
+    search.  For either loss, the grid points whose windows hold fewer than
     ``_SMALL_WINDOW`` rows are solved together in lock step, which leaves
     nan at the points it hands back (the module docstring lists them).  The
     check loss solves every ``_STRIDE``-th such point first, takes the value
@@ -1156,11 +1152,12 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     proves its line the only optimal one, and otherwise by
     ``local_linear_fit`` on the window, built once for neighbouring grid
     points that share it.  The window holds every row with kernel weight, so
-    the curve is ``local_linear_fit`` on the sample stably sorted by x, bit
+    the curve is ``local_linear_fit`` on the sample sorted by (x, y), bit
     for bit, for both losses, errors included: the first grid point at which
     ``local_linear_fit`` fails, a window of fewer than two rows among them,
-    raises its ``SmoothingError``.  An x whose range overflows a float raises
-    ``SmoothingError`` before any fit.
+    raises its ``SmoothingError``.  That sorted sample, and so the curve,
+    does not depend on the order of the input rows.  An x whose range
+    overflows a float raises ``SmoothingError`` before any fit.
 
     No extrapolation is attempted beyond the data range, and fitted values
     are never clamped here; clamping to [0, 1] is a presentation concern.
@@ -1172,10 +1169,7 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     h = spec.bandwidth.value
     order = sample.x_order
     xs = sample.x[order]
-    tied = bool(np.any(xs[1:] == xs[:-1]))
-    if tied:  # only a stable sort keeps the row order
-        order = np.argsort(sample.x, kind="stable")
-        xs = sample.x[order]
+    tied = bool(np.any(xs[1:] == xs[:-1]))  # tied x takes no warm start
     if not math.isfinite(float(xs[-1]) - float(xs[0])):  # the grid's step would overflow
         raise SmoothingError(f"x spans more than the float range: {xs[0]} to {xs[-1]}")
     ys = sample.y[order]
@@ -1192,8 +1186,8 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if mean:
             for ids in _blocks(small):
-                values[ids] = _mean_lock_step(*_windows(xs, ys, grid[ids], los[ids], his[ids], h,
-                                                        True), grid[ids])
+                values[ids] = _mean_lock_step(*_windows(xs, ys, grid[ids], los[ids], his[ids], h),
+                                              grid[ids])
         else:
             values[small] = _median_lock_step(xs, ys, grid[small], los[small], his[small], h,
                                               spec.loss.tau)
@@ -1215,8 +1209,7 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
                 continue
             rows = None
             if warm and hi - lo >= _SMALL_WINDOW:
-                rows = _weighted_rows(xs[lo:hi], ys[lo:hi], x0, h, squared=False,
-                                      sorted_x=True)[:3]
+                rows = _weighted_rows(xs[lo:hi], ys[lo:hi], x0, h, sorted_x=True)[:3]
                 fit = _warm_fit(*rows, x0, spec.loss.tau, seed)
                 if fit is not None:
                     values[i], seed = fit

@@ -5,12 +5,15 @@ integral is assembled from the distribution function, counted here, and the
 infimum definition of the quantile instead of the sorting formula, ranks and
 rank coefficients come from scipy / the classical rank-difference identity, the
 Yu-Jones factor from scipy's normal distribution, kernel weights from the
-kernel's formula in one expression, least squares comes from numpy's
-polynomial fit, the check-loss optimum from scipy's linear programming
-solver, and a weighted quantile from a plain loop over the sorted rows.
+kernel's formula in one expression (textbook, or from the squared offsets),
+least squares comes from numpy's polynomial fit, the check-loss optimum from
+scipy's linear programming solver, and a weighted quantile from a plain loop
+over the sorted rows.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import stats
@@ -84,6 +87,18 @@ def kernel_weights(x: np.ndarray, x0: float, bandwidth: float) -> np.ndarray:
     u = (np.asarray(x) - x0) / bandwidth
     w = np.exp(-0.5 * u * u) / np.sqrt(2 * np.pi)
     w[w < 1e-12] = 0.0
+    return w
+
+
+def mean_kernel(x: np.ndarray, x0, bandwidth: float) -> np.ndarray:
+    """Gaussian kernel weights written from the squared offsets d = x - x0,
+    exp(d d (-1 / (2 h h))) (1 / sqrt(2 pi)), zero beyond the radius at which
+    the kernel falls to 1e-12: the form ``locindex`` takes for either loss
+    when 1e-150 < h < 1e150."""
+    d = np.asarray(x) - x0
+    w = np.exp(d * d * (-0.5 / (bandwidth * bandwidth))) * (1.0 / np.sqrt(2.0 * np.pi))
+    radius = math.sqrt(-2.0 * math.log(1e-12 * math.sqrt(2.0 * math.pi)))  # weight 1e-12
+    w[np.abs(d) > radius * bandwidth] = 0.0
     return w
 
 

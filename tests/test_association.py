@@ -351,18 +351,18 @@ class TestLocMatrix:
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 40),
-           h=st.sampled_from((0.1, 0.3)))
-    def test_invariant_under_row_permutation(self, seed, n, h):
-        # only without jitter, which assigns its noise by row position, and on
-        # tie-free columns: fit_curve sorts the sample by x once, so on
-        # tie-free x both curves see the same rows in the same order and the
-        # LOCs are equal bit for bit (with ties in x, rows of equal x keep
-        # their row order)
+           h=st.sampled_from((0.1, 0.3)), levels=st.sampled_from((None, 10, 30)))
+    def test_invariant_under_row_permutation(self, seed, n, h, levels):
+        # only without jitter, which assigns its noise by row position:
+        # fit_curve sorts the sample by (x, y) once, so both curves see the
+        # same rows in the same order and the LOCs are equal bit for bit.
+        # Columns rounded to 1 / levels are tied, like the marks
         rng = np.random.default_rng(seed)
         a = rng.uniform(0.0, 1.0, n)
         columns = {"a": a, "b": 0.2 + 0.6 * a + rng.uniform(-0.2, 0.2, n),
                    "c": rng.uniform(0.0, 1.0, n)}
-        assume(all(len(np.unique(col)) == n for col in columns.values()))
+        if levels is not None:
+            columns = {k: np.round(col * levels) / levels for k, col in columns.items()}
         order = rng.permutation(n)
         sample = NormalizedSample(column_names=("a", "b", "c"), columns=columns)
         permuted = NormalizedSample(column_names=("a", "b", "c"),

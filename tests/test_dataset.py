@@ -409,6 +409,17 @@ class TestPairedSample:
             order[0] = 0
 
 
+    def test_x_order_sorts_tied_x_by_y(self):
+        # rows of equal x follow y, so the sorted rows do not depend on the
+        # input order; rows equal in x and y are interchangeable
+        sample = PairedSample(x=[0.2, 0.1, 0.2, 0.1, 0.2], y=[0.5, 0.9, 0.1, 0.3, 0.5])
+        assert sample.x_order.tolist() == [3, 1, 2, 0, 4]
+        for order in ([4, 3, 2, 1, 0], [1, 3, 0, 2, 4]):
+            moved = PairedSample(x=sample.x[order], y=sample.y[order])
+            np.testing.assert_array_equal(moved.x[moved.x_order], sample.x[sample.x_order])
+            np.testing.assert_array_equal(moved.y[moved.x_order], sample.y[sample.x_order])
+
+
 class TestRawScores:
     @pytest.mark.parametrize("names, rows, max_items, message", [
         (("a",), [[11]], (10,), "^column 'a' has a count above 10$"),
