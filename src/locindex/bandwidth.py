@@ -194,7 +194,9 @@ def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:
     The blocked quartics' theta22 and sigma^2 enter the AMISE formula
     directly (the module docstring says how this differs from Ruppert,
     Sheather & Wand's direct plug-in), over 1 to max(min(d // 20, 5), 1)
-    blocks for d distinct x.  Needs at least 20 observations (the blocked
+    blocks for d distinct x.  The blocks are cut from the sample's
+    ``sorted_xy``, so the estimate does not depend on the order of the input
+    rows, tied x included.  Needs at least 20 observations (the blocked
     quartic fits are meaningless below that) and a non-degenerate x.  When
     the estimated curvature functional collapses (linear data) or the
     residual variance is zero (interpolating fits, e.g. noiseless polynomial
@@ -229,12 +231,8 @@ def dpi_bandwidth(sample: PairedSample) -> BandwidthEstimate:
     if support == 0.0:
         raise BandwidthError("x is degenerate (all values equal)")
 
-    # Blocks are cut from the sample in its x_order, by (x, y), so the
-    # blocking does not depend on the order of the input rows.
-    order = sample.x_order
-    xs = x[order]
+    xs, ys = sample.sorted_xy
     distinct = 1 + int(np.count_nonzero(xs[1:] != xs[:-1]))
-    ys = y[order]
 
     amplitude = float(np.ptp(y))
     try:

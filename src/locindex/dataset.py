@@ -126,16 +126,18 @@ class PairedSample:
 
     x and y are read-only float arrays, so a sample cannot change once it is
     built.  An input is copied unless it and its base are read-only already;
-    ``jitter`` and ``smoothing.fit_curve`` pass arrays that they own and
-    made read-only, so their samples share them.  That a sample cannot
-    change is what lets ``association.empirical_ranks`` rank it once and
-    keep the result in ``_ranks``, and ``x_order`` sort x once.
+    ``jitter`` passes arrays that it owns and made read-only, and
+    ``sorted_window`` slices of ``sorted_xy``, so their samples share them.
+    That a sample cannot change is what lets ``association.empirical_ranks``
+    rank it once and keep the result in ``_ranks``, and ``x_order`` and
+    ``sorted_xy`` sort it once.
     """
 
     x: np.ndarray
     y: np.ndarray
     _ranks: object = field(default=None, init=False, repr=False, compare=False)
     _x_order: object = field(default=None, init=False, repr=False, compare=False)
+    _sorted_xy: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x = _read_only(self.x)
@@ -161,10 +163,11 @@ class PairedSample:
 
         Tie-free x has one sorted order, which numpy's default sort of x
         gives.  On tied x that sort need not keep any order among the ties,
-        so the rows are sorted by (x, y) instead (``np.lexsort``); rows
-        equal in both are equal rows.  Either way the sorted sample is a
-        function of the multiset of rows, not of their input order.  The
-        ranks, the plug-in bandwidth and the curve fits share it.
+        so the rows are sorted by (x, y) instead (``np.lexsort``, which is
+        stable); rows equal in both are equal rows.  Either way the rows in
+        this order are a function of their multiset, not of their input
+        order.  The ranks take the order itself; the plug-in bandwidth and
+        the curve fits take the rows in it, ``sorted_xy``.
         """
         if self._x_order is None:
             order = np.argsort(self.x)
@@ -174,6 +177,30 @@ class PairedSample:
             order.flags.writeable = False
             object.__setattr__(self, "_x_order", order)
         return self._x_order
+
+    @property
+    def sorted_xy(self) -> tuple[np.ndarray, np.ndarray]:
+        """x and y in ``x_order``, gathered once and kept read-only; the
+        sample's own x and y when its rows are in that order already, so
+        that their slices stay views."""
+        if self._sorted_xy is None:
+            order = self.x_order
+            if np.all(order[1:] > order[:-1]):  # the identity: no gather
+                xs, ys = self.x, self.y
+            else:
+                xs, ys = self.x[order], self.y[order]
+                xs.flags.writeable = ys.flags.writeable = False
+            object.__setattr__(self, "_sorted_xy", (xs, ys))
+        return self._sorted_xy
+
+    def sorted_window(self, lo: int, hi: int) -> PairedSample:
+        """Rows lo:hi of ``sorted_xy`` as a sample of their own, whose
+        ``sorted_xy`` is its x and y, taken without a sort: the rows of a
+        slice of sorted rows are in ``x_order`` already."""
+        xs, ys = self.sorted_xy
+        window = PairedSample(x=xs[lo:hi], y=ys[lo:hi])
+        object.__setattr__(window, "_sorted_xy", (window.x, window.y))
+        return window
 
 
 @dataclass(frozen=True)

@@ -57,30 +57,26 @@ the bandwidth and the loss alone.
 
 Both losses are solved on the rows within ``_RADIUS`` (about 7.31)
 bandwidths of x0, |x - x0| <= _RADIUS h, where the kernel weight is at least
-``WEIGHT_FLOOR``; the others carry weight zero.  So ``fit_curve`` sorts the
-sample once per curve, by its ``x_order``, and fits each grid point on its
-window: the slice of the sorted rows within ``_REACH`` (the radius plus 1%)
-of x0, found by binary search [5].  That order, by (x, y), is the one tie
-order, which the ranks and the plug-in bandwidth share.  On a sorted window the offsets d = x - x0 are sorted too, so the
-weighted rows are one contiguous run by construction, found by two binary
-searches on d.  A window of ``_SMALL_WINDOW`` rows or more is solved on
-views of that run, the mean by ``_solve_wls`` and the check loss by a
-descent warm-started from the line of the grid point before (below) or by
-``local_linear_fit`` on the window; smaller windows are solved in lock step
-(below), for both losses.  Either way the weighted rows reach the solvers in
-the order of the sorted sample, and ``fit_curve`` is ``local_linear_fit`` on
-the sample sorted by (x, y) at each grid point, bit for bit.  That sorted
-sample is a function of the multiset of rows, so the curve does not depend
-on the order of the input rows, tied data included.  Against ``local_linear_fit`` on the unsorted sample,
-the mean can differ in the last bits, because its sums add the rows in
-another order, and on tied data the check-loss descent can reach another of
-several optimal lines.  On tie-free data the check-loss optimum is unique
-and the value depends on the line only, so there the median curve equals
-``local_linear_fit`` on the unsorted sample too.  Every such identity holds
-within one BLAS configuration: a dot product's rounding can depend on the
-number of threads BLAS runs it on, which for OpenBLAS 0.3.31 on two cores
-changes the bits of dots longer than 10,000 rows, so a mean curve whose
-windows are that long can differ between a pinned and an unpinned process.
+``WEIGHT_FLOOR``; the others carry weight zero.  Every fit reads the rows in
+the sample's ``x_order``, by (x, y), which is the one tie order that the
+ranks and the plug-in bandwidth share too; ``PairedSample.sorted_xy``
+gathers them once per sample.  Those rows are a function of the multiset of
+rows, so ``local_linear_fit`` and ``fit_curve`` do not depend on the order
+of the input rows, bit for bit, tied data included.  On sorted rows the
+offsets d = x - x0 are sorted too, so the weighted rows are one run, found
+by two binary searches on d [5] and solved by ``_sorted_fit``.
+``fit_curve`` fits each grid point on its window: the slice of the sorted
+rows within ``_REACH`` (the radius plus 1%) of x0, found by binary search.
+A window holds every weighted row, so its fit is ``local_linear_fit``'s.  A
+window of ``_SMALL_WINDOW`` rows or more is solved on views of its run, the
+mean by ``_sorted_fit`` and the check loss by a descent warm-started from the
+line of the grid point before (below) or by ``local_linear_fit`` on the
+window; smaller windows are solved in lock step (below), for both losses.
+Every such identity holds within one BLAS configuration: a dot product's
+rounding can depend on the number of threads BLAS runs it on, which for
+OpenBLAS 0.3.31 on two cores changes the bits of dots longer than 10,000
+rows, so a mean curve whose windows are that long can differ between a
+pinned and an unpinned process.
 
 The kernel has one form for every caller and either loss (``_gaussian``):
 exp(d d (-1 / (2 h h))) (1 / sqrt(2 pi)), no division per row, and d d are
@@ -767,30 +763,36 @@ def local_linear_fit(
     slope.  The result is a line through two observations that no other
     line beats; the optimum is computed exactly, the coefficients are that
     line rounded to floating point.  Where several lines attain the minimum
-    (tied data), the one the descent reaches first is returned; the result
-    is a function of (sample, x0, bandwidth, loss) alone.  Both losses see
-    only the rows that carry kernel weight, in row order, so rows without
-    weight can be left out of ``sample`` without changing a bit.  On the
-    sample sorted by (x, y) its values are ``fit_curve``'s.
+    (tied data), the one the descent reaches first is returned.  Both losses
+    see only the rows that carry kernel weight, taken from the sample's
+    ``sorted_xy``, so the result is a function of (the multiset of rows, x0,
+    bandwidth, loss) alone, and rows without weight can be left out of
+    ``sample`` without changing a bit.
 
     Raises SmoothingError when fewer than two distinct x values carry kernel
     weight at x0, when quadratic loss has a singular (or overflowing) design,
-    and when the check-loss objective overflows.  The span of the weighted
-    x, from one min and one max, tests the first and scales the descent's
-    on-line test.
+    and when the check-loss objective overflows.
     """
     if not bandwidth > 0:  # nan too
         raise ValueError("bandwidth must be > 0")
-    x, y, w, d, dd = _weighted_rows(sample.x, sample.y, x0, bandwidth)
-    if not x.size:
-        raise _too_few(x0)
-    x_span = float(np.maximum.reduce(x) - np.minimum.reduce(x))
-    if x_span == 0.0:
+    return _sorted_fit(*sample.sorted_xy, x0, bandwidth, loss)
+
+
+def _sorted_fit(x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float,
+                loss: LossKind) -> tuple[float, float]:
+    """``local_linear_fit`` on rows (x, y) sorted by (x, y) that hold every
+    row of kernel weight at x0: a sample's ``sorted_xy`` or a window of them.
+
+    The span of the weighted x, last minus first, tests for two distinct x
+    and scales the descent's on-line test.  The arrays die with the call, so
+    no grid point of ``fit_curve`` holds them while the next one is fitted.
+    """
+    x, y, w, d, dd = _weighted_rows(x, y, x0, bandwidth)
+    if not x.size or x[0] == x[-1]:
         raise _too_few(x0)
     if loss.kind == "quadratic":
         return _solve_wls(d, y, w, x0, dd)
-
-    p, q, b1 = _check_loss_line(x, y, w, loss.tau, x0, x_span)
+    p, q, b1 = _check_loss_line(x, y, w, loss.tau, x0, float(x[-1] - x[0]))
     return _anchored_value(x, y, x0, p, q, b1), b1
 
 
@@ -809,42 +811,21 @@ def _too_few(x0: float) -> SmoothingError:
 
 
 def _weighted_rows(
-    x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float, sorted_x: bool = False,
+    x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """The rows of (x, y) that carry kernel weight at x0, in row order: x,
-    y, their weights, d = x - x0 and d * d (None where ``_gaussian`` does not
-    take it, for h outside ``_SQUARED_OFFSETS``).
+    """The rows of x-sorted (x, y) that carry kernel weight at x0, as views:
+    x, y, their weights, d = x - x0 and d * d (None where ``_gaussian`` does
+    not take it, for h outside ``_SQUARED_OFFSETS``).
 
-    A row carries weight when |d| <= _RADIUS h.  On rows sorted by x
-    (``sorted_x``) d is sorted too, so these rows are one run by
-    construction, found by two binary searches on d.  In any other order
-    they are a mask of d, returned as views when they are one run and
-    gathered otherwise.
+    A row carries weight when |d| <= _RADIUS h.  d is sorted, so these rows
+    are one run, found by two binary searches on d.
     """
     d = x - x0
     radius = _RADIUS * bandwidth
-    if sorted_x:
-        rows = slice(int(d.searchsorted(-radius, "left")), int(d.searchsorted(radius, "right")))
-    else:
-        weighted = np.abs(d) <= radius
-        first = int(weighted.argmax())
-        end = first + int(np.count_nonzero(weighted))
-        whole = np.logical_and.reduce(weighted[first:end])
-        rows = slice(first, end) if whole else weighted.nonzero()[0]
+    rows = slice(int(d.searchsorted(-radius, "left")), int(d.searchsorted(radius, "right")))
     d = d[rows]
     w, dd = _gaussian(d, bandwidth)
     return x[rows], y[rows], w, d, dd
-
-
-def _window_mean(x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float) -> float:
-    """``local_linear_fit``'s quadratic-loss value at x0 on the window (x, y)
-    of the sorted sample: ``_solve_wls`` on the weighted run, with the
-    offsets and squared offsets that the kernel took.  Its arrays die with
-    the call, so no grid point holds them while the next one is fitted."""
-    x, y, w, d, dd = _weighted_rows(x, y, x0, bandwidth, sorted_x=True)
-    if not x.size or x[0] == x[-1]:  # sorted: x[0] is the least x
-        raise _too_few(x0)
-    return _solve_wls(d, y, w, x0, dd)[0]
 
 
 def _warm_fit(
@@ -1134,30 +1115,27 @@ def _row_quantiles(v: np.ndarray, c: np.ndarray,
 def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     """Evaluate the local fit on an equispaced grid over [min(x), max(x)].
 
-    The sample is sorted once per curve, by its ``x_order`` (by x, and by
-    (x, y) where x has ties), and each grid point x0 is fitted on its window,
-    the slice of the sorted rows with |x - x0| <= _REACH * h, found by binary
-    search.  For either loss, the grid points whose windows hold fewer than
+    Each grid point x0 is fitted on its window, the slice of the sample's
+    ``sorted_xy`` with |x - x0| <= _REACH * h, found by binary search.  For
+    either loss, the grid points whose windows hold fewer than
     ``_SMALL_WINDOW`` rows are solved together in lock step, which leaves
     nan at the points it hands back (the module docstring lists them).  The
     check loss solves every ``_STRIDE``-th such point first, takes the value
     of a solved neighbour's line at each other point where that line is
     certified to be the only optimal one, and solves the rest in lock step
-    too.  The points still nan are solved one at a time: the mean in closed
-    form on the run of the window's rows within the kernel's radius, found
-    by two binary searches on d = x - x0, with weights taken from the d * d
-    that its sums reuse; the check loss, on tie-free x and windows of
-    ``_SMALL_WINDOW`` rows or more, by a descent that starts from the line
-    of the grid point before and is kept only where ``_certify``'s rule
-    proves its line the only optimal one, and otherwise by
-    ``local_linear_fit`` on the window, built once for neighbouring grid
-    points that share it.  The window holds every row with kernel weight, so
-    the curve is ``local_linear_fit`` on the sample sorted by (x, y), bit
+    too.  The points still nan are solved one at a time: the mean by
+    ``_sorted_fit`` on the window; the check loss, on tie-free x and
+    windows of ``_SMALL_WINDOW`` rows or more, by a descent that starts from
+    the line of the grid point before and is kept only where ``_certify``'s
+    rule proves its line the only optimal one, and otherwise by
+    ``local_linear_fit`` on the window, a ``sorted_window`` built once for
+    neighbouring grid points that share it.  The window holds every row with
+    kernel weight, so the curve is ``local_linear_fit`` on the sample, bit
     for bit, for both losses, errors included: the first grid point at which
     ``local_linear_fit`` fails, a window of fewer than two rows among them,
-    raises its ``SmoothingError``.  That sorted sample, and so the curve,
-    does not depend on the order of the input rows.  An x whose range
-    overflows a float raises ``SmoothingError`` before any fit.
+    raises its ``SmoothingError``.  An x whose range overflows a float, or
+    spans too few floats for ``grid_size`` strictly increasing grid points,
+    raises ``SmoothingError`` before any fit.
 
     No extrapolation is attempted beyond the data range, and fitted values
     are never clamped here; clamping to [0, 1] is a presentation concern.
@@ -1167,14 +1145,14 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     if spec.bandwidth is None:
         raise ValueError("spec.bandwidth must be set before fitting")
     h = spec.bandwidth.value
-    order = sample.x_order
-    xs = sample.x[order]
-    tied = bool(np.any(xs[1:] == xs[:-1]))  # tied x takes no warm start
+    xs, ys = sample.sorted_xy
     if not math.isfinite(float(xs[-1]) - float(xs[0])):  # the grid's step would overflow
         raise SmoothingError(f"x spans more than the float range: {xs[0]} to {xs[-1]}")
-    ys = sample.y[order]
-    xs.flags.writeable = ys.flags.writeable = False  # window samples share them uncopied
     grid = np.linspace(float(xs[0]), float(xs[-1]), spec.grid_size)
+    if not np.all(grid[1:] > grid[:-1]):
+        raise SmoothingError(f"x spans too few floats for {spec.grid_size} distinct grid "
+                             f"points: {xs[0]} to {xs[-1]}")
+    tied = bool(np.any(xs[1:] == xs[:-1]))  # tied x takes no warm start
     los = np.searchsorted(xs, grid - _REACH * h, side="left")
     his = np.searchsorted(xs, grid + _REACH * h, side="right")
     values = np.full(spec.grid_size, np.nan)
@@ -1205,17 +1183,17 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
             if hi - lo < 2:  # a PairedSample needs two rows, and so does the fit
                 raise _too_few(x0)
             if mean:
-                values[i] = _window_mean(xs[lo:hi], ys[lo:hi], x0, h)
+                values[i] = _sorted_fit(xs[lo:hi], ys[lo:hi], x0, h, spec.loss)[0]
                 continue
             rows = None
             if warm and hi - lo >= _SMALL_WINDOW:
-                rows = _weighted_rows(xs[lo:hi], ys[lo:hi], x0, h, sorted_x=True)[:3]
+                rows = _weighted_rows(xs[lo:hi], ys[lo:hi], x0, h)[:3]
                 fit = _warm_fit(*rows, x0, spec.loss.tau, seed)
                 if fit is not None:
                     values[i], seed = fit
                     continue
             if (lo, hi) != bounds:
-                bounds, window = (lo, hi), PairedSample(x=xs[lo:hi], y=ys[lo:hi])
+                bounds, window = (lo, hi), sample.sorted_window(lo, hi)
             values[i], b1 = local_linear_fit(window, x0, h, spec.loss)
             if rows is not None:
                 seed = _rows_on_line(*rows[:2], x0, values[i], b1)

@@ -408,7 +408,6 @@ class TestPairedSample:
         with pytest.raises(ValueError, match="read-only"):
             order[0] = 0
 
-
     def test_x_order_sorts_tied_x_by_y(self):
         # rows of equal x follow y, so the sorted rows do not depend on the
         # input order; rows equal in x and y are interchangeable
@@ -418,6 +417,55 @@ class TestPairedSample:
             moved = PairedSample(x=sample.x[order], y=sample.y[order])
             np.testing.assert_array_equal(moved.x[moved.x_order], sample.x[sample.x_order])
             np.testing.assert_array_equal(moved.y[moved.x_order], sample.y[sample.x_order])
+
+    def test_sorted_xy_is_gathered_once_and_is_read_only(self, monkeypatch):
+        sample = PairedSample(x=[0.4, 0.1, 0.3, 0.2], y=[0.5, 0.1, 0.4, 0.2])
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, *args: calls.append(1) or argsort(a, *args))
+        xs, ys = sample.sorted_xy
+        assert xs.tolist() == [0.1, 0.2, 0.3, 0.4] and ys.tolist() == [0.1, 0.2, 0.4, 0.5]
+        again = sample.sorted_xy
+        assert again[0] is xs and again[1] is ys and calls == [1]
+        for values in (xs, ys):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.9
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.4, 0.1, 0.3, 0.2, 0.7], [0.5, 0.1, 0.4, 0.2, 0.3]),  # tie-free
+        ([0.2, 0.1, 0.2, 0.1, 0.2], [0.5, 0.9, 0.1, 0.3, 0.5]),  # tied x, and a row twice
+    ])
+    def test_sorted_xy_holds_the_rows_in_x_order(self, x, y):
+        sample = PairedSample(x=x, y=y)
+        xs, ys = sample.sorted_xy
+        np.testing.assert_array_equal(xs, sample.x[sample.x_order])
+        np.testing.assert_array_equal(ys, sample.y[sample.x_order])
+        assert xs is not sample.x and ys is not sample.y
+
+    @pytest.mark.parametrize("x, y", [
+        ([0.1, 0.2, 0.3, 0.4, 0.7], [0.5, 0.1, 0.4, 0.2, 0.3]),  # tie-free
+        ([0.1, 0.1, 0.2, 0.2, 0.2], [0.3, 0.9, 0.1, 0.5, 0.5]),  # tied x, and a row twice
+    ])
+    def test_sorted_xy_of_sorted_rows_is_the_samples_own_arrays(self, x, y):
+        sample = PairedSample(x=x, y=y)
+        xs, ys = sample.sorted_xy
+        assert xs is sample.x and ys is sample.y
+        window = PairedSample(x=xs[1:4], y=ys[1:4])  # a window of sorted rows stays a view
+        assert window.sorted_xy[0].base is xs and window.sorted_xy[1].base is ys
+
+    def test_sorted_window_is_a_view_of_the_sorted_rows_taken_without_a_sort(self, monkeypatch):
+        sample = PairedSample(x=[0.2, 0.1, 0.2, 0.1, 0.2], y=[0.5, 0.9, 0.1, 0.3, 0.5])
+        xs, ys = sample.sorted_xy
+        calls = []
+        for name in ("argsort", "lexsort"):
+            monkeypatch.setattr(np, name, lambda *args, sort=getattr(np, name):
+                                calls.append(1) or sort(*args))
+        window = sample.sorted_window(1, 4)
+        wx, wy = window.sorted_xy
+        assert calls == []
+        assert wx is window.x and wy is window.y and wx.base is xs and wy.base is ys
+        assert wx.tolist() == [0.1, 0.2, 0.2] and wy.tolist() == [0.9, 0.1, 0.5]
+        assert window.x_order.tolist() == [0, 1, 2]  # the order a sort gives
 
 
 class TestRawScores:

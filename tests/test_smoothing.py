@@ -348,8 +348,8 @@ class TestKernelWeights:
                 textbook = kernel_weights(window, x0, h)
                 np.testing.assert_array_equal(smoothing._kernel_weights(window, x0, h), expected)
                 inside = np.abs(window - x0) <= smoothing._RADIUS * h
-                for sorted_x in (False, True) if window.size else ():
-                    w = smoothing._weighted_rows(window, ys[lo:hi], x0, h, sorted_x)[2]
+                if window.size:
+                    w = smoothing._weighted_rows(window, ys[lo:hi], x0, h)[2]
                     np.testing.assert_array_equal(w, expected[inside])
                 np.testing.assert_array_equal(expected == 0.0, textbook == 0.0)
                 np.testing.assert_allclose(expected, textbook, rtol=1e-14, atol=0.0)
@@ -389,11 +389,6 @@ class TestKernelWeights:
                                       kernel_weights(x, 0.0, h))
 
 
-def sorted_by_x_and_y(pr: PairedSample) -> PairedSample:
-    order = np.lexsort((pr.y, pr.x))
-    return PairedSample(x=pr.x[order], y=pr.y[order])
-
-
 def curve_or_error(sample: PairedSample, spec: FitSpec) -> bytes | str:
     """A curve's values as bytes, or the message of the error it raises."""
     try:
@@ -404,8 +399,8 @@ def curve_or_error(sample: PairedSample, spec: FitSpec) -> bytes | str:
 
 def assert_curve_is_local_fit(pr: PairedSample, loss: LossKind, h: BandwidthEstimate,
                               reference: PairedSample | None = None) -> None:
-    # the reference defaults to the sample sorted by (x, y)
-    reference = sorted_by_x_and_y(pr) if reference is None else reference
+    # the reference defaults to the sample itself
+    reference = pr if reference is None else reference
     curve = fit_curve(pr, FitSpec(loss=loss, bandwidth=h, grid_size=200))
     for i in range(0, 200, 3):
         b0, _ = local_linear_fit(reference, float(curve.grid[i]), h.value, loss)
@@ -413,9 +408,9 @@ def assert_curve_is_local_fit(pr: PairedSample, loss: LossKind, h: BandwidthEsti
 
 
 class TestFitCurve:
-    # fit_curve fits each grid point on its kernel window of the sample sorted
-    # by x; the curve is local_linear_fit on the sample sorted by (x, y), bit
-    # for bit, tied data included
+    # fit_curve fits each grid point on its kernel window of the sample's
+    # sorted_xy; the curve is local_linear_fit on the sample, bit for bit,
+    # tied data included
 
     @pytest.mark.parametrize("x_name,y_name", ORDERED_PAIRS)
     def test_median_curve_equals_local_fit(self, marks_sample, x_name, y_name):
@@ -430,12 +425,14 @@ class TestFitCurve:
     @pytest.mark.parametrize("x_name,y_name", ORDERED_PAIRS)
     def test_jittered_median_curve_equals_local_fit_on_the_unsorted_sample(
             self, marks_sample, x_name, y_name):
-        # on tie-free data the optimal line is unique and the value depends
-        # on the line only, so the order of the rows does not matter
+        # the marks are not sorted by x, and local_linear_fit on their rows
+        # reversed takes the same sorted rows as the curve
         jittered = jitter(pair(marks_sample, x_name, y_name), 1e-5, 11)
         assert len(np.unique(jittered.x)) == jittered.n
+        assert np.any(np.diff(jittered.x) < 0.0)
         h = median_adjust(dpi_bandwidth(jittered))
-        assert_curve_is_local_fit(jittered, LossKind.median(), h, reference=jittered)
+        reversed_rows = PairedSample(x=jittered.x[::-1], y=jittered.y[::-1])
+        assert_curve_is_local_fit(jittered, LossKind.median(), h, reference=reversed_rows)
 
     @pytest.mark.parametrize("loss", LOSSES)
     @pytest.mark.parametrize("seed", range(4))
@@ -447,9 +444,12 @@ class TestFitCurve:
         spec = FitSpec(loss=loss, bandwidth=BandwidthEstimate(value=0.08, method="fixed"),
                        grid_size=100)
         base = fit_curve(sample, spec)
-        moved = fit_curve(PairedSample(x=x[order], y=y[order]), spec)
+        permuted = PairedSample(x=x[order], y=y[order])
+        moved = fit_curve(permuted, spec)
         np.testing.assert_array_equal(moved.grid, base.grid)
         np.testing.assert_array_equal(moved.values, base.values)
+        fits = [local_linear_fit(permuted, x0, 0.08, loss)[0] for x0 in base.grid.tolist()]
+        np.testing.assert_array_equal(fits, base.values)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -464,18 +464,23 @@ class TestFitCurve:
                                                                y_levels, h):
         # x and y on lattices, as marks are, tie in both coordinates; the
         # sample sorted by (x, y) is a function of the multiset of rows, and so
-        # is each curve, or the error it raises
+        # is each curve, or the error it raises, and each local fit
         rng = np.random.default_rng(seed)
         x = np.round(rng.uniform(0.0, 1.0, n) * x_levels) / x_levels
         y = np.round(np.clip(0.3 + 0.5 * x + rng.normal(0.0, 0.2, n), 0.0, 1.0) * y_levels)
         y /= y_levels
         assume(x.min() < x.max())
         order = rng.permutation(n)
+        permuted = PairedSample(x=x[order], y=y[order])
         for loss in LOSSES:
             spec = FitSpec(loss=loss, bandwidth=BandwidthEstimate(value=h, method="fixed"),
                            grid_size=100)
             base = curve_or_error(PairedSample(x=x, y=y), spec)
-            assert curve_or_error(PairedSample(x=x[order], y=y[order]), spec) == base, loss
+            assert curve_or_error(permuted, spec) == base, loss
+            if isinstance(base, bytes):
+                grid = np.linspace(x.min(), x.max(), 100).tolist()
+                fits = [local_linear_fit(permuted, x0, h, loss)[0] for x0 in grid]
+                assert np.array(fits).tobytes() == base, loss
 
     @pytest.mark.parametrize("x_name,y_name", ORDERED_PAIRS)
     def test_mean_curve_equals_local_fit(self, marks_sample, x_name, y_name):
@@ -591,6 +596,26 @@ class TestFitCurve:
         with pytest.raises(SmoothingError, match="x spans more than the float range"):
             fit_curve(sample, spec)
 
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_x_range_of_a_few_floats_raises_before_any_fit(self, loss, monkeypatch):
+        # x spans 3e-16 above 0.5, about three floats, too few for a grid of
+        # 1000 strictly increasing points; the error names the range and the
+        # grid size, and no fit is attempted first
+        x = 0.5 + np.linspace(0.0, 3e-16, 30)
+        sample = PairedSample(x=x, y=np.linspace(0.0, 1.0, 30))
+        spec = FitSpec(loss=loss, bandwidth=BandwidthEstimate(value=1e-16, method="fixed"),
+                       grid_size=1000)
+
+        def no_fit(*args):
+            raise AssertionError("a grid point was fitted")
+
+        for name in ("_windows", "_sorted_fit", "_warm_fit", "local_linear_fit"):
+            monkeypatch.setattr(smoothing, name, no_fit)
+        with pytest.raises(SmoothingError) as info:
+            fit_curve(sample, spec)
+        assert str(info.value) == ("x spans too few floats for 1000 distinct grid points: "
+                                   f"{x[0]} to {x[-1]}")
+
     def test_weighted_rows_of_each_window_are_those_within_the_radius(self, monkeypatch):
         # a row carries weight at x0 when |x - x0| <= _RADIUS h; rows are
         # placed on the last float inside that bound and the first outside it,
@@ -639,9 +664,11 @@ class TestFitCurve:
         np.testing.assert_array_equal(w != 0.0, in_window & (np.abs(xw - grid[:, None]) <= radius))
 
     @pytest.mark.parametrize("loss", LOSSES)
-    def test_local_linear_fit_gathers_the_weighted_rows_of_an_unsorted_sample(self, loss):
-        # in random row order the rows within the radius are not one run; they
-        # are gathered in row order, as if the sample held them alone
+    def test_local_linear_fit_takes_the_weighted_rows_of_the_sorted_sample(self, loss):
+        # in random row order the rows within the radius are not one run of
+        # the input rows, but they are one run of the sample's sorted_xy; the
+        # fit takes that run, so it equals the fit of a sample of those rows
+        # alone, which sorts them the same way
         rng = np.random.default_rng(9)
         x, y = random_tie_free_sample(rng, 200)
         sample = PairedSample(x=x, y=y)
@@ -673,9 +700,8 @@ class TestFitCurve:
         loss = LossKind.quadratic()
         curve = fit_curve(sample, FitSpec(loss=loss, bandwidth=BandwidthEstimate(
             value=h, method="fixed"), grid_size=60))
-        reference = sorted_by_x_and_y(sample)
         for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
-            assert value == local_linear_fit(reference, x0, h, loss)[0], x0
+            assert value == local_linear_fit(sample, x0, h, loss)[0], x0
 
     # sha256 (first 16 hex digits) of each curve's values, or its error, at
     # bandwidths outside smoothing._SQUARED_OFFSETS, as they were before the
@@ -776,10 +802,9 @@ def assert_raises_local_fits_first_error(sample: PairedSample, loss: LossKind,
     """fit_curve raises local_linear_fit's error at its first failing grid point."""
     with pytest.raises(SmoothingError) as info:
         fit_curve(sample, FitSpec(loss=loss, bandwidth=h, grid_size=grid_size))
-    reference = sorted_by_x_and_y(sample)
     for i, x0 in enumerate(np.linspace(sample.x.min(), sample.x.max(), grid_size).tolist()):
         try:
-            local_linear_fit(reference, x0, h.value, loss)
+            local_linear_fit(sample, x0, h.value, loss)
         except SmoothingError as exc:
             assert str(info.value) == f"grid point {i}: {exc}"
             return i, str(exc)
@@ -854,9 +879,8 @@ class TestMedianInLockStep:
         except SmoothingError:  # a gap in x: the error is the scalar path's
             assert_raises_local_fits_first_error(sample, loss, bandwidth, 60)
             return
-        reference = sorted_by_x_and_y(sample)
         for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
-            assert value == local_linear_fit(reference, x0, h, loss)[0], x0
+            assert value == local_linear_fit(sample, x0, h, loss)[0], x0
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -885,11 +909,10 @@ class TestMedianInLockStep:
         dup = rng.choice(n, copies, replace=False)
         sample = PairedSample(x=np.append(x, x[dup]),
                               y=np.append(y, rng.uniform(0.0, 1.0, copies)))
-        reference = sorted_by_x_and_y(sample)
-        grid = np.linspace(reference.x[0], reference.x[-1], 60)
+        xs = np.sort(sample.x)
+        grid = np.linspace(xs[0], xs[-1], 60)
         reach = smoothing._REACH * h
-        tied = [np.any(np.diff(reference.x[np.abs(reference.x - x0) <= reach]) == 0.0)
-                for x0 in grid]
+        tied = [np.any(np.diff(xs[np.abs(xs - x0) <= reach]) == 0.0) for x0 in grid]
         assume(0 < sum(tied) < len(grid))
         loss = LossKind(kind="quantile", tau=tau)
         bandwidth = BandwidthEstimate(value=h, method="fixed")
@@ -899,7 +922,7 @@ class TestMedianInLockStep:
             assert_raises_local_fits_first_error(sample, loss, bandwidth, 60)
             return
         for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
-            assert value == local_linear_fit(reference, x0, h, loss)[0], x0
+            assert value == local_linear_fit(sample, x0, h, loss)[0], x0
 
     def test_raw_fixture_windows_with_tied_x_take_the_lock_step(self, marks_sample,
                                                                 monkeypatch):
@@ -967,9 +990,8 @@ class TestMedianInLockStep:
         h = BandwidthEstimate(value=0.1, method="fixed")
         grid_size = 2 * smoothing._BLOCK + 3
         curve = fit_curve(sample, FitSpec(loss=loss, bandwidth=h, grid_size=grid_size))
-        reference = sorted_by_x_and_y(sample)
         for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
-            assert value == local_linear_fit(reference, x0, h.value, loss)[0]
+            assert value == local_linear_fit(sample, x0, h.value, loss)[0]
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -1011,9 +1033,8 @@ class TestMedianInLockStep:
         # rarely, every line the lock step finds holds a third row (y rounded
         # and one window of all rows), and there is no line to certify with
         assume(certified)
-        reference = sorted_by_x_and_y(sample)
         for x0, value in certified:
-            assert value == local_linear_fit(reference, x0, h, loss)[0], x0
+            assert value == local_linear_fit(sample, x0, h, loss)[0], x0
 
     @staticmethod
     def certify_one(x, y, tau, h, x0, line):
@@ -1029,16 +1050,16 @@ class TestMedianInLockStep:
     def test_lock_step_line_certifies_its_own_point(self):
         rng = np.random.default_rng(4)
         x, y = random_tie_free_sample(rng, 30)
-        reference = sorted_by_x_and_y(PairedSample(x=x, y=y))
+        sample = PairedSample(x=x, y=y)
         x0 = np.linspace(0.1, 0.9, 9)
         lo, hi = np.zeros(9, dtype=int), np.full(9, 30)
-        window = smoothing._windows(reference.x, reference.y, x0, lo, hi, 0.1)
+        window = smoothing._windows(*sample.sorted_xy, x0, lo, hi, 0.1)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             values, lines = smoothing._lock_step(*window, x0, 0.5)
             certified = smoothing._certify(*window, x0, 0.5, lines)
         assert np.array_equal(certified, values)
         for x0_i, value in zip(x0.tolist(), values.tolist()):
-            assert value == local_linear_fit(reference, x0_i, 0.1, LossKind.median())[0]
+            assert value == local_linear_fit(sample, x0_i, 0.1, LossKind.median())[0]
 
     def test_line_through_a_third_weighted_row_is_not_certified(self):
         # rows 1-3 lie on y = 0.9 - 0.9 x, which is the optimal line at
@@ -1073,9 +1094,8 @@ class TestMedianInLockStep:
         h = BandwidthEstimate(value=0.15, method="fixed")
         curve = fit_curve(sample, FitSpec(loss=loss, bandwidth=h, grid_size=200))
         assert 0 < len(calls) < 100
-        reference = sorted_by_x_and_y(sample)
         for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
-            assert value == scalar(reference, x0, h.value, loss)[0]
+            assert value == scalar(sample, x0, h.value, loss)[0]
 
     @pytest.mark.parametrize("loss", LOSSES)  # the mean's own check of its window too
     @pytest.mark.parametrize("x, grid_size, first", [
@@ -1157,9 +1177,8 @@ class TestWarmStart:
         loss = LossKind(kind="quantile", tau=tau)
         curve = fit_curve(sample, FitSpec(loss=loss, bandwidth=BandwidthEstimate(
             value=h, method="fixed"), grid_size=60))
-        reference = sorted_by_x_and_y(sample)
         for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
-            assert value == local_linear_fit(reference, x0, h, loss)[0], x0
+            assert value == local_linear_fit(sample, x0, h, loss)[0], x0
 
     def test_off_optimum_local_linear_fit_reaches_every_value(self, monkeypatch):
         # perfbench's median check moves local_linear_fit's intercept off the
@@ -1199,9 +1218,8 @@ class TestWarmStart:
         curve = fit_curve(sample, FitSpec(loss=loss, bandwidth=BandwidthEstimate(
             value=h, method="fixed"), grid_size=60))
         assert 1 <= len(calls) < 10  # the first grid point has no line to start from
-        reference = sorted_by_x_and_y(sample)
         for x0, value in zip(curve.grid.tolist(), curve.values.tolist()):
-            assert value == scalar(reference, x0, h, loss)[0], x0
+            assert value == scalar(sample, x0, h, loss)[0], x0
 
     def test_rate_margin_grows_with_the_count_above_1024_rows(self):
         assert smoothing._rate_margin(3.0, 0.5, 1024) == smoothing._ON_LINE * 3.0 * 0.5
@@ -1359,8 +1377,8 @@ class TestMedianAgainstReference:
         # the six median curves of loc-matrix with jitter_sd = 0 at grid 60.
         # On the tied marks the optimum need not be unique, so objectives are
         # compared, not values: at each grid point the curve takes the value
-        # of local_linear_fit's own line on the sample sorted by (x, y), whose
-        # objective equals that at tests/reference.py's linprog line.
+        # of local_linear_fit's own line, whose objective equals that at
+        # tests/reference.py's linprog line.
         # Relative gaps measured -3.5e-15 to 5.8e-16
         columns = marks_sample.column_names
         loss = LossKind.median()
@@ -1371,11 +1389,10 @@ class TestMedianAgainstReference:
                 raw = pair(marks_sample, x_name, y_name)
                 h = median_adjust(dpi_bandwidth(raw))
                 curve = fit_curve(raw, FitSpec(loss=loss, bandwidth=h, grid_size=60))
-                reference = sorted_by_x_and_y(raw)
                 intercepts, slopes = median_curve(raw.x, raw.y, curve.grid, h.value)
                 for x0, value, b0, b1 in zip(curve.grid.tolist(), curve.values.tolist(),
                                              intercepts.tolist(), slopes.tolist()):
-                    line = local_linear_fit(reference, x0, h.value, loss)
+                    line = local_linear_fit(raw, x0, h.value, loss)
                     assert value == line[0], (x_name, y_name, x0)
                     optimum = check_loss_objective(raw, x0, h.value, 0.5, b0, b1)
                     fitted = check_loss_objective(raw, x0, h.value, 0.5, *line)
