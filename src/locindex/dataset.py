@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -126,18 +127,15 @@ class PairedSample:
 
     x and y are read-only float arrays, so a sample cannot change once it is
     built.  An input is copied unless it and its base are read-only already;
-    ``jitter`` passes arrays that it owns and made read-only, and
-    ``sorted_window`` slices of ``sorted_xy``, so their samples share them.
-    That a sample cannot change is what lets ``association.empirical_ranks``
-    rank it once and keep the result in ``_ranks``, and ``x_order`` and
-    ``sorted_xy`` sort it once.
+    ``jitter`` passes arrays that it owns and made read-only, so its samples
+    share them.  That a sample cannot change is what lets
+    ``association.empirical_ranks`` rank it once and keep the result in
+    ``_ranks``, and ``x_order`` and ``sorted_xy`` sort it once.
     """
 
     x: np.ndarray
     y: np.ndarray
     _ranks: object = field(default=None, init=False, repr=False, compare=False)
-    _x_order: object = field(default=None, init=False, repr=False, compare=False)
-    _sorted_xy: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         x = _read_only(self.x)
@@ -156,7 +154,7 @@ class PairedSample:
     def n(self) -> int:
         return len(self.x)
 
-    @property
+    @cached_property
     def x_order(self) -> np.ndarray:
         """The order that sorts the rows by (x, y), taken the first time it
         is asked for and kept read-only.
@@ -169,38 +167,20 @@ class PairedSample:
         order.  The ranks take the order itself; the plug-in bandwidth and
         the curve fits take the rows in it, ``sorted_xy``.
         """
-        if self._x_order is None:
-            order = np.argsort(self.x)
-            xs = self.x[order]
-            if np.any(xs[1:] == xs[:-1]):
-                order = np.lexsort((self.y, self.x))
-            order.flags.writeable = False
-            object.__setattr__(self, "_x_order", order)
-        return self._x_order
+        order = np.argsort(self.x)
+        xs = self.x[order]
+        if np.any(xs[1:] == xs[:-1]):
+            order = np.lexsort((self.y, self.x))
+        order.flags.writeable = False
+        return order
 
-    @property
+    @cached_property
     def sorted_xy(self) -> tuple[np.ndarray, np.ndarray]:
-        """x and y in ``x_order``, gathered once and kept read-only; the
-        sample's own x and y when its rows are in that order already, so
-        that their slices stay views."""
-        if self._sorted_xy is None:
-            order = self.x_order
-            if np.all(order[1:] > order[:-1]):  # the identity: no gather
-                xs, ys = self.x, self.y
-            else:
-                xs, ys = self.x[order], self.y[order]
-                xs.flags.writeable = ys.flags.writeable = False
-            object.__setattr__(self, "_sorted_xy", (xs, ys))
-        return self._sorted_xy
-
-    def sorted_window(self, lo: int, hi: int) -> PairedSample:
-        """Rows lo:hi of ``sorted_xy`` as a sample of their own, whose
-        ``sorted_xy`` is its x and y, taken without a sort: the rows of a
-        slice of sorted rows are in ``x_order`` already."""
-        xs, ys = self.sorted_xy
-        window = PairedSample(x=xs[lo:hi], y=ys[lo:hi])
-        object.__setattr__(window, "_sorted_xy", (window.x, window.y))
-        return window
+        """x and y gathered in ``x_order`` the first time they are asked
+        for, and kept read-only, so that their slices stay read-only views."""
+        xs, ys = self.x[self.x_order], self.y[self.x_order]
+        xs.flags.writeable = ys.flags.writeable = False
+        return xs, ys
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ At each evaluation point x0 the estimate solves
 
     min over (b0, b1) of  sum_i L(y_i - b0 - b1 (x_i - x0)) * K((x_i - x0) / b)
 
-with K the standard normal kernel.  The fitted value at x0 is b0.
+with K the standard normal kernel [1, 2].  The fitted value at x0 is b0.
 
 Quadratic loss L(r) = r^2 targets the conditional mean and has the
 closed-form weighted least squares solution.
@@ -55,137 +55,20 @@ from the two observations that define the final line, anchored on the one
 nearer x0.  The fitted value is therefore a function of the sample, x0,
 the bandwidth and the loss alone.
 
-Both losses are solved on the rows within ``_RADIUS`` (about 7.31)
-bandwidths of x0, |x - x0| <= _RADIUS h, where the kernel weight is at least
-``WEIGHT_FLOOR``; the others carry weight zero.  Every fit reads the rows in
-the sample's ``x_order``, by (x, y), which is the one tie order that the
-ranks and the plug-in bandwidth share too; ``PairedSample.sorted_xy``
-gathers them once per sample.  Those rows are a function of the multiset of
-rows, so ``local_linear_fit`` and ``fit_curve`` do not depend on the order
-of the input rows, bit for bit, tied data included.  On sorted rows the
-offsets d = x - x0 are sorted too, so the weighted rows are one run, found
-by two binary searches on d [5] and solved by ``_sorted_fit``.
-``fit_curve`` fits each grid point on its window: the slice of the sorted
-rows within ``_REACH`` (the radius plus 1%) of x0, found by binary search.
-A window holds every weighted row, so its fit is ``local_linear_fit``'s.  A
-window of ``_SMALL_WINDOW`` rows or more is solved on views of its run, the
-mean by ``_sorted_fit`` and the check loss by a descent warm-started from the
-line of the grid point before (below) or by ``local_linear_fit`` on the
-window; smaller windows are solved in lock step (below), for both losses.
-Every such identity holds within one BLAS configuration: a dot product's
-rounding can depend on the number of threads BLAS runs it on, which for
-OpenBLAS 0.3.31 on two cores changes the bits of dots longer than 10,000
-rows, so a mean curve whose windows are that long can differ between a
-pinned and an unpinned process.
+Weighted rows.  A row carries kernel weight at x0 when |x - x0| <= ``_RADIUS``
+h (about 7.31 bandwidths), where the kernel is at least ``WEIGHT_FLOOR``; the
+others carry weight zero.  Every fit reads the rows in the sample's
+``x_order``, by (x, y), the one tie order that the ranks and the plug-in
+bandwidth share too, so a fit is a function of the multiset of rows, tied
+data included.  On sorted rows the weighted rows are one run, found by two
+binary searches [5].
 
-The kernel has one form for every caller and either loss (``_gaussian``):
-exp(d d (-1 / (2 h h))) (1 / sqrt(2 pi)), no division per row, and d d are
-the squared offsets the least-squares sums take.  On the per-point path it
-is evaluated once per grid point, on the weighted run only.  It rounds
-otherwise than the textbook exp(-u u / 2) / sqrt(2 pi) of u = d / h, by at
-most about 7e-15 relative (measured), and only bandwidths outside
-``_SQUARED_OFFSETS`` (1e-150, 1e150), where h h or d d leaves the normal
-floats, take the textbook form.
-
-The per-point path calls the C routines that numpy's Python wrappers forward
-to (``np.add.reduce`` for ``sum``, the ``argsort``, ``cumsum``,
-``searchsorted`` and ``nonzero`` methods, ``np.minimum.reduce`` and the like),
-which give the same doubles without the wrappers' call overhead; at n = 1e4 a
-grid point's descent makes dozens of such calls on a few thousand rows.
-
-Lock step.  ``fit_curve`` solves all grid points whose windows hold fewer
-than ``_SMALL_WINDOW`` rows together, in blocks of ``_BLOCK`` points, for
-either loss, instead of solving each on its own; the time of such a point
-goes to numpy call overhead, not arithmetic.  The windows are the rows of
-(points x window) arrays, padded to the widest, where padding and rows beyond
-the radius get weight 0.  A block's solver returns the values it
-solves and nan at the points it hands back, which the per-point path then
-solves.  One overflow guard covers each block: the kernel weights of far
-padding, the slopes at a pivot's x and the sums of a point that is handed
-back may overflow or divide by zero, and none of them decides a value.
-
-Both losses take least-squares sums from ``_row_wls``, which applies
-``_solve_wls`` to each row of (points x run) arrays.  Its sums are a row-wise
-sum and stacked ``np.matmul`` products of a row by a column, which are BLAS
-dot products of each row, as ``_solve_wls``'s are; so the sums, the
-determinant test and the coefficients are the same doubles.  Padded rows
-would not give them, since a dot's rounding depends on its length.  The mean
-groups the points by the length of their run of weighted rows and gathers
-each group's runs into such arrays, one row per point.  A point is handed
-back to the per-point path when its weighted rows are fewer than two or
-share one x, or when its design fails
-``_solve_wls``'s determinant test; that path raises where
-``local_linear_fit`` does.
-
-For the check loss, rows of c = 0 get the slope +inf, so they sort last and
-are never a partner.  Each step rotates every unfinished point about its
-pivot, taking the weighted quantile of step 1 by a row-wise sort of the
-slopes and their running weight, and takes a line that lowers the objective
-strictly.  The kernel weights, slopes, residuals and on-line test are the
-doubles of the scalar descent; equal slopes may sort, and the cut and the
-objective be summed, in another order.  A point stops when the rotation
-about the newer point of its best line brings no strict decrease.  That line
-is optimal, and the only optimal one when it holds no weighted row besides
-the two that define it and neither rotation about those two ties two lines,
-with a running weight within ``_ON_LINE`` of the total from the cut (as
-equal weights at a tied x can be): near the line every direction is a
-rotation about one of the two.  The scalar descent reaches the only optimal
-line from any start, so the start (``_start`` up to rounding: the slope
-from ``_row_wls`` on the padded windows, 0 where its determinant test fails,
-and the weighted quantile at that slope) only steers the path, and the
-value, anchored as in ``local_linear_fit``, is the same double.  A point
-takes the lock step by its window size alone, and is handed back to
-``local_linear_fit`` on its window when its slopes, or the objective of a
-line through two of its weighted rows, could overflow, when its best line
-holds another weighted row (tied y, or a copy of the pivot or the partner),
-or when two lines tie, as all lines through the pivot do where the window
-holds fewer than two distinct weighted x.  So ``fit_curve`` raises where
-``local_linear_fit`` does.
-
-The optimal line is piecewise constant in x0: on the fixture's median
-curves of 1000 grid points, a point's line is its neighbour's at about 19
-steps in 20.  So the check loss takes three passes, each in blocks of
-``_BLOCK`` points.  The lock step solves every ``_STRIDE``-th point and keeps
-the two rows that define its line.  ``_certify`` tries each other point
-against the line of the nearest solved point on its left, then on its right.
-The lock step then solves the points that neither line certifies.  A line is
-certified at a point when it passes through two weighted rows of the window,
-holds no other weighted row, and each of the four one-sided rates of the
-rotations about those two rows exceeds ``_ON_LINE`` times the total weight
-times the span of the weighted x.  The rates come from ``_line_rates``, which
-gives ``_descending_pivot`` its rates too.  Near such a line the objective is
-linear on each of the four cones between those rotations, so it rises in
-every direction: the line is the only optimum.  The margin lies far above a
-rate's rounding, so a rate that is 0 but rounds above it (a flat rotation,
-as tied x makes) does not pass.  The descent reaches the only optimum from
-any start and, with no other row on the line, ends on the same two rows; the
-slope is symmetric in them, so the value, anchored as in
-``local_linear_fit``, is the descent's double.  A line through a third
-weighted row is not certified: the descent may define it by another pair of
-its rows, whose slope and anchor round otherwise.
-
-Warm start.  Grid points whose windows hold ``_SMALL_WINDOW`` rows or more
-are solved one at a time, and there too a point's optimal line is often its
-neighbour's or a rotation away from it.  So on tie-free x each such point
-starts its descent from the line of the grid point before it, given by the
-x of its two rows, when both carry weight at the point.  The warm descent
-tests each line it reaches before it rotates: it takes ``_line_rates``
-about the rows on the line, stops when no rate is negative, and otherwise
-rotates about the row of the steepest.  It keeps the line it stops on only
-when ``_certify``'s rule proves it the only optimum: two weighted rows on
-it, and each rate above ``_rate_margin``, which is ``_ON_LINE`` times the
-total weight times the span of the weighted x up to 1024 rows and grows
-with the count of weighted rows above, so that it bounds a rate's rounding
-on a window of any size.  The value is then the descent's double, anchored
-as ``local_linear_fit`` anchors it, for the reasons above.  A point whose
-line fails the rule, the first grid point, and every point on tied x call
-``local_linear_fit`` on the window, as do samples whose slopes or objectives
-could overflow (``_scales``' bounds over the whole sample), where
-``local_linear_fit`` may raise.  The next point starts from the two
-weighted rows on the line ``local_linear_fit`` returns, when exactly two
-lie on it.  At n = 1e4 (windows of about 3,900 rows) 999 of 1000 grid
-points keep their warm line, after 0.8 to 1.0 rotations on average against
-3.6 from ``_start``.
+Where a grid point is solved.  ``fit_curve`` sends each grid point to one of
+three solvers: the lock step, which solves the points of small windows
+together (``_mean_lock_step``, ``_median_lock_step``); the warm start, which
+starts a large window's descent from the line of the grid point before
+(``_warm_fit``); or ``local_linear_fit``.  Its docstring gives the rules, and
+each solver's docstring says why its value is ``local_linear_fit``'s double.
 
 References
 ----------
@@ -327,7 +210,8 @@ def _gaussian(d: np.ndarray, bandwidth: float) -> tuple[np.ndarray, np.ndarray |
     below it h h is subnormal or 0 and 1 / (2 h h) overflows, above it d d
     overflows at the radius.  There, and only there, the weights are the
     textbook exp(-u u / 2) / sqrt(2 pi) with u = d / h, in that order of
-    operations.  Both forms are built in place.
+    operations.  Both forms are built in place.  The two round otherwise by at
+    most about 7e-15 relative (measured).
     """
     if _SQUARED_OFFSETS[0] < bandwidth < _SQUARED_OFFSETS[1]:
         dd = np.square(d)  # the doubles of d * d; one operand runs twice as fast
@@ -513,13 +397,23 @@ def _rotate(
     |r_i| / 2, the same rounding of the same magnitude, so the objective is
     w @ (|r| / 2).  Halving w @ |r| instead would need normal-range numbers,
     for which halving is exact: a subnormal term rounds otherwise, and the
-    doubled sum can overflow where the objective does not.
+    doubled sum can overflow where the objective does not.  Where every c
+    underflows to 0 no slope has weight, and ``SmoothingError`` is raised.
+
+    This and the other per-point helpers call the C routines that numpy's
+    Python wrappers forward to (``np.add.reduce`` for ``sum``, the
+    ``argsort``, ``cumsum``, ``searchsorted`` and ``nonzero`` methods,
+    ``np.minimum.reduce`` and the like), which give the same doubles without
+    the wrappers' call overhead; at n = 1e4 a grid point's descent makes
+    dozens of such calls on a few thousand rows.
     """
     a = x - x[k]
     dy = y - y[k]
     c = np.abs(a)
     c *= w  # 0 where a = 0, whose slope is inf or nan
     total = float(np.add.reduce(c))
+    if total == 0.0:  # every c underflows: the weighted x lie a few subnormals apart
+        raise SmoothingError("check-loss weights w |x - x_k| underflow to 0")
     cut = tau * total
     skew = 1.0 - 2.0 * tau
     if skew or total == math.inf:
@@ -764,24 +658,36 @@ def local_linear_fit(
     line beats; the optimum is computed exactly, the coefficients are that
     line rounded to floating point.  Where several lines attain the minimum
     (tied data), the one the descent reaches first is returned.  Both losses
-    see only the rows that carry kernel weight, taken from the sample's
-    ``sorted_xy``, so the result is a function of (the multiset of rows, x0,
-    bandwidth, loss) alone, and rows without weight can be left out of
-    ``sample`` without changing a bit.
+    see only the rows that carry kernel weight, in the sample's ``sorted_xy``,
+    so the result is a function of (the multiset of rows, x0, bandwidth,
+    loss) alone, and rows without weight can be left out of ``sample``
+    without changing a bit.  Two binary searches on the sorted x find the
+    rows within ``_REACH`` h of x0, which hold every weighted row, so a call
+    costs O(log n + window) on a sample of any size.
 
     Raises SmoothingError when fewer than two distinct x values carry kernel
     weight at x0, when quadratic loss has a singular (or overflowing) design,
-    and when the check-loss objective overflows.
+    and when the check-loss objective overflows or its weights underflow.
     """
     if not bandwidth > 0:  # nan too
         raise ValueError("bandwidth must be > 0")
-    return _sorted_fit(*sample.sorted_xy, x0, bandwidth, loss)
+    xs, ys = sample.sorted_xy
+    lo, hi = _reach(xs, x0, bandwidth)
+    return _sorted_fit(xs[lo:hi], ys[lo:hi], x0, bandwidth, loss)
+
+
+def _reach(xs: np.ndarray, x0: _Real, bandwidth: float) -> tuple[_Real, _Real]:
+    """lo and hi such that xs[lo:hi] are the rows of sorted xs within
+    ``_REACH`` h of x0, at one x0 or an array of them: a window that holds
+    every row of kernel weight."""
+    return (xs.searchsorted(x0 - _REACH * bandwidth, "left"),
+            xs.searchsorted(x0 + _REACH * bandwidth, "right"))
 
 
 def _sorted_fit(x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float,
                 loss: LossKind) -> tuple[float, float]:
     """``local_linear_fit`` on rows (x, y) sorted by (x, y) that hold every
-    row of kernel weight at x0: a sample's ``sorted_xy`` or a window of them.
+    row of kernel weight at x0: a window of a sample's ``sorted_xy``.
 
     The span of the weighted x, last minus first, tests for two distinct x
     and scales the descent's on-line test.  The arrays die with the call, so
@@ -789,7 +695,8 @@ def _sorted_fit(x: np.ndarray, y: np.ndarray, x0: float, bandwidth: float,
     """
     x, y, w, d, dd = _weighted_rows(x, y, x0, bandwidth)
     if not x.size or x[0] == x[-1]:
-        raise _too_few(x0)
+        raise SmoothingError(f"fewer than 2 distinct observations carry kernel weight "
+                             f"at x0 = {x0}")
     if loss.kind == "quadratic":
         return _solve_wls(d, y, w, x0, dd)
     p, q, b1 = _check_loss_line(x, y, w, loss.tau, x0, float(x[-1] - x[0]))
@@ -802,12 +709,6 @@ def _anchored_value(x: np.ndarray, y: np.ndarray, x0: float, p: int, q: int, b1:
     if (abs(x[p] - x0), x[p]) > (abs(x[q] - x0), x[q]):
         p = q
     return float(y[p] - b1 * (x[p] - x0))
-
-
-def _too_few(x0: float) -> SmoothingError:
-    return SmoothingError(
-        f"fewer than 2 distinct observations carry kernel weight at x0 = {x0}"
-    )
 
 
 def _weighted_rows(
@@ -839,6 +740,15 @@ def _warm_fit(
     sample, on tie-free x, and ``seed`` holds the x of the two rows that
     define the line of the grid point before; there is no start when one of
     them carries no weight at x0.
+
+    A point's optimal line is often its neighbour's, or a rotation away from
+    it, so the descent of ``_check_loss_line`` starts there.  It keeps the
+    line it stops on only when ``_certify``'s rule proves that line the only
+    optimum, with ``_rate_margin`` for the margin; the value is then the
+    descent's double, anchored as ``local_linear_fit`` anchors it, for the
+    reasons ``_certify`` gives.  At n = 1e4 (windows of about 3,900 rows)
+    999 of 1000 grid points keep their warm line, after 0.8 to 1.0 rotations
+    on average against 3.6 from ``_start``.
     """
     if seed is None or not x.size:
         return None
@@ -904,9 +814,12 @@ def _mean_lock_step(x: np.ndarray, y: np.ndarray, w: np.ndarray, x0: np.ndarray)
 
     The points are grouped by the length of their run, and each group's
     runs are gathered into C-contiguous (points x run) arrays and solved by
-    ``_row_wls``.  Returns the values, nan at the points handed back (the
-    module docstring lists them).  One x is tested on its own: a determinant
-    of subnormal sums can pass the determinant test.
+    ``_row_wls``.  Returns the values, and nan at the points handed back:
+    those whose weighted rows are fewer than two or share one x, and those
+    whose design fails ``_solve_wls``'s determinant test, at which the
+    per-point path raises where ``local_linear_fit`` does.  One x is tested
+    on its own: a determinant of subnormal sums can pass the determinant
+    test.
     """
     weighted = w != 0.0  # the rows within the radius: one run of each sorted window
     count = np.count_nonzero(weighted, axis=1)
@@ -970,10 +883,31 @@ def _lock_step(
 
     Every point runs the descent of ``_check_loss_line`` at once, on
     (points x window) arrays in which the padding and the rows beyond the
-    radius carry weight 0.  Returns the values of the points whose
-    descent ends on the only optimal line, which ``_check_loss_line`` reaches
-    too, and nan and columns -1 at the others; the module docstring lists
-    them.
+    radius carry weight 0.  Rows of c = 0 get the slope +inf, so they sort
+    last and are never a partner.  Each step rotates every unfinished point
+    about its pivot, taking the weighted quantile of a rotation by a
+    row-wise sort of the slopes and their running weight, and takes a line
+    that lowers the objective strictly.  The kernel weights, slopes,
+    residuals and on-line test are the doubles of the scalar descent; equal
+    slopes may sort, and the cut and the objective be summed, in another
+    order.  A point stops when the rotation about the newer point of its
+    best line brings no strict decrease.  That line is optimal, and the only
+    optimal one when it holds no weighted row besides the two that define
+    it and neither rotation about those two ties two lines, with a running
+    weight within ``_ON_LINE`` of the total from the cut (as equal weights
+    at a tied x can be): near the line every direction is a rotation about
+    one of the two.  The scalar descent reaches the only optimal line from
+    any start, so the start (``_start`` up to rounding: the slope from
+    ``_row_wls``, 0 where its determinant test fails, and the weighted
+    quantile at that slope) only steers the path, and the value, anchored as
+    in ``local_linear_fit``, is the same double.
+
+    Returns those values, and nan and columns -1 at the points handed back:
+    where a slope, or the objective of a line through two weighted rows,
+    could overflow (``_scales``); where the best line holds another
+    weighted row (tied y, or a copy of the pivot or the partner); and where
+    two lines tie, as all lines through the pivot do where the window holds
+    fewer than two distinct weighted x.
     """
     weighted, y_scale, x_span, sound = _scales(x, y, w)
     ids = np.flatnonzero(sound)
@@ -1029,8 +963,18 @@ def _certify(
     A point is certified against a line when the lock step takes it, both
     columns are weighted rows of its window, no other weighted row is on the
     line (the lock step's on-line test), and each rate of ``_line_rates``
-    about the two rows exceeds ``_ON_LINE`` times the total weight times the
-    span of the weighted x, a bound on the terms the rate is summed from.
+    about the two rows exceeds ``_rate_margin``, ``_ON_LINE`` times the total
+    weight times the span of the weighted x on windows this small.  Near
+    such a line the objective is linear on each of the four cones between
+    those rotations, so it rises in every direction: the line is the only
+    optimum.  The margin lies far above a rate's rounding, so a rate that is
+    0 but rounds above it (a flat rotation, as tied x makes) does not pass.
+    The descent reaches the only optimum from any start and, with no other
+    row on the line, ends on the same two rows; the slope is symmetric in
+    them, so the value, anchored as in ``local_linear_fit``, is the
+    descent's double.  A line through a third weighted row is not
+    certified: the descent may define it by another pair of its rows, whose
+    slope and anchor round otherwise.
     """
     weighted, y_scale, x_span, sound = _scales(x, y, w)
     values = np.full(len(x0), np.nan)
@@ -1066,10 +1010,13 @@ def _median_lock_step(
     """Check-loss values at the grid points x0 whose windows xs[lo:hi],
     ys[lo:hi] hold 2 to ``_SMALL_WINDOW`` - 1 rows, nan where handed back.
 
-    Three passes, each in blocks of ``_BLOCK`` points: ``_lock_step`` solves
-    every ``_STRIDE``-th point and keeps its line; ``_certify`` tries each
-    other point against the line of the solved point on its left, then on
-    its right; and ``_lock_step`` solves the points that neither certifies.
+    The optimal line is piecewise constant in x0: on the fixture's median
+    curves of 1000 grid points, a point's line is its neighbour's at about
+    19 steps in 20.  So there are three passes, each in blocks of ``_BLOCK``
+    points: ``_lock_step`` solves every ``_STRIDE``-th point and keeps its
+    line; ``_certify`` tries each other point against the line of the solved
+    point on its left, then on its right; and ``_lock_step`` solves the
+    points that neither certifies.
     """
     values = np.full(len(x0), np.nan)
     points = np.arange(len(x0))
@@ -1115,24 +1062,26 @@ def _row_quantiles(v: np.ndarray, c: np.ndarray,
 def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
     """Evaluate the local fit on an equispaced grid over [min(x), max(x)].
 
-    Each grid point x0 is fitted on its window, the slice of the sample's
-    ``sorted_xy`` with |x - x0| <= _REACH * h, found by binary search.  For
-    either loss, the grid points whose windows hold fewer than
-    ``_SMALL_WINDOW`` rows are solved together in lock step, which leaves
-    nan at the points it hands back (the module docstring lists them).  The
-    check loss solves every ``_STRIDE``-th such point first, takes the value
-    of a solved neighbour's line at each other point where that line is
-    certified to be the only optimal one, and solves the rest in lock step
-    too.  The points still nan are solved one at a time: the mean by
-    ``_sorted_fit`` on the window; the check loss, on tie-free x and
-    windows of ``_SMALL_WINDOW`` rows or more, by a descent that starts from
-    the line of the grid point before and is kept only where ``_certify``'s
-    rule proves its line the only optimal one, and otherwise by
-    ``local_linear_fit`` on the window, a ``sorted_window`` built once for
-    neighbouring grid points that share it.  The window holds every row with
-    kernel weight, so the curve is ``local_linear_fit`` on the sample, bit
-    for bit, for both losses, errors included: the first grid point at which
-    ``local_linear_fit`` fails, a window of fewer than two rows among them,
+    Each grid point x0 is fitted on its window, the rows of the sample's
+    ``sorted_xy`` with |x - x0| <= _REACH * h, found by binary search.  A
+    window holds every row with kernel weight, so its fit is
+    ``local_linear_fit``'s.  The grid points are solved thus:
+
+    - Windows of 2 to ``_SMALL_WINDOW`` - 1 rows, for either loss, in lock
+      step: ``_mean_lock_step`` in blocks of ``_BLOCK`` points, or
+      ``_median_lock_step``.  A point they hand back goes on as below.
+    - The mean: ``_sorted_fit`` on the window.
+    - The check loss, on tie-free x whose slopes and objectives cannot
+      overflow (``_scales``' bounds over the whole sample), at a window of
+      ``_SMALL_WINDOW`` rows or more: ``_warm_fit``, from the line of the
+      grid point before.
+    - Every other check-loss point, a cold one: ``local_linear_fit`` on the
+      sample.  Where the warm start applies, the next point starts from the
+      two weighted rows on that line, when exactly two lie on it.
+
+    So the curve is ``local_linear_fit`` on the sample, bit for bit within
+    one BLAS configuration (``_solve_wls``), for both losses, errors
+    included: the first grid point at which ``local_linear_fit`` fails
     raises its ``SmoothingError``.  An x whose range overflows a float, or
     spans too few floats for ``grid_size`` strictly increasing grid points,
     raises ``SmoothingError`` before any fit.
@@ -1153,8 +1102,7 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
         raise SmoothingError(f"x spans too few floats for {spec.grid_size} distinct grid "
                              f"points: {xs[0]} to {xs[-1]}")
     tied = bool(np.any(xs[1:] == xs[:-1]))  # tied x takes no warm start
-    los = np.searchsorted(xs, grid - _REACH * h, side="left")
-    his = np.searchsorted(xs, grid + _REACH * h, side="right")
+    los, his = _reach(xs, grid, h)
     values = np.full(spec.grid_size, np.nan)
     mean = spec.loss.kind == "quadratic"
     small = np.flatnonzero((his - los >= 2) & (his - los < _SMALL_WINDOW))
@@ -1169,19 +1117,14 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
         else:
             values[small] = _median_lock_step(xs, ys, grid[small], los[small], his[small], h,
                                               spec.loss.tau)
-        # large median windows start from the line of the grid point before them, on
-        # tie-free x whose slopes and objectives cannot overflow (_scales' bounds, which
-        # overflow themselves where they fail)
+        # _scales' bounds overflow themselves where they fail
         warm = not (mean or tied) and bool(_scales(xs[None], ys[None],
                                                    np.ones((1, len(xs))))[3][0])
     todo = np.isnan(values)
     seed = None  # the x of the two weighted rows that define that line
-    bounds, window = None, None
     for i, x0, lo, hi in zip(np.flatnonzero(todo).tolist(), grid[todo].tolist(),
                              los[todo].tolist(), his[todo].tolist()):
         try:
-            if hi - lo < 2:  # a PairedSample needs two rows, and so does the fit
-                raise _too_few(x0)
             if mean:
                 values[i] = _sorted_fit(xs[lo:hi], ys[lo:hi], x0, h, spec.loss)[0]
                 continue
@@ -1192,9 +1135,7 @@ def fit_curve(sample: PairedSample, spec: FitSpec) -> FittedCurve:
                 if fit is not None:
                     values[i], seed = fit
                     continue
-            if (lo, hi) != bounds:
-                bounds, window = (lo, hi), sample.sorted_window(lo, hi)
-            values[i], b1 = local_linear_fit(window, x0, h, spec.loss)
+            values[i], b1 = local_linear_fit(sample, x0, h, spec.loss)
             if rows is not None:
                 seed = _rows_on_line(*rows[:2], x0, values[i], b1)
         except SmoothingError as exc:

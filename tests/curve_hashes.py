@@ -19,6 +19,11 @@ The curves:
   not jittered, x and y rounded to 2 decimals at n = 800 and 2000 and to 3
   at n = 5000.  Check loss at tau = 0.1, 0.25, 0.5 and 0.9, fixed bandwidth
   0.06, grid 300.
+- The fixture's six raw median curves: each ordered pair of
+  ``data/synthetic_marks.csv`` as ``association.fit_pair`` fits it with
+  ``jitter_sd = 0``, at the Yu-Jones adjustment of the plug-in bandwidth of
+  the raw pair, grid 1000.  Their marks are tied, so many grid points go
+  through ``local_linear_fit``.
 
 A dot product of more than 10,000 rows can round otherwise on more BLAS
 threads, so BLAS runs on one, set before numpy is imported.  This script is
@@ -28,6 +33,7 @@ not a test: pytest does not collect it.
 import hashlib
 import os
 import sys
+from pathlib import Path
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ["OMP_NUM_THREADS"] = "1"
@@ -41,9 +47,15 @@ from locindex import (  # noqa: E402
     PairedSample,
     dpi_bandwidth,
     fit_curve,
+    fit_pair,
     jitter,
+    load_csv,
     median_adjust,
+    normalize,
+    pair,
 )
+
+FIXTURE = Path(__file__).resolve().parent.parent / "data" / "synthetic_marks.csv"
 
 TAUS = (0.1, 0.25, 0.5, 0.9)
 
@@ -83,6 +95,13 @@ def curves():
         for tau in TAUS:
             spec = FitSpec(loss=LossKind(kind="quantile", tau=tau), bandwidth=h, grid_size=300)
             yield f"rounded n={n} tau={tau}", fit_curve(sample, spec).values
+    marks = normalize(load_csv(FIXTURE))
+    for x_name in marks.column_names:
+        for y_name in marks.column_names:
+            if x_name != y_name:
+                fit = fit_pair(pair(marks, x_name, y_name),
+                               FitSpec(loss=LossKind.median(), grid_size=1000), jitter_sd=0.0)
+                yield f"raw {x_name}->{y_name} median", fit.curve.values
 
 
 def main() -> int:

@@ -7,13 +7,15 @@ rank coefficients come from scipy / the classical rank-difference identity, the
 Yu-Jones factor from scipy's normal distribution, kernel weights from the
 kernel's formula in one expression (textbook, or from the squared offsets),
 least squares comes from numpy's polynomial fit, the check-loss optimum from
-scipy's linear programming solver, and a weighted quantile from a plain loop
-over the sorted rows.
+scipy's linear programming solver, a weighted quantile from a plain loop
+over the sorted rows, the summary statistics from the standard library's
+``statistics``, and a histogram from a scan of each value over the bins.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 from scipy import stats
@@ -189,3 +191,28 @@ def random_tie_free_sample(rng: np.random.Generator, n: int):
         y = rng.uniform(0.0, 1.0, n)
         if len(np.unique(x)) == n and len(np.unique(y)) == n:
             return x, y
+
+
+def summary_by_statistics(values) -> dict[str, float]:
+    """The seven statistics of ``dataset.SummaryStats`` from ``statistics``:
+    the inclusive quartiles (plotting positions (k-1)/(n-1)), the correctly
+    rounded mean ``fmean`` and the sample standard deviation; n >= 2."""
+    values = [float(v) for v in values]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"minimum": min(values), "q1": q1, "median": median, "q3": q3,
+            "mean": statistics.fmean(values), "maximum": max(values),
+            "sd": statistics.stdev(values)}
+
+
+def histogram_by_scan(values, bin_count: int) -> list[int]:
+    """Counts over the bins between ``np.linspace(min, max, bin_count + 1)``,
+    each value found by a scan over the bins: the first bin closed at both
+    ends, the others (a, b]."""
+    values = [float(v) for v in values]
+    edges = np.linspace(min(values), max(values), bin_count + 1).tolist()
+    counts = [0] * bin_count
+    for v in values:
+        k = next(k for k in range(bin_count)
+                 if edges[k] < v <= edges[k + 1] or (k == 0 and v == edges[0]))
+        counts[k] += 1
+    return counts

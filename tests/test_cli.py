@@ -617,10 +617,21 @@ _SUBNORMAL_STEP = ("\n".join(["student_id,s0,s1", *(f"S{i},0,0" for i in range(4
                     "--jitter-sd", "1e-320"])
 
 
+# the same jitter puts three x a few hundred subnormals apart; at the next grid
+# point their kernel weight is about 1.6e-12, so every w |x - x_k| of a median
+# rotation underflows to 0, which fails that pair instead of dividing by 0
+_SUBNORMAL_WEIGHTS = ("student_id,s0,s1\nS0,0,0\nS1,0,0\nS2,0,0\nS3,1,0\n",
+                      ["loc-matrix", "--max-items", "46,1", "--format", "table", "--seed", "0",
+                       "--grid", "4", "--jitter-sd", "1e-320", "--m", "4", "--bandwidth", "1e-3",
+                       "--loss", "median"])
+
+
 def _pin_examples(test):
     for argv in _ON_THE_FIXTURE:  # None: the CSV is the fixture
         test = example(case=(None, argv))(test)
-    return example(case=_SUBNORMAL_STEP)(test)
+    for case in (_SUBNORMAL_STEP, _SUBNORMAL_WEIGHTS):
+        test = example(case=case)(test)
+    return test
 
 
 @_pin_examples
@@ -647,6 +658,18 @@ def test_every_input_ends_in_an_exit_status_without_a_traceback(case):
         assert errors
         for line in errors:
             assert _PAIR_ERROR.match(line), line
+
+
+def test_median_weights_that_underflow_fail_their_pair(tmp_path):
+    text, argv = _SUBNORMAL_WEIGHTS
+    path = tmp_path / "marks.csv"
+    path.write_text(text, encoding="utf-8")
+    err = StringIO()
+    with redirect_stdout(StringIO()), redirect_stderr(err):
+        code = main([*argv, "--input", str(path)])
+    assert code == 1
+    assert ("error: pair (s0 -> s1), median fit: grid point 1: check-loss weights "
+            "w |x - x_k| underflow to 0") in err.getvalue().splitlines()
 
 
 if __name__ == "__main__":

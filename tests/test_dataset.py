@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locindex import (
@@ -20,6 +20,7 @@ from locindex import (
 )
 
 from conftest import write_csv
+from oracles import histogram_by_scan, summary_by_statistics
 
 
 class TestLoadCsv:
@@ -247,6 +248,22 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize(np.array([]))
 
+    @given(st.integers(1, 10**6).flatmap(
+        lambda cap: st.lists(st.integers(0, cap), min_size=2, max_size=300).map(
+            lambda counts: np.array(counts) / cap)))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_standard_librarys_statistics(self, column):
+        # marks normalized as normalize divides them; min and max are exact,
+        # the rest differ in rounding only: over 20,000 random columns of up
+        # to 400 marks or uniform values the largest gap was 1.43 * 2**-52
+        # times max |value| (the mean; the quartiles 0.97, the sd 0.55)
+        expected = summary_by_statistics(column)
+        got = summarize(column)
+        tolerance = 4 * 2.0**-52 * float(np.max(np.abs(column)))
+        assert (got.minimum, got.maximum) == (expected["minimum"], expected["maximum"])
+        for name in ("q1", "median", "q3", "mean", "sd"):
+            assert abs(getattr(got, name) - expected[name]) <= tolerance, name
+
 
 class TestHistogram:
     def test_single_bin(self):
@@ -272,6 +289,17 @@ class TestHistogram:
     def test_constant_column(self):
         counts = histogram(np.full(5, 0.3), 4)
         assert counts.tolist() == [5, 0, 0, 0]
+
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1,
+                 max_size=60),
+        st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example([0.0, 0.25, 0.5, 0.75, 1.0], 4)  # values on the inner edges
+    @example([0.0, 5e-324, 1e-323], 12)  # edges that repeat
+    def test_equals_a_scan_over_the_bins(self, values, bins):
+        assert histogram(np.array(values), bins).tolist() == histogram_by_scan(values, bins)
 
     def test_bad_bin_count(self):
         with pytest.raises(ValueError):
@@ -434,6 +462,7 @@ class TestPairedSample:
     @pytest.mark.parametrize("x, y", [
         ([0.4, 0.1, 0.3, 0.2, 0.7], [0.5, 0.1, 0.4, 0.2, 0.3]),  # tie-free
         ([0.2, 0.1, 0.2, 0.1, 0.2], [0.5, 0.9, 0.1, 0.3, 0.5]),  # tied x, and a row twice
+        ([0.1, 0.2, 0.3, 0.4, 0.7], [0.5, 0.1, 0.4, 0.2, 0.3]),  # sorted already: gathered too
     ])
     def test_sorted_xy_holds_the_rows_in_x_order(self, x, y):
         sample = PairedSample(x=x, y=y)
@@ -441,31 +470,6 @@ class TestPairedSample:
         np.testing.assert_array_equal(xs, sample.x[sample.x_order])
         np.testing.assert_array_equal(ys, sample.y[sample.x_order])
         assert xs is not sample.x and ys is not sample.y
-
-    @pytest.mark.parametrize("x, y", [
-        ([0.1, 0.2, 0.3, 0.4, 0.7], [0.5, 0.1, 0.4, 0.2, 0.3]),  # tie-free
-        ([0.1, 0.1, 0.2, 0.2, 0.2], [0.3, 0.9, 0.1, 0.5, 0.5]),  # tied x, and a row twice
-    ])
-    def test_sorted_xy_of_sorted_rows_is_the_samples_own_arrays(self, x, y):
-        sample = PairedSample(x=x, y=y)
-        xs, ys = sample.sorted_xy
-        assert xs is sample.x and ys is sample.y
-        window = PairedSample(x=xs[1:4], y=ys[1:4])  # a window of sorted rows stays a view
-        assert window.sorted_xy[0].base is xs and window.sorted_xy[1].base is ys
-
-    def test_sorted_window_is_a_view_of_the_sorted_rows_taken_without_a_sort(self, monkeypatch):
-        sample = PairedSample(x=[0.2, 0.1, 0.2, 0.1, 0.2], y=[0.5, 0.9, 0.1, 0.3, 0.5])
-        xs, ys = sample.sorted_xy
-        calls = []
-        for name in ("argsort", "lexsort"):
-            monkeypatch.setattr(np, name, lambda *args, sort=getattr(np, name):
-                                calls.append(1) or sort(*args))
-        window = sample.sorted_window(1, 4)
-        wx, wy = window.sorted_xy
-        assert calls == []
-        assert wx is window.x and wy is window.y and wx.base is xs and wy.base is ys
-        assert wx.tolist() == [0.1, 0.2, 0.2] and wy.tolist() == [0.9, 0.1, 0.5]
-        assert window.x_order.tolist() == [0, 1, 2]  # the order a sort gives
 
 
 class TestRawScores:

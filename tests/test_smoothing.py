@@ -585,6 +585,16 @@ class TestFitCurve:
         with pytest.raises(SmoothingError, match="check-loss objective overflows"):
             fit_curve(sample, spec)
 
+    def test_median_weights_that_underflow_raise(self):
+        # three weighted x a few hundred subnormals apart and a kernel weight
+        # of about 1.6e-12: every c = w |x - x_k| of a rotation underflows to 0,
+        # which leaves the slope's weighted quantile undefined
+        x = np.array([-267.0, 254.0, 1296.0, 0.0]) * np.nextafter(0.0, 1.0)
+        x[3] = 1.0 / 46.0
+        sample = PairedSample(x=x, y=np.zeros(4))
+        with pytest.raises(SmoothingError, match=r"^check-loss weights w \|x - x_k\| underflow"):
+            local_linear_fit(sample, x[3] / 3.0, 1e-3, LossKind.median())
+
     @pytest.mark.parametrize("loss", LOSSES)
     def test_x_spanning_more_than_the_float_range_raises(self, loss):
         # max(x) - min(x) overflows, and so would the grid's step: the error
@@ -757,28 +767,64 @@ class TestFitCurve:
     @pytest.mark.parametrize("rounded", [False, True])
     def test_large_median_windows_are_views_of_the_sorted_sample(self, monkeypatch, rounded):
         # the sorted arrays are read-only, so the rows that each descent takes,
-        # warm-started or in local_linear_fit's sample, share them instead of
-        # copying the window's rows at every grid point; x rounded to 1/1000
-        # has ties, on which every point takes local_linear_fit
+        # warm-started or inside local_linear_fit, share them instead of
+        # copying the window's rows at every grid point, and local_linear_fit
+        # takes the sample itself; x rounded to 1/1000 has ties, on which
+        # every point takes local_linear_fit
         rng = np.random.default_rng(4)
         x, y = random_tie_free_sample(rng, 300)
         if rounded:
             x = np.round(x, 3)
-        descents, windows = [], []
+        sample = PairedSample(x=x, y=y)
+        descents, samples = [], []
         line, scalar = smoothing._check_loss_line, smoothing.local_linear_fit
         monkeypatch.setattr(smoothing, "_check_loss_line",
                             lambda *a: descents.append(a[:2]) or line(*a))
         monkeypatch.setattr(smoothing, "local_linear_fit",
-                            lambda *a: windows.append(a[0]) or scalar(*a))
+                            lambda *a: samples.append(a[0]) or scalar(*a))
         h = BandwidthEstimate(value=0.05, method="fixed")  # every window is a large one
-        fit_curve(PairedSample(x=x, y=y), FitSpec(loss=LossKind.median(), bandwidth=h,
-                                                  grid_size=30))
+        fit_curve(sample, FitSpec(loss=LossKind.median(), bandwidth=h, grid_size=30))
         assert len(descents) >= 30 and len({id(wx) for wx, _ in descents}) > 1
-        assert (len(windows) == 30) == rounded and 0 < len(windows) <= 30
-        sorted_x, sorted_y = descents[0][0].base, descents[0][1].base
-        assert sorted_x is not None and sorted_y is not None and sorted_x is not x
+        assert (len(samples) == 30) == rounded and 0 < len(samples) <= 30
+        sorted_x, sorted_y = sample.sorted_xy
         assert all(wx.base is sorted_x and wy.base is sorted_y for wx, wy in descents)
-        assert all(w.x.base is sorted_x and w.y.base is sorted_y for w in windows)
+        assert all(s is sample for s in samples)
+
+    def test_cold_median_points_fit_on_the_sample_and_build_no_sample(self, marks_sample,
+                                                                      monkeypatch):
+        # the raw marks are tied, so the lock step hands many grid points back;
+        # each is a local_linear_fit call on the sample itself, which finds its
+        # own window, and no PairedSample is built for a window
+        raw = pair(marks_sample, "mathematics", "reading")
+        h = median_adjust(dpi_bandwidth(raw))
+        samples, built = [], []
+        scalar, post_init = smoothing.local_linear_fit, PairedSample.__post_init__
+        monkeypatch.setattr(smoothing, "local_linear_fit",
+                            lambda *a: samples.append(a[0]) or scalar(*a))
+        monkeypatch.setattr(PairedSample, "__post_init__",
+                            lambda self: built.append(1) or post_init(self))
+        curve = fit_curve(raw, FitSpec(loss=LossKind.median(), bandwidth=h, grid_size=1000))
+        assert len(samples) > 100 and all(s is raw for s in samples)
+        assert built == []
+        assert np.isfinite(curve.values).all()
+
+    @pytest.mark.parametrize("loss", LOSSES)
+    def test_local_linear_fit_hands_sorted_fit_only_its_reach_window(self, loss, monkeypatch):
+        # two binary searches on the sorted x find the rows within _REACH h of
+        # x0, so a fit costs O(log n + window), not a pass over all n rows
+        sample = synthetic_pair(10_000, 3)
+        xs, _ = sample.sorted_xy
+        h, rows = 0.01, []
+        sorted_fit = smoothing._sorted_fit
+        monkeypatch.setattr(smoothing, "_sorted_fit",
+                            lambda x, *a: rows.append(x) or sorted_fit(x, *a))
+        for x0 in (0.0, 0.3, 0.77, 1.0):
+            rows.clear()
+            local_linear_fit(sample, x0, h, loss)
+            (window,) = rows
+            reach = np.flatnonzero(np.abs(xs - x0) <= smoothing._REACH * h)
+            assert window.base is xs and len(window) < len(xs) // 4
+            np.testing.assert_array_equal(window, xs[reach[0]:reach[-1] + 1])
 
 
 def radius_edges(x0: float, radius: float) -> tuple[float, float, float, float]:
